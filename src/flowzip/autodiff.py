@@ -1,11 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The op set is exactly what the flow and its objectives need: convolution,
-relu, (scatter-)add, slicing/concat, space-to-depth, rounding and gate
-binarization with straight-through gradients, the LSQ fake-quantizer, the
-discretized-logistic log-mass, and a few scalar reductions. Every op
-registers an exact adjoint; gradient tests check each against central
-finite differences.
+The op set is exactly what the flow and its objectives need: add, mul,
+scale, add_const, relu and the sum reduction nsum; reshape, channel
+slice/concat, scatter_add and the 2x2 squeeze; convolution; rounding and
+gate binarization with straight-through gradients; the LSQ fake-quantizer;
+and the discretized-logistic log-mass. Every op registers an exact adjoint;
+gradient tests check each against central finite differences.
+
+The plain-array kernels behind some ops (space_to_depth/depth_to_space,
+im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
+run, so the tape and the codec share one implementation of each.
 
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
@@ -21,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import quant
+from .errors import DataFormatError
 from .numerics import round_half_away
 
 _state = threading.local()
@@ -123,11 +128,6 @@ def add(a, b):
     return _make(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
-def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    return _make(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
-
-
 def mul(a, b):
     a, b = _lift(a), _lift(b)
     av, bv = a.value, b.value
@@ -144,30 +144,6 @@ def add_const(a, c: float):
     return _make(a.value + c, (a,), (lambda g: g,))
 
 
-def neg(a):
-    return scale(a, -1.0)
-
-
-def exp(a):
-    a = _lift(a)
-    out = np.exp(a.value)
-    return _make(out, (a,), (lambda g: g * out,))
-
-
-def log(a):
-    a = _lift(a)
-    av = a.value
-    return _make(np.log(av), (a,), (lambda g: g / av,))
-
-
-def sigmoid(a):
-    a = _lift(a)
-    from .numerics import sigmoid as _sig
-
-    out = _sig(a.value)
-    return _make(out, (a,), (lambda g: g * out * (1.0 - out),))
-
-
 def relu(a):
     a = _lift(a)
     mask = a.value > 0
@@ -180,15 +156,6 @@ def nsum(a):
     return _make(np.asarray(a.value.sum()), (a,), (lambda g: np.broadcast_to(g, shp),))
 
 
-def mean(a):
-    a = _lift(a)
-    n = a.value.size
-    shp = a.value.shape
-    return _make(
-        np.asarray(a.value.mean()), (a,), (lambda g: np.broadcast_to(g / n, shp),)
-    )
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -197,16 +164,6 @@ def reshape(a, shp):
     a = _lift(a)
     old = a.value.shape
     return _make(a.value.reshape(shp), (a,), (lambda g: g.reshape(old),))
-
-
-def transpose(a, axes):
-    a = _lift(a)
-    inv = np.argsort(axes)
-    return _make(
-        np.ascontiguousarray(a.value.transpose(axes)),
-        (a,),
-        (lambda g: np.ascontiguousarray(g.transpose(inv)),),
-    )
 
 
 def channel_slice(a, start: int, stop: int):
@@ -243,53 +200,33 @@ def scatter_add(base, src, idx: np.ndarray):
     return _make(out, (base, src), (lambda g: g, lambda g: g[:, idx]))
 
 
-def squeeze2x2(a):
-    """Space-to-depth: (B,C,H,W) -> (B,4C,H/2,W/2), channel-major offsets."""
-    a = _lift(a)
-    B, C, H, W = a.value.shape
+def space_to_depth(x: np.ndarray) -> np.ndarray:
+    """(B,C,H,W) -> (B,4C,H/2,W/2); channel-major, 2x2 offsets row-major."""
+    B, C, H, W = x.shape
     if H % 2 or W % 2:
-        raise ValueError("squeeze needs even spatial dims")
-
-    def fwd(x):
-        return (
-            x.reshape(B, C, H // 2, 2, W // 2, 2)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(B, 4 * C, H // 2, W // 2)
-        )
-
-    def vjp(g):
-        return (
-            g.reshape(B, C, 2, 2, H // 2, W // 2)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(B, C, H, W)
-        )
-
-    return _make(np.ascontiguousarray(fwd(a.value)), (a,), (vjp,))
+        raise DataFormatError("spatial dims must be even to squeeze")
+    return (
+        x.reshape(B, C, H // 2, 2, W // 2, 2)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(B, 4 * C, H // 2, W // 2)
+    )
 
 
-def unsqueeze2x2(a):
-    """Inverse of squeeze2x2: (B,4C,h,w) -> (B,C,2h,2w)."""
-    a = _lift(a)
-    B, C4, h, w = a.value.shape
+def depth_to_space(x: np.ndarray) -> np.ndarray:
+    """Inverse of space_to_depth."""
+    B, C4, h, w = x.shape
     if C4 % 4:
-        raise ValueError("channel count must be divisible by 4")
+        raise DataFormatError("channel count must be divisible by 4 to unsqueeze")
     C = C4 // 4
+    return (
+        x.reshape(B, C, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(B, C, 2 * h, 2 * w)
+    )
 
-    def fwd(x):
-        return (
-            x.reshape(B, C, 2, 2, h, w)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(B, C, 2 * h, 2 * w)
-        )
 
-    def vjp(g):
-        return (
-            g.reshape(B, C, h, 2, w, 2)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(B, 4 * C, h, w)
-        )
-
-    return _make(np.ascontiguousarray(fwd(a.value)), (a,), (vjp,))
+def squeeze2x2(a):
+    """space_to_depth on the tape; its adjoint is depth_to_space."""
+    a = _lift(a)
+    return _make(space_to_depth(a.value), (a,), (depth_to_space,))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,6 @@ def build_parser() -> _Parser:
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--path", choices=("float", "fake", "int"), default=None)
-    c.add_argument("--threads", type=int, default=1)
-    c.add_argument("--batch", type=int, default=None, help="unused; accepted for symmetry")
 
     d = sub.add_parser("decompress", help="reconstruct images from a container")
     d.add_argument("container")
@@ -149,7 +147,7 @@ def cmd_compress(args) -> int:
     model, _ = load_model(args.checkpoint)
     path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
-    container, stats = codec.compress(images, model, path, threads=args.threads)
+    container, stats = codec.compress(images, model, path)
     with open(args.out, "wb") as f:
         f.write(container)
     print(

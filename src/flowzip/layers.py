@@ -13,7 +13,7 @@ Each block runs in one of two engines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,28 +97,6 @@ class ConvLayer:
         return quantize(self.w.value, p)
 
 
-def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Float convolution of a plain array through a layer (no tape)."""
-    return ad.conv2d_raw(
-        np.asarray(x, dtype=np.float64), layer.w.value, layer.b.value
-    )
-
-
-def gconv(x: np.ndarray, layer: ConvLayer, gate: GateVector) -> np.ndarray:
-    """Gated convolution: output channel c is zeroed when gate_c <= 0.5."""
-    if len(gate.g) != layer.c_out:
-        raise ValueError("gate length must equal the output channel count")
-    y = conv2d(x, layer)
-    return y * gate.binarized()[None, :, None, None]
-
-
-def relu_int(q: QuantizedTensor) -> QuantizedTensor:
-    """Integer ReLU: clamp values at zero; the scale is untouched."""
-    return QuantizedTensor(
-        values=np.maximum(q.values, 0), scale=q.scale, signed=False
-    )
-
-
 def _check_acc_bound(c_in: int, bhat: np.ndarray):
     bound = 255 * 128 * KERNEL * KERNEL * c_in + int(np.abs(bhat).max(initial=0))
     if bound > MAX_ACC:
@@ -151,32 +129,6 @@ def requantize(
 ) -> np.ndarray:
     """Rescale an integer accumulator by m (double precision), round, clip."""
     return np.clip(round_half_away(acc * m), lo, hi)
-
-
-def int_conv2d(
-    x: QuantizedTensor,
-    layer: ConvLayer,
-    out_scale: float,
-    out_signed: bool = True,
-) -> QuantizedTensor:
-    """Integer-only convolution: int8 GEMM, folded bias, double rescale.
-
-    Dequantizes to approximately the float conv2d output; the only extra
-    error terms are the output rounding (<= 0.5 * out_scale) and the bias
-    quantization (<= 0.5 * s_W * s_x).
-    """
-    if float(out_scale) <= 0:
-        raise ValueError("out_scale must be positive")
-    w_q = layer.quantized_weight()
-    sw = layer.wscale.value
-    sx = float(x.scale[0])
-    bhat = fold_bias(layer.b.value, sw, sx)
-    acc = int_conv_acc(x.values, w_q.values, bhat)
-    # m is per output channel when the weight scale is per-channel
-    m = (sw * sx / float(out_scale))[None, :, None, None]
-    lo, hi = (-128, 127) if out_signed else (0, 255)
-    vals = requantize(acc, m, lo, hi)
-    return QuantizedTensor(values=vals, scale=np.atleast_1d(float(out_scale)), signed=out_signed)
 
 
 @dataclass

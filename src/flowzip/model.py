@@ -51,29 +51,6 @@ class FlowConfig:
             c = (c // 2) * 4
 
 
-def space_to_depth(x: np.ndarray) -> np.ndarray:
-    """(B,C,H,W) -> (B,4C,H/2,W/2); channel-major, 2x2 offsets row-major."""
-    B, C, H, W = x.shape
-    if H % 2 or W % 2:
-        raise DataFormatError("spatial dims must be even to squeeze")
-    return (
-        x.reshape(B, C, H // 2, 2, W // 2, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(B, 4 * C, H // 2, W // 2)
-    )
-
-
-def depth_to_space(x: np.ndarray) -> np.ndarray:
-    """Inverse of space_to_depth."""
-    B, C4, h, w = x.shape
-    if C4 % 4:
-        raise DataFormatError("channel count must be divisible by 4 to unsqueeze")
-    C = C4 // 4
-    return (
-        x.reshape(B, C, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(B, C, 2 * h, 2 * w)
-    )
-
-
 @dataclass
 class SimCtx:
     act_quant: bool = False
@@ -325,9 +302,10 @@ class FlowModel:
                 f"expected (B,{self.cfg.in_channels},H,W) input, got {x.shape}"
             )
         div = 2**self.cfg.levels
-        if x.shape[2] % div or x.shape[3] % div:
+        h, w = x.shape[2:]
+        if not (h and w) or h % div or w % div:
             raise DataFormatError(
-                f"spatial dims must be divisible by {div}, got {x.shape[2:]}"
+                f"spatial dims must be positive multiples of {div}, got {x.shape[2:]}"
             )
 
     def sim_ctx(self, calibrate: bool = False) -> SimCtx:
@@ -398,7 +376,7 @@ class FlowModel:
         latents, priors = [], []
         log2p = np.zeros(x.shape[0])
         for lvl in self.levels:
-            h = space_to_depth(h)
+            h = ad.space_to_depth(h)
             for coup in lvl.couplings:
                 h = coup.forward_int_domain(h, t_fn)
             if not lvl.is_last:
@@ -435,8 +413,6 @@ class FlowModel:
                 h = np.concatenate([h, fac], axis=1)
             for coup in reversed(lvl.couplings):
                 h = coup.inverse_int_domain(h, t_fn)
-            h = depth_to_space(h)
+            h = ad.depth_to_space(h)
         return h
 
-    def latent_dim(self, h: int, w: int) -> int:
-        return self.cfg.in_channels * h * w

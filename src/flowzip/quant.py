@@ -9,7 +9,7 @@ scale, rescaled by 1/sqrt(C * Q_P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -148,11 +148,6 @@ def gated_objective(batch: np.ndarray, model: FlowModel, lambdas) -> tuple:
     return ad.add(base, penalty), base
 
 
-def backward(loss: ad.Node):
-    """Reverse-mode sweep; gradients land on every reachable leaf Node."""
-    ad.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -366,7 +361,7 @@ class Trainer:
             batch = self.train_x[order[i : i + bs]]
             optimizer.zero_grad()
             loss = objective(batch)
-            backward(loss)
+            ad.backward(loss)
             optimizer.step()
             clamp_auxiliary(model)
             losses.append(float(loss.value))

@@ -13,6 +13,7 @@ import pytest
 
 from flowzip import autodiff as ad
 from flowzip import codec, layers
+from flowzip import model as flow_model
 from flowzip.checkpoint import load_model, save_model
 from flowzip.cli import main
 from flowzip.data import gen_synth
@@ -310,7 +311,9 @@ def test_criterion_7_integer_determinism(desk, monkeypatch):
         np.array_equal(a, b) for a, b in zip(run1.latents, run2.latents)
     )
 
-    monkeypatch.setattr(layers, "int_conv_acc", _int_conv_acc_reference)
+    # model imports the kernel by value for each coupling net's output conv
+    for owner in (layers, flow_model):
+        monkeypatch.setattr(owner, "int_conv_acc", _int_conv_acc_reference)
     ref = model.flow_forward(x, "int")
     monkeypatch.undo()
     exact = all(np.array_equal(a, b) for a, b in zip(run1.latents, ref.latents))

@@ -1,5 +1,7 @@
 """Container format and end-to-end compression semantics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,50 @@ def test_compress_deterministic():
     assert a == b
 
 
-def test_threaded_compress_bitwise_equal():
-    x = gen_synth(4, 12)
-    model = _model()
-    a, _ = codec.compress(x, model, "float", threads=1)
-    b, _ = codec.compress(x, model, "float", threads=3)
-    assert a == b
+def _row(a, i):
+    # the final level's prior has batch dimension 1 and serves every image
+    return a if a.shape[0] == 1 else a[i : i + 1]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_latents_do_not_depend_on_batch_split():
+    x = gen_synth(4, 5)
+    model = _quantized_model()
+    for path in ("float", "fake", "int"):
+        whole = model.flow_forward(x, path)
+        for i in range(len(x)):
+            one = model.flow_forward(x[i : i + 1], path)
+            for li, (mu, log_s) in enumerate(whole.priors):
+                assert _same_bits(whole.latents[li][i : i + 1], one.latents[li]), path
+                assert _same_bits(_row(mu, i), one.priors[li][0]), path
+                assert _same_bits(_row(log_s, i), one.priors[li][1]), path
+            assert _same_bits(whole.log2p[i : i + 1], one.log2p), path
+
+
+def test_forward_slice_does_not_change_container(monkeypatch):
+    x = gen_synth(12, 70)  # crosses the 64-image slice boundary
+    model = _quantized_model()
+    for path in ("float", "fake", "int"):
+        container, stats = codec.compress(x, model, path)
+        assert np.array_equal(codec.decompress(container, model, path), x), path
+        monkeypatch.setattr(codec, "FORWARD_SLICE", 16)
+        assert codec.compress(x, model, path) == (container, stats), path
+        monkeypatch.undo()
+
+
+def test_header_image_size_must_fit_the_flow():
+    model = _quantized_model()
+    container, _ = codec.compress(gen_synth(7, 2), model, "int")
+    for h, w in ((18, 18), (0, 16), (16, 0), (16, 10)):
+        bad = container[:14] + struct.pack("<HH", h, w) + container[18:]
+        with pytest.raises(DataFormatError, match="positive multiples"):
+            codec.decompress(bad, model, "int")
+    one_channel = container[:18] + bytes([1]) + container[19:]
+    with pytest.raises(DataFormatError, match="expected"):
+        codec.decompress(one_channel, model, "int")
 
 
 def test_checksum_binds_model_and_path():
@@ -124,7 +164,7 @@ def test_wrong_decode_order_fails_roundtrip(monkeypatch):
         for li in order:
             mu, log_s = result.priors[li]
             s, f, l = codec_mod._plan_tensor(
-                cache, result.latents[li][index], mu[0], log_s[0]
+                cache, result.latents[li][index], _row(mu, index)[0], _row(log_s, index)[0]
             )
             syms.append(s)
             fracs.append(f)

@@ -10,42 +10,39 @@ from flowzip.layers import (
     ResidualBlock,
     block_int,
     block_sim,
-    conv2d,
-    gconv,
-    int_conv2d,
-    relu_int,
+    fold_bias,
+    int_conv_acc,
+    requantize,
 )
-from flowzip.quant import QuantizedTensor, QuantizerParams, dequantize, quantize
+from flowzip.quant import QuantizedTensor, dequantize
 
 RNG = np.random.default_rng(7)
 
 
-def _layer(c_in, c_out, w=None, b=None):
-    layer = ConvLayer(c_in, c_out, zero_init=True, k=1 if w is not None and w.shape[-1] == 1 else 3)
-    if w is not None:
-        layer.w = ad.Node(w, requires_grad=True)
-    if b is not None:
-        layer.b = ad.Node(b, requires_grad=True)
-    return layer
+def _int_conv(values, sx, layer, s_y):
+    """One int-path conv as block_int composes it: int8 GEMM, folded bias,
+    double-precision rescale onto the signed output grid of step s_y."""
+    sw = layer.wscale.value
+    bhat = fold_bias(layer.b.value, sw, sx)
+    acc = int_conv_acc(values, layer.quantized_weight().values, bhat)
+    return requantize(acc, (sw * sx / s_y)[None, :, None, None], -128, 127)
 
 
 def test_conv_zero_kernel():
-    layer = ConvLayer(2, 3, zero_init=True)
-    y = conv2d(RNG.normal(0, 1, (1, 2, 4, 4)), layer)
+    y = ad.conv2d_raw(RNG.normal(0, 1, (1, 2, 4, 4)), np.zeros((3, 2, 3, 3)), np.zeros(3))
     assert np.all(y == 0.0)
 
 
 def test_conv_dirac_kernel_is_identity():
-    layer = ConvLayer(1, 1, zero_init=True)
-    layer.w.value[0, 0, 1, 1] = 1.0
+    w = np.zeros((1, 1, 3, 3))
+    w[0, 0, 1, 1] = 1.0
     x = RNG.normal(0, 1, (2, 1, 5, 5))
-    assert np.array_equal(conv2d(x, layer), x)
+    assert np.array_equal(ad.conv2d_raw(x, w, np.zeros(1)), x)
 
 
 def test_conv_channel_mismatch():
-    layer = ConvLayer(4, 2, zero_init=True)
     with pytest.raises(ValueError):
-        conv2d(np.zeros((1, 3, 4, 4)), layer)
+        ad.conv2d_raw(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
 
 
 def test_int_conv_hand_example():
@@ -53,21 +50,21 @@ def test_int_conv_hand_example():
     # folded bias round(0.25/0.5)=1, accumulator 7, rescale 2 -> 14 -> 3.5.
     # The float reference is 3.25; the 0.25 discrepancy is exactly one bias
     # quantization step, within 0.5 * s_W * s_x.
-    layer = _layer(1, 1, w=np.full((1, 1, 1, 1), 2.0), b=np.array([0.25]))
-    layer.wscale.value[...] = 1.0
-    x = QuantizedTensor(values=np.full((1, 1, 1, 1), 3), scale=np.array([0.5]))
-    y = int_conv2d(x, layer, out_scale=0.25)
-    assert y.values[0, 0, 0, 0] == 14
-    assert dequantize(y)[0, 0, 0, 0] == 3.5
+    bhat = fold_bias(np.array([0.25]), np.array([1.0]), 0.5)
+    assert bhat[0] == 1
+    acc = int_conv_acc(np.full((1, 1, 1, 1), 3), np.full((1, 1, 1, 1), 2.0), bhat)
+    assert acc[0, 0, 0, 0] == 7
+    y = requantize(acc, np.array([1.0 * 0.5 / 0.25])[None, :, None, None], -128, 127)
+    assert y[0, 0, 0, 0] == 14
+    assert y[0, 0, 0, 0] * 0.25 == 3.5
     float_ref = 2.0 * 1.5 + 0.25
-    assert abs(dequantize(y)[0, 0, 0, 0] - float_ref) <= 0.5 * 0.25 + 0.5 * 1.0 * 0.5
+    assert abs(y[0, 0, 0, 0] * 0.25 - float_ref) <= 0.5 * 0.25 + 0.5 * 1.0 * 0.5
 
 
 def test_int_conv_zero_input():
-    layer = _layer(2, 2, w=np.zeros((2, 2, 3, 3)), b=np.zeros(2))
-    x = QuantizedTensor(values=np.zeros((1, 2, 4, 4)), scale=np.array([1.0]))
-    y = int_conv2d(x, layer, out_scale=1.0)
-    assert np.all(y.values == 0)
+    layer = ConvLayer(2, 2, zero_init=True)
+    y = _int_conv(np.zeros((1, 2, 4, 4)), 1.0, layer, 1.0)
+    assert np.all(y == 0)
 
 
 def test_int_conv_error_bound_vs_float():
@@ -79,54 +76,65 @@ def test_int_conv_error_bound_vs_float():
         layer.w.value[...] = rng.normal(0, 0.2, layer.w.value.shape)
         layer.b.value[...] = rng.normal(0, 0.3, 4)
         layer.calibrate_weight_scale()
-        xq = QuantizedTensor(
-            values=rng.integers(0, 256, (2, 3, 4, 4)), scale=np.array([0.1]),
-            signed=False,
-        )
-        s_y = 0.05
-        got = dequantize(int_conv2d(xq, layer, s_y))
+        values = rng.integers(0, 256, (2, 3, 4, 4))
+        s_x, s_y = 0.1, 0.05
+        got = _int_conv(values, s_x, layer, s_y) * s_y
         w_deq = dequantize(layer.quantized_weight())
-        ref = ad.conv2d_raw(dequantize(xq), w_deq, layer.b.value)
-        bound = 0.5 * s_y + 0.5 * float(layer.wscale.value.max()) * 0.1 + 1e-12
+        ref = ad.conv2d_raw(values * s_x, w_deq, layer.b.value)
+        bound = 0.5 * s_y + 0.5 * float(layer.wscale.value.max()) * s_x + 1e-12
         # reference uses the quantized weights; clipped outputs are excluded
         inside = np.abs(got / s_y) < 127
         assert np.max(np.abs(got - ref)[inside]) <= bound
 
 
 def test_relu_int():
-    q = QuantizedTensor(values=np.array([-5, 3]), scale=np.array([0.5]))
-    out = relu_int(q)
-    assert list(out.values) == [0, 3]
-    assert out.scale[0] == 0.5 and not out.signed
-    allneg = relu_int(QuantizedTensor(values=np.array([-1, -2]), scale=np.array([1.0])))
-    assert np.all(allneg.values == 0)
-    pos = relu_int(QuantizedTensor(values=np.array([4, 7]), scale=np.array([1.0])))
-    assert list(pos.values) == [4, 7]
+    # the int path's ReLU is requantize's unsigned [0, 255] clip
+    acc = np.array([-5.0, 3.0, -0.4, 300.0])
+    assert list(requantize(acc, np.float64(1.0), 0, 255)) == [0, 3, 0, 255]
+    assert np.all(requantize(np.array([-1.0, -2.0]), np.float64(0.5), 0, 255) == 0)
+    assert list(requantize(np.array([4.0, 7.0]), np.float64(1.0), 0, 255)) == [4, 7]
+
+
+def _random_block(width):
+    blk = ResidualBlock.build(width, RNG)
+    for conv in (blk.conv_a, blk.conv_b):
+        conv.w.value[...] = RNG.normal(0, 0.5, conv.w.value.shape)
+        conv.b.value[...] = RNG.normal(0, 0.5, width)
+    return blk
 
 
 def test_gconv_all_on_equals_conv():
-    layer = ConvLayer(2, 3, RNG)
-    layer.w.value[...] = RNG.normal(0, 0.5, layer.w.value.shape)
-    gate = GateVector(3, alpha=0.9)
-    x = RNG.normal(0, 1, (1, 2, 4, 4))
-    assert np.array_equal(gconv(x, layer, gate), conv2d(x, layer))
+    # block_sim's gated convs with every gate on match the ungated block bitwise
+    blk = _random_block(3)
+    x = ad.Node(np.abs(RNG.normal(0, 1, (1, 3, 4, 4))))
+    ungated = block_sim(x, blk, False, False).value
+    blk.attach_gates(0.9)
+    assert np.array_equal(block_sim(x, blk, False, False).value, ungated)
 
 
 def test_gconv_zeroes_disabled_channels():
-    layer = ConvLayer(2, 3, RNG)
-    layer.w.value[...] = RNG.normal(0, 0.5, layer.w.value.shape)
-    layer.b.value[...] = 1.0
-    gate = GateVector(3)
-    gate.node.value[:] = [0.3, 0.9, 0.5]  # 0.5 binarizes to 0 (strict >)
-    y = gconv(RNG.normal(0, 1, (1, 2, 4, 4)), layer, gate)
-    assert np.all(y[:, 0] == 0.0) and np.all(y[:, 2] == 0.0)
-    assert np.any(y[:, 1] != 0.0)
+    # with a Dirac conv B and x >= 0 the block returns x + relu(gated conv A(x)),
+    # so y - x exposes conv A's gated output channel by channel
+    blk = _random_block(3)
+    blk.conv_a.b.value[...] = 1.0
+    blk.conv_b.w.value[...] = 0.0
+    blk.conv_b.b.value[...] = 0.0
+    for c in range(3):
+        blk.conv_b.w.value[c, c, 1, 1] = 1.0
+    blk.conv_a.gate = GateVector(3)
+    blk.conv_a.gate.node.value[:] = [0.3, 0.9, 0.5]  # 0.5 binarizes to 0 (strict >)
+    x = np.abs(RNG.normal(0, 1, (1, 3, 4, 4)))
+    h = block_sim(ad.Node(x), blk, False, False).value - x
+    assert np.all(h[:, 0] == 0.0) and np.all(h[:, 2] == 0.0)
+    assert np.any(h[:, 1] != 0.0)
 
 
 def test_gconv_length_mismatch():
-    layer = ConvLayer(2, 3, RNG)
+    # a gate sized for another width cannot broadcast onto the conv output
+    blk = _random_block(3)
+    blk.conv_a.gate = GateVector(5)
     with pytest.raises(ValueError):
-        gconv(np.zeros((1, 2, 4, 4)), layer, GateVector(5))
+        block_sim(ad.Node(np.zeros((1, 3, 4, 4))), blk, False, False)
 
 
 def test_block_zero_init_passes_relu_of_input():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowzip import autodiff as ad
+from flowzip.autodiff import depth_to_space, space_to_depth
 from flowzip.checkpoint import deserialize, load_model, save_model, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import ChecksumError, DataFormatError
@@ -15,8 +16,6 @@ from flowzip.model import (
     FlowConfig,
     FlowModel,
     SimCtx,
-    depth_to_space,
-    space_to_depth,
 )
 
 RNG = np.random.default_rng(9)
@@ -99,6 +98,8 @@ def test_flow_rejects_bad_shapes():
     model = FlowModel(FlowConfig(), seed=0)
     with pytest.raises(DataFormatError):
         model.flow_forward(np.zeros((1, 3, 10, 10), dtype=np.uint8))
+    with pytest.raises(DataFormatError):
+        model.flow_forward(np.zeros((1, 3, 0, 16), dtype=np.uint8))
     with pytest.raises(DataFormatError):
         model.flow_forward(np.zeros((1, 1, 16, 16), dtype=np.uint8))
     res = model.flow_forward(gen_synth(0, 1), "float")

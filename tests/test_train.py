@@ -12,7 +12,6 @@ from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import (
     TrainConfig,
     Trainer,
-    backward,
     calculate_flops,
     calibrate_activations,
     calibrate_weights,
@@ -92,7 +91,7 @@ def test_gate_gradient_includes_penalty():
     lambdas = gate_lambdas(model, cfg)
     x = gen_synth(0, 2)
     total, _ = gated_objective(x, model, lambdas)
-    backward(total)
+    ad.backward(total)
     g = model.gates()[0].node.grad
     assert g is not None and g.shape == (8,)
 
@@ -104,7 +103,7 @@ def test_conv_gradient_through_whole_model():
     net = model.levels[0].couplings[0].net
     w = net.stem.w
     loss = loss_bpd(x, model)
-    backward(loss)
+    ad.backward(loss)
     got = w.grad.copy()
 
     h = 1e-5
