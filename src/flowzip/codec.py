@@ -1,28 +1,32 @@
 """End-to-end lossless codec: flow latents + conditional priors + rANS.
 
-Container layout (little-endian):
+Container layout (little-endian), version 2:
 
     magic   5 bytes  "IODF1"
-    version u8       (1)
+    version u8       (2)
     model checksum u64   blake2b-64 of (checkpoint bytes || path tag)
     h u16 | w u16 | c u8
     count   u32
-    count x (len u32 | payload bytes)
+    len     u32
+    payload len bytes: the emitted 32-bit words, then the final u64 coder state
 
-Per-image payloads are chunks of one chained rANS stream: the encoder walks
-images in reverse, recording which emitted words belong to which image, and
-the final 64-bit coder state is appended to image 0's payload (the first
-one decoded). Chaining amortizes the coder's fixed flush cost across the
-whole container, which per-image independent streams cannot do at this
-tensor size. Decoding is strictly sequential across images. Encoding runs
-the flow forward once per slice of FORWARD_SLICE images: every flow op
-works image by image (one GEMM per image), so the latents do not depend on
-the slice size, and the fixed slice only bounds peak memory.
+The payload is one chained rANS stream over every image. Chaining amortizes
+the coder's fixed 8-byte flush across the whole container, which per-image
+streams cannot do at this tensor size. The order is level-major: the decoder
+first reads the final-level latents of images 0..N-1 (under the learnable
+per-channel prior), then each factored level deepest to shallowest, images
+0..N-1 within a level, each under the prior network applied to its
+reconstructed conditioning half. Within an image, flattening is
+channel-major, row-major. The encoder pushes that order in reverse.
 
-Decode order inside an image: final-level latent first (under the learnable
-per-channel prior), then factored latents deepest to shallowest, each under
-the prior network applied to its reconstructed conditioning half. Flattening
-is channel-major, row-major.
+Both directions are batched across images in fixed slices of FORWARD_SLICE:
+compress runs the flow forward once per slice, and decompress runs each prior
+net and each inverse coupling once per slice of a level. Every flow op works
+image by image (one GEMM per image), so the latents do not depend on the
+slice size; the fixed slice only bounds peak memory. The coder itself is
+sequential: it pushes and pulls one slice of one level at a time, fetching
+each distinct mass table once per such block. Reading version-1 containers
+(one length-prefixed chunk per image) is not supported.
 
 Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total
@@ -50,10 +54,10 @@ from .errors import (
 )
 from .model import FlowModel
 from .numerics import round_half_away
-from .rans import RANS_L, MassTable, RansDecoder, RansEncoder, mass_table
+from .rans import MassTable, RansDecoder, RansEncoder, mass_table
 
 MAGIC = b"IODF1"
-VERSION = 1
+VERSION = 2
 
 CODING_M = 1 << 20
 ALPHABET_HALF = 2048
@@ -61,9 +65,13 @@ MU_GRID = 64
 LOG_S_GRID = 16
 S_MIN, S_MAX = 0.02, 512.0
 CACHE_CAP = 8192
-# Images per flow_forward call in compress. Compressing 1000 desk images on
-# the int path peaks at about 300 MiB RSS in one forward, 80 MiB in slices of 64.
+# Images per flow_forward call in compress, and per prior-net and inverse
+# coupling call in decompress. Compressing 1000 desk images on the int path
+# peaks at about 300 MiB RSS in one forward, 80 MiB in slices of 64.
 FORWARD_SLICE = 64
+# Largest count*c*h*w a container may hold (about 21,800 desk images). The
+# header is outside the checksum, so decompress checks this before allocating.
+MAX_DIMS = 2**24
 
 
 def model_id(model: FlowModel, path: str) -> int:
@@ -78,10 +86,12 @@ class PriorTableCache:
         self.m = m
         self.tables: OrderedDict[tuple[int, int], MassTable] = OrderedDict()
 
-    def keys_for(self, mu: np.ndarray, log_s: np.ndarray):
-        """Vectorized snap: returns (center k, frac key, log-s key) arrays."""
-        mu = np.asarray(mu, dtype=np.float64)
-        log_s = np.clip(np.asarray(log_s, dtype=np.float64), np.log(S_MIN), np.log(S_MAX))
+    def keys_for(self, shape, mu, log_s):
+        """Vectorized snap of (mu, log s) broadcast to shape: returns flat
+        (center k, frac key, log-s key) arrays in scan order."""
+        mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
+        log_s = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
+        log_s = np.clip(log_s, np.log(S_MIN), np.log(S_MAX))
         mq = round_half_away(mu * MU_GRID).astype(np.int64)
         k = round_half_away(mq / MU_GRID).astype(np.int64)
         frac = (mq - MU_GRID * k).astype(np.int64)
@@ -108,11 +118,9 @@ class PriorTableCache:
 
 
 def _plan_tensor(cache: PriorTableCache, values: np.ndarray, mu, log_s):
-    """Flatten one latent tensor into (symbols, table keys) in scan order."""
+    """Flatten a batch of latents into (symbols, table keys) in scan order."""
     flat = values.reshape(-1)
-    mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), values.shape).reshape(-1)
-    ls_b = np.broadcast_to(np.asarray(log_s, dtype=np.float64), values.shape).reshape(-1)
-    k, frac, ls = cache.keys_for(mu_b, ls_b)
+    k, frac, ls = cache.keys_for(values.shape, mu, log_s)
     sym = flat - k + ALPHABET_HALF
     bad = (sym < 0) | (sym >= 2 * ALPHABET_HALF)
     if np.any(bad):
@@ -124,19 +132,25 @@ def _plan_tensor(cache: PriorTableCache, values: np.ndarray, mu, log_s):
     return sym.astype(np.int64), frac, ls
 
 
-def _image_plan(model: FlowModel, result, index: int, cache: PriorTableCache):
-    """Symbols and table keys for one image, in decode order."""
-    syms, fracs, lss = [], [], []
-    order = [len(result.latents) - 1] + list(range(len(result.latents) - 2, -1, -1))
-    for li in order:
-        mu, log_s = result.priors[li]
-        mu_i = mu if mu.shape[0] == 1 else mu[index : index + 1]
-        ls_i = log_s if log_s.shape[0] == 1 else log_s[index : index + 1]
-        s, f, l = _plan_tensor(cache, result.latents[li][index], mu_i[0], ls_i[0])
-        syms.append(s)
-        fracs.append(f)
-        lss.append(l)
-    return np.concatenate(syms), np.concatenate(fracs), np.concatenate(lss)
+def _block_tables(cache: PriorTableCache, frac: np.ndarray, ls: np.ndarray) -> list[MassTable]:
+    """One table per symbol of a block, fetching each distinct key once."""
+    # keys_for clips log s, so |ls| < 2048 and the combined keys cannot collide
+    _, first, inverse = np.unique(frac * 4096 + ls, return_index=True, return_inverse=True)
+    distinct = [cache.get(int(frac[i]), int(ls[i])) for i in first]
+    return [distinct[i] for i in inverse.tolist()]
+
+
+def _decode_order(levels: int) -> list[int]:
+    """Latent indices in decode order: the final latent, then the factored
+    levels deepest to shallowest."""
+    return [levels - 1] + list(range(levels - 2, -1, -1))
+
+
+def _check_size(n: int, c: int, h: int, w: int):
+    if n * c * h * w > MAX_DIMS:
+        raise DataFormatError(
+            f"{n} images of {c}x{h}x{w} exceed the {MAX_DIMS}-dimension container cap"
+        )
 
 
 def compress(
@@ -154,38 +168,34 @@ def compress(
     if n == 0:
         raise DataFormatError("no images to compress")
     model.check_input(images[:1])
+    _check_size(n, c, h, w)
     cache = PriorTableCache()
 
-    plans, log2p = [], []
+    # plans[li] holds one (symbols, frac keys, log-s keys) block per slice
+    plans = [[] for _ in model.levels]
+    log2p = []
     for start in range(0, n, FORWARD_SLICE):
         result = model.flow_forward(images[start : start + FORWARD_SLICE], path)
-        plans += [
-            _image_plan(model, result, i, cache) for i in range(len(result.log2p))
-        ]
+        for li, (mu, log_s) in enumerate(result.priors):
+            plans[li].append(_plan_tensor(cache, result.latents[li], mu, log_s))
         log2p += result.log2p.tolist()
     analytic_bits = -float(sum(log2p))
 
     enc = RansEncoder()
-    bounds = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        syms, fracs, lss = plans[i]
-        for j in range(len(syms) - 1, -1, -1):
-            enc.push(int(syms[j]), cache.get(int(fracs[j]), int(lss[j])))
-        bounds[i] = enc.mark()
-    # chunk i holds the words emitted while encoding image i's symbols
-    chunks = [enc.payload(bounds[i + 1], bounds[i]) for i in range(n)]
-    chunks[0] += struct.pack("<Q", enc.state)
+    for li in reversed(_decode_order(len(model.levels))):
+        for syms, fracs, lss in reversed(plans[li]):
+            enc.push(syms.tolist(), _block_tables(cache, fracs, lss))
+    payload = enc.payload()
 
     header = MAGIC + struct.pack(
         "<BQHHBI", VERSION, model_id(model, path), h, w, c, n
     )
-    body = b"".join(struct.pack("<I", len(ch)) + ch for ch in chunks)
-    container = header + body
+    container = header + struct.pack("<I", len(payload)) + payload
     d = c * h * w
     stats = {
         "analytic_bpd": analytic_bits / (n * d),
-        "coding_bpd": sum(len(ch) for ch in chunks) * 8 / (n * d),
-        "payload_bytes": sum(len(ch) for ch in chunks),
+        "coding_bpd": len(payload) * 8 / (n * d),
+        "payload_bytes": len(payload),
     }
     return container, stats
 
@@ -196,74 +206,62 @@ def _parse_container(container: bytes):
     version, checksum, h, w, c, count = struct.unpack("<BQHHBI", container[5:23])
     if version != VERSION:
         raise DataFormatError(f"unsupported container version {version}")
-    chunks, pos = [], 23
-    for _ in range(count):
-        if pos + 4 > len(container):
-            raise DataFormatError("truncated container (length field)")
-        (ln,) = struct.unpack("<I", container[pos : pos + 4])
-        pos += 4
-        if pos + ln > len(container):
-            raise DataFormatError("truncated container (payload)")
-        chunks.append(container[pos : pos + ln])
-        pos += ln
-    if pos != len(container):
-        raise DataFormatError("trailing bytes after the last payload")
-    return checksum, h, w, c, chunks
+    if len(container) < 27:
+        raise DataFormatError("truncated container (length field)")
+    (ln,) = struct.unpack("<I", container[23:27])
+    if 27 + ln > len(container):
+        raise DataFormatError("truncated container (payload)")
+    if 27 + ln < len(container):
+        raise DataFormatError("trailing bytes after the payload")
+    return checksum, h, w, c, count, container[27:]
 
 
-def _decode_tensor(dec, cache, shape, mu, log_s) -> np.ndarray:
-    mu_b = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
-    ls_b = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
-    k, frac, ls = cache.keys_for(mu_b, ls_b)
-    out = np.empty(len(k), dtype=np.int64)
-    for j in range(len(k)):
-        sym = dec.pull(cache.get(int(frac[j]), int(ls[j])))
-        out[j] = sym - ALPHABET_HALF + k[j]
-    return out.reshape(shape)
+def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> np.ndarray:
+    """Decode one block of latents of the given shape under (mu, log s)."""
+    k, frac, ls = cache.keys_for(shape, mu, log_s)
+    syms = np.asarray(dec.pull(_block_tables(cache, frac, ls)), dtype=np.int64)
+    return (syms - ALPHABET_HALF + k).reshape(shape)
 
 
 def decompress(container: bytes, model: FlowModel, path: str = "float") -> np.ndarray:
     """Exact inverse of compress; refuses containers from other models."""
-    checksum, h, w, c, chunks = _parse_container(container)
+    checksum, h, w, c, n, payload = _parse_container(container)
     if checksum != model_id(model, path):
         raise ChecksumError(
             "container was written by a different model or inference path"
         )
-    # c, h and w sit outside the checksum: check them before allocating
+    # count, c, h and w sit outside the checksum: check them before allocating
     model.check_input(np.empty((0, c, h, w), dtype=np.uint8))
-    if not chunks:
-        return np.zeros((0, c, h, w), dtype=np.uint8)
-    if len(chunks[0]) < 8:
-        raise CorruptStreamError("first payload is missing the coder state")
-    (state,) = struct.unpack("<Q", chunks[0][-8:])
-    dec = RansDecoder(state)
+    if n == 0:
+        raise DataFormatError("container holds no images")
+    _check_size(n, c, h, w)
+    dec = RansDecoder(payload)
     cache = PriorTableCache()
     t_fn = model._t_fn(path)
+    starts = range(0, n, FORWARD_SLICE)
     L = len(model.levels)
-    out = np.empty((len(chunks), c, h, w), dtype=np.uint8)
-    for i, chunk in enumerate(chunks):
-        dec.feed(chunk[:-8] if i == 0 else chunk)
-        hh, ww = h // (2**L), w // (2**L)
-        final_mu = model.final_mu.value.reshape(-1, 1, 1)
-        final_ls = model.final_log_s.value.reshape(-1, 1, 1)
-        cur = _decode_tensor(
-            dec, cache, (model.final_channels, hh, ww), final_mu, final_ls
-        )[None]
-        for li in reversed(range(L)):
-            lvl = model.levels[li]
+    final_mu = model.final_mu.value.reshape(-1, 1, 1)
+    final_ls = model.final_log_s.value.reshape(-1, 1, 1)
+    cur = np.concatenate([
+        _pull_tensor(
+            dec, cache, (min(n - s, FORWARD_SLICE), model.final_channels, h >> L, w >> L),
+            final_mu, final_ls,
+        )
+        for s in starts
+    ])
+    for lvl in reversed(model.levels):
+        parts = []
+        for s in starts:
+            z = cur[s : s + FORWARD_SLICE]
             if not lvl.is_last:
-                mu, log_s = lvl.prior_params_raw(cur)
-                fac_shape = (lvl.factored,) + cur.shape[2:]
-                fac = _decode_tensor(dec, cache, fac_shape, mu[0], log_s[0])[None]
-                cur = np.concatenate([cur, fac], axis=1)
+                mu, log_s = lvl.prior_params_raw(z)
+                fac = _pull_tensor(dec, cache, (len(z), lvl.factored) + z.shape[2:], mu, log_s)
+                z = np.concatenate([z, fac], axis=1)
             for coup in reversed(lvl.couplings):
-                cur = coup.inverse_int_domain(cur, t_fn)
-            cur = depth_to_space(cur)
-        if not dec.chunk_exhausted():
-            raise CorruptStreamError(f"image {i}: payload words left over")
-        if cur.min() < 0 or cur.max() > 255:
-            raise CorruptStreamError(f"image {i}: reconstruction left byte range")
-        out[i] = cur[0]
-    if dec.state != RANS_L:
-        raise CorruptStreamError("coder state did not return to its initial value")
-    return out
+                z = coup.inverse_int_domain(z, t_fn)
+            parts.append(depth_to_space(z))
+        cur = np.concatenate(parts)
+    dec.finish()
+    if cur.min() < 0 or cur.max() > 255:
+        raise CorruptStreamError("reconstruction left byte range")
+    return cur.astype(np.uint8)

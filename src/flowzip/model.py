@@ -393,26 +393,3 @@ class FlowModel:
         priors.append((mu, log_s))
         log2p += ad.logistic_logpmf_raw(h, mu, log_s).sum(axis=(1, 2, 3))
         return FlowResult(latents, priors, log2p)
-
-    def flow_inverse(self, latents: list[np.ndarray], path: str = "float") -> np.ndarray:
-        """Exact inverse: reconstruct images from integer latents."""
-        if len(latents) != len(self.levels):
-            raise DataFormatError(
-                f"expected {len(self.levels)} latent tensors, got {len(latents)}"
-            )
-        t_fn = self._t_fn(path)
-        h = np.asarray(latents[-1], dtype=np.int64)
-        if h.ndim != 4 or h.shape[1] != self.final_channels:
-            raise DataFormatError("final latent has the wrong shape")
-        for li in reversed(range(len(self.levels))):
-            lvl = self.levels[li]
-            if not lvl.is_last:
-                fac = np.asarray(latents[li], dtype=np.int64)
-                if fac.shape[1] != lvl.factored or fac.shape[2:] != h.shape[2:]:
-                    raise DataFormatError("factored latent has the wrong shape")
-                h = np.concatenate([h, fac], axis=1)
-            for coup in reversed(lvl.couplings):
-                h = coup.inverse_int_domain(h, t_fn)
-            h = ad.depth_to_space(h)
-        return h
-

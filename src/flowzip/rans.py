@@ -12,6 +12,8 @@ symbol is encodable no matter how badly the model mispredicts it.
 from __future__ import annotations
 
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,12 @@ class MassTable:
     def __post_init__(self):
         # int32 suffices whenever M fits (cumulative sums are bounded by M)
         dtype = np.int32 if self.M <= 2**31 - 1 else np.int64
-        self.F = np.asarray(self.F, dtype=dtype)
-        self.C = np.asarray(self.C, dtype=dtype)
+        self.F = np.ascontiguousarray(self.F, dtype=dtype)
+        self.C = np.ascontiguousarray(self.C, dtype=dtype)
+        # zero-copy views whose items are Python ints: the coder steps index
+        # these instead of paying for numpy scalar indexing per symbol
+        self.Fv = memoryview(self.F)
+        self.Cv = memoryview(self.C)
         # precomputed renormalization base: state must stay below base * F
         self.renorm_base = (RANS_L // self.M) << 32
 
@@ -122,73 +128,78 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int = DEFAULT_M) -> Mas
 
 def rans_encode_step(x: int, sym: int, table: MassTable) -> int:
     """Pure encode update: floor(x/F)*M + C + x mod F (no renormalization)."""
-    f = int(table.F[sym])
-    return (x // f) * table.M + int(table.C[sym]) + x % f
+    f = table.Fv[sym]
+    return (x // f) * table.M + table.Cv[sym] + x % f
 
 
 def rans_decode_step(x: int, table: MassTable) -> tuple[int, int]:
     """Recover (symbol index, previous state) from one encode step."""
+    C = table.Cv
     cf = x % table.M
-    sym = int(np.searchsorted(table.C, cf, side="right")) - 1
-    x_prev = (x // table.M) * int(table.F[sym]) + cf - int(table.C[sym])
-    return sym, x_prev
+    sym = bisect_right(C, cf) - 1
+    return sym, (x // table.M) * table.Fv[sym] + cf - C[sym]
 
 
 class RansEncoder:
-    """Streaming encoder; callers push symbols in reverse decode order."""
+    """Streaming encoder; the last block pushed is the first one pulled."""
 
     def __init__(self):
         self.state = RANS_L
-        self.words: list[int] = []
+        self.words = array("I")  # emitted 32-bit words, in emission order
 
-    def push(self, sym: int, table: MassTable):
-        f = int(table.F[sym])
-        threshold = table.renorm_base * f
-        while self.state >= threshold:
-            self.words.append(self.state & WORD_MASK)
-            self.state >>= 32
-        self.state = (self.state // f) * table.M + int(table.C[sym]) + self.state % f
+    def push(self, syms, tables):
+        """Push a block of symbols, one table each, so that a decoder pulls
+        them back in the given order."""
+        x, words = self.state, self.words
+        for sym, table in zip(reversed(syms), reversed(tables)):
+            threshold = table.renorm_base * table.Fv[sym]
+            while x >= threshold:
+                words.append(x & WORD_MASK)
+                x >>= 32
+            x = rans_encode_step(x, sym, table)
+        self.state = x
 
-    def mark(self) -> int:
-        """Current emitted-word count (chunk boundary for containers)."""
-        return len(self.words)
-
-    def payload(self, start: int = 0, end: int | None = None, final: bool = False) -> bytes:
-        words = self.words[start : len(self.words) if end is None else end]
-        out = np.asarray(words, dtype="<u4").tobytes()
-        if final:
-            out += struct.pack("<Q", self.state)
-        return out
+    def payload(self) -> bytes:
+        """The emitted words followed by the final 64-bit state."""
+        return np.asarray(self.words, dtype="<u4").tobytes() + struct.pack("<Q", self.state)
 
 
 class RansDecoder:
-    """Streaming decoder consuming emitted words in reverse emission order."""
+    """Streaming decoder over one payload, consuming words back to front."""
 
-    def __init__(self, state: int):
+    def __init__(self, payload: bytes):
+        if len(payload) < 8 or (len(payload) - 8) % 4:
+            raise CorruptStreamError("malformed payload")
+        (state,) = struct.unpack("<Q", payload[-8:])
         if not (RANS_L <= state < 1 << 63):
             raise CorruptStreamError("initial coder state out of range")
         self.state = state
-        self.words: list[int] = []
-        self.wpos = 0
-
-    def feed(self, payload: bytes):
-        """Load a chunk of 32-bit words (consumed back to front)."""
-        if len(payload) % 4:
-            raise CorruptStreamError("payload length is not a multiple of 4")
-        self.words = np.frombuffer(payload, dtype="<u4").tolist()
+        words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4 - 2)
+        self.words = memoryview(words.astype(np.uint32, copy=False))
         self.wpos = len(self.words)
 
-    def pull(self, table: MassTable) -> int:
-        sym, self.state = rans_decode_step(self.state, table)
-        while self.state < RANS_L:
-            if self.wpos == 0:
-                raise CorruptStreamError("coder state underflow: truncated payload")
-            self.wpos -= 1
-            self.state = (self.state << 32) | self.words[self.wpos]
-        return sym
+    def pull(self, tables) -> list[int]:
+        """Pull one symbol per table, in push order."""
+        x, words, wpos = self.state, self.words, self.wpos
+        out = []
+        for table in tables:
+            sym, x = rans_decode_step(x, table)
+            while x < RANS_L:
+                if wpos == 0:
+                    raise CorruptStreamError("coder state underflow: truncated payload")
+                wpos -= 1
+                x = (x << 32) | words[wpos]
+            out.append(sym)
+        self.state, self.wpos = x, wpos
+        return out
 
-    def chunk_exhausted(self) -> bool:
-        return self.wpos == 0
+    def finish(self):
+        """Check that the whole payload was consumed and the state is back
+        at its initial value, as after encoding nothing."""
+        if self.wpos:
+            raise CorruptStreamError(f"{self.wpos} payload words left over")
+        if self.state != RANS_L:
+            raise CorruptStreamError("coder state did not return to its initial value")
 
 
 def encode_stream(symbols, tables: list[MassTable]) -> bytes:
@@ -196,20 +207,14 @@ def encode_stream(symbols, tables: list[MassTable]) -> bytes:
     if len(symbols) != len(tables):
         raise DataFormatError("need exactly one mass table per symbol")
     enc = RansEncoder()
-    for sym, table in zip(reversed(list(symbols)), reversed(tables)):
-        enc.push(int(sym), table)
-    return enc.payload(final=True)
+    enc.push([int(s) for s in symbols], tables)
+    return enc.payload()
 
 
-def decode_stream(payload: bytes, tables: list[MassTable]):
+def decode_stream(payload: bytes, tables: list[MassTable]) -> list[int]:
     """Inverse of encode_stream; validates full word consumption and the
     final state returning to the initial bound."""
-    if len(payload) < 8 or (len(payload) - 8) % 4:
-        raise CorruptStreamError("malformed payload")
-    (state,) = struct.unpack("<Q", payload[-8:])
-    dec = RansDecoder(state)
-    dec.feed(payload[:-8])
-    out = [dec.pull(table) for table in tables]
-    if not dec.chunk_exhausted() or dec.state != RANS_L:
-        raise CorruptStreamError("payload did not decode to a clean final state")
+    dec = RansDecoder(payload)
+    out = dec.pull(tables)
+    dec.finish()
     return out

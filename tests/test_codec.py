@@ -1,6 +1,7 @@
 """Container format and end-to-end compression semantics."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from flowzip.errors import (
     ChecksumError,
     CorruptStreamError,
     DataFormatError,
+    FlowzipError,
     VerificationError,
 )
 from flowzip.model import FlowConfig, FlowModel
@@ -86,6 +88,7 @@ def test_forward_slice_does_not_change_container(monkeypatch):
         assert np.array_equal(codec.decompress(container, model, path), x), path
         monkeypatch.setattr(codec, "FORWARD_SLICE", 16)
         assert codec.compress(x, model, path) == (container, stats), path
+        assert np.array_equal(codec.decompress(container, model, path), x), path
         monkeypatch.undo()
 
 
@@ -99,6 +102,41 @@ def test_header_image_size_must_fit_the_flow():
     one_channel = container[:18] + bytes([1]) + container[19:]
     with pytest.raises(DataFormatError, match="expected"):
         codec.decompress(one_channel, model, "int")
+
+
+def _with_count(container, count):
+    return container[:19] + struct.pack("<I", count) + container[23:]
+
+
+def test_hostile_header_sizes_are_refused_before_allocating():
+    model = _quantized_model()
+    container, _ = codec.compress(gen_synth(7, 2), model, "int")
+    huge_images = container[:14] + struct.pack("<HH", 65532, 65532) + container[18:]
+    for bad in (_with_count(container, 2**32 - 1), huge_images):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="cap"):
+                codec.decompress(bad, model, "int")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+    too_many = np.broadcast_to(np.zeros(1, dtype=np.uint8), (1, 3, 4096, 4096))
+    with pytest.raises(DataFormatError, match="cap"):
+        codec.compress(too_many, model, "int")
+
+
+def test_container_version_and_count_are_checked():
+    x = gen_synth(13, 3)
+    model = _quantized_model()
+    for path in ("float", "fake", "int"):
+        container, _ = codec.compress(x, model, path)
+        v1 = container[:5] + bytes([1]) + container[6:]
+        with pytest.raises(DataFormatError, match="unsupported container version 1"):
+            codec.decompress(v1, model, path)
+        for count in (0, 2, 4):
+            with pytest.raises(FlowzipError):
+                codec.decompress(_with_count(container, count), model, path)
 
 
 def test_checksum_binds_model_and_path():
@@ -151,31 +189,14 @@ def test_latent_overflow_is_diagnosed():
 
 def test_wrong_decode_order_fails_roundtrip(monkeypatch):
     """Decoding a conditioned latent before its conditioner must not survive
-    a round trip: flip the per-image symbol order and expect failure."""
+    a round trip: code the shallowest level first and expect failure."""
     x = gen_synth(8, 3)
     model = _model()
-    import flowzip.codec as codec_mod
-
-    original = codec_mod._image_plan
-
-    def flipped(model_, result, index, cache):
-        order = list(range(len(result.latents) - 1)) + [len(result.latents) - 1]
-        syms, fracs, lss = [], [], []
-        for li in order:
-            mu, log_s = result.priors[li]
-            s, f, l = codec_mod._plan_tensor(
-                cache, result.latents[li][index], _row(mu, index)[0], _row(log_s, index)[0]
-            )
-            syms.append(s)
-            fracs.append(f)
-            lss.append(l)
-        return np.concatenate(syms), np.concatenate(fracs), np.concatenate(lss)
-
-    monkeypatch.setattr(codec_mod, "_image_plan", flipped)
-    container, _ = codec_mod.compress(x, model, "float")
-    monkeypatch.setattr(codec_mod, "_image_plan", original)
+    monkeypatch.setattr(codec, "_decode_order", lambda levels: list(range(levels)))
+    container, _ = codec.compress(x, model, "float")
+    monkeypatch.undo()
     try:
-        got = codec_mod.decompress(container, model, "float")
+        got = codec.decompress(container, model, "float")
         assert not np.array_equal(got, x)
     except (VerificationError, AlphabetOverflowError):
         pass
