@@ -17,12 +17,23 @@ Layout (little-endian):
     checksum u64     blake2b-64 of all preceding bytes
 
 Arrays appear in model declaration order. Parameters are stored as 32-bit
-floats; in memory the model computes in float64.
+floats; in memory the model computes in float64. Every array's shape is
+checked against the architecture before it is assigned.
+
+A pruned checkpoint (flag bit3) is the storage form of a gated model whose
+gates are frozen at 0 or 1. Each coupling-net block stores only its kept
+filters -- conv A's kept rows, conv B's kept rows and kept conv-A columns,
+with their biases and weight scales -- then its kept-index lists idx_a and
+idx_b (strictly increasing, below the block width), and no gates. Loading
+places the kept filters into full-width arrays (a removed filter gets zero
+weight and bias and a weight scale of 1) and rebuilds binary gates from the
+lists, so a loaded pruned model computes exactly what the gated one did.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -43,20 +54,24 @@ def checksum64(data: bytes) -> int:
 
 
 def _named_entries(model: FlowModel):
-    """Yield (kind, name, node-or-array) in fixed declaration order.
+    """Yield (kind, name, obj, keep) in fixed declaration order.
 
-    Gates are serialized only for gated unpruned models; kept-index lists
-    only for pruned ones; quantizer scales only once quantization is on.
+    For kinds 0-2, ``obj`` is a Node and ``keep`` indexes the stored part of
+    its value: all of it (``...``), or the kept filters of a pruned block's
+    conv. For kind 3, ``obj`` is the GateVector and ``keep`` its kept-index
+    list. Gates are serialized only for gated unpruned models; kept-index
+    lists only for pruned ones; quantizer scales only once quantization is on.
     """
     gated = model.gated and not model.pruned
 
-    def conv_entries(prefix, layer, quantizable):
-        yield KIND_PARAM, f"{prefix}.w", layer.w
-        yield KIND_PARAM, f"{prefix}.b", layer.b
+    def conv_entries(prefix, layer, quantizable, rows=..., cols=None):
+        w_keep = rows if cols is None else np.ix_(rows, cols)
+        yield KIND_PARAM, f"{prefix}.w", layer.w, w_keep
+        yield KIND_PARAM, f"{prefix}.b", layer.b, rows
         if gated and layer.gate is not None:
-            yield KIND_GATE, f"{prefix}.gate", layer.gate.node
+            yield KIND_GATE, f"{prefix}.gate", layer.gate.node, ...
         if model.weight_quant and quantizable:
-            yield KIND_QSCALE, f"{prefix}.wscale", layer.wscale
+            yield KIND_QSCALE, f"{prefix}.wscale", layer.wscale, rows
 
     for li, lvl in enumerate(model.levels):
         nets = [(f"level{li}.coup{d}", c.net) for d, c in enumerate(lvl.couplings)]
@@ -67,33 +82,36 @@ def _named_entries(model: FlowModel):
             yield from conv_entries(f"{name}.stem", net.stem, False)
             for bi, blk in enumerate(net.blocks):
                 bp = f"{name}.block{bi}"
-                yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q)
-                yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q)
                 if model.pruned and q:
-                    yield KIND_INDEX, f"{bp}.idx_a", blk
-                    yield KIND_INDEX, f"{bp}.idx_b", blk
+                    ka, kb = blk.kept_sets()
+                    yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q, ka)
+                    yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q, kb, ka)
+                    yield KIND_INDEX, f"{bp}.idx_a", blk.conv_a.gate, ka
+                    yield KIND_INDEX, f"{bp}.idx_b", blk.conv_b.gate, kb
+                else:
+                    yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q)
+                    yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q)
                 if model.act_quant and q:
-                    yield KIND_QSCALE, f"{bp}.q_in", blk.q_in
-                    yield KIND_QSCALE, f"{bp}.q_mid", blk.q_mid
+                    yield KIND_QSCALE, f"{bp}.q_in", blk.q_in, ...
+                    yield KIND_QSCALE, f"{bp}.q_mid", blk.q_mid, ...
             yield from conv_entries(f"{name}.out", net.out, q)
             if model.act_quant and q:
-                yield KIND_QSCALE, f"{name}.q_out", net.q_out
-    yield KIND_PARAM, "final.mu", model.final_mu
-    yield KIND_PARAM, "final.log_s", model.final_log_s
+                yield KIND_QSCALE, f"{name}.q_out", net.q_out, ...
+    yield KIND_PARAM, "final.mu", model.final_mu, ...
+    yield KIND_PARAM, "final.log_s", model.final_log_s, ...
 
 
 def named_parameters(model: FlowModel):
     """(name, Node) pairs of everything the optimizer may touch."""
-    for kind, name, obj in _named_entries(model):
-        if kind == KIND_INDEX:
-            continue
-        yield name, obj
+    for kind, name, obj, _ in _named_entries(model):
+        if kind != KIND_INDEX:
+            yield name, obj
 
 
 def serialize(model: FlowModel) -> bytes:
     parts = [MAGIC]
     flags = (
-        (FLAG_GATED if model.gated else 0)
+        (FLAG_GATED if model.gated and not model.pruned else 0)
         | (FLAG_ACT_Q if model.act_quant else 0)
         | (FLAG_WEIGHT_Q if model.weight_quant else 0)
         | (FLAG_PRUNED if model.pruned else 0)
@@ -116,12 +134,11 @@ def serialize(model: FlowModel) -> bytes:
         parts.append(struct.pack("<HH", lvl.retained, lvl.factored))
 
     arrays = []
-    for kind, name, obj in _named_entries(model):
+    for kind, _, obj, keep in _named_entries(model):
         if kind == KIND_INDEX:
-            arr = obj.idx_a if name.endswith("idx_a") else obj.idx_b
-            arrays.append((kind, np.asarray(arr, dtype=np.uint32)))
+            arrays.append((kind, keep.astype(np.uint32)))
         else:
-            arrays.append((kind, obj.value.astype(np.float32)))
+            arrays.append((kind, obj.value[keep].astype(np.float32)))
     parts.append(struct.pack("<I", len(arrays)))
     for kind, arr in arrays:
         parts.append(struct.pack("<BB", kind, arr.ndim))
@@ -147,6 +164,29 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _kept_indices(stored: np.ndarray, width: int, name: str) -> np.ndarray:
+    idx = stored.astype(np.int64)  # np.diff of unsigned values would wrap
+    if idx.ndim != 1 or np.any(np.diff(idx) <= 0) or np.any(idx >= width):
+        raise DataFormatError(
+            f"{name} must list strictly increasing filter indices below {width}"
+        )
+    return idx
+
+
+def _placed(stored: np.ndarray, full: np.ndarray, keep, name: str) -> np.ndarray:
+    """The stored part ``keep`` of an array of ``full``'s shape, in float64."""
+    expected = full[keep].shape
+    if stored.shape != expected:
+        raise DataFormatError(
+            f"checkpoint array {name} has shape {stored.shape}, expected {expected}"
+        )
+    if not np.all(np.isfinite(stored)):
+        raise DataFormatError(f"non-finite values in checkpoint array {name}")
+    out = np.full_like(full, 1.0 if name.endswith(".wscale") else 0.0)
+    out[keep] = stored
+    return out
+
+
 def deserialize(data: bytes) -> FlowModel:
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
         raise DataFormatError("not a flowzip checkpoint (bad magic)")
@@ -163,14 +203,13 @@ def deserialize(data: bytes) -> FlowModel:
     cfg = FlowConfig(levels=L, couplings=D, hidden=hidden, blocks=blocks, in_channels=in_ch)
     model = FlowModel(cfg, seed=0)
     model.stage = stage
-    model.gated = bool(flags & FLAG_GATED)
     model.act_quant = bool(flags & FLAG_ACT_Q)
     model.weight_quant = bool(flags & FLAG_WEIGHT_Q)
     model.pruned = bool(flags & FLAG_PRUNED)
     for lvl, (ret, fac) in zip(model.levels, splits):
         if (lvl.retained, lvl.factored) != (ret, fac):
             raise DataFormatError("checkpoint split sizes do not match architecture")
-    if model.gated and not model.pruned:
+    if flags & (FLAG_GATED | FLAG_PRUNED):
         model.attach_gates(0.8)
 
     (count,) = r.unpack("<I")
@@ -179,42 +218,26 @@ def deserialize(data: bytes) -> FlowModel:
         raise DataFormatError(
             f"checkpoint holds {count} arrays, model expects {len(entries)}"
         )
-    for kind, name, obj in entries:
+    arrays = {}
+    for kind, name, _, _ in entries:
         akind, ndim = r.unpack("<BB")
         if akind != kind:
             raise DataFormatError(f"array kind mismatch at {name}")
         shape = r.unpack(f"<{ndim}I")
-        n = int(np.prod(shape)) if ndim else 1
-        if kind == KIND_INDEX:
-            arr = np.frombuffer(r.take(4 * n), dtype="<u4").reshape(shape)
-            idx = arr.astype(np.int64)
-            if name.endswith("idx_a"):
-                obj.idx_a = idx
-            else:
-                obj.idx_b = idx
-        else:
-            arr = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape)
-            value = arr.astype(np.float64)
-            if not np.all(np.isfinite(value)):
-                raise DataFormatError(f"non-finite values in checkpoint array {name}")
-            obj.value = value
+        raw = r.take(4 * math.prod(shape))
+        dtype = "<u4" if kind == KIND_INDEX else "<f4"
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if r.pos != len(body):
         raise DataFormatError("trailing bytes in checkpoint")
-    _restore_pruned_shapes(model)
+    # kept-index lists first: the gates they rebuild decide the pruned shapes
+    for kind, name, gate, _ in entries:
+        if kind == KIND_INDEX:
+            gate.node.value[...] = 0.0
+            gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
+    for kind, name, node, keep in _named_entries(model):
+        if kind != KIND_INDEX:
+            node.value = _placed(arrays[name], node.value, keep, name)
     return model
-
-
-def _restore_pruned_shapes(model: FlowModel):
-    # After loading a pruned checkpoint the narrow arrays already carry their
-    # shapes; nothing to do beyond a consistency check.
-    if not model.pruned:
-        return
-    for net in model.coupling_nets():
-        for blk in net.blocks:
-            if blk.idx_a is None or blk.idx_b is None:
-                raise DataFormatError("pruned checkpoint is missing kept-filter indices")
-            if blk.conv_a.w.value.shape[0] != len(blk.idx_a):
-                raise DataFormatError("pruned conv shapes do not match index lists")
 
 
 def save_model(model: FlowModel, path: str) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 from . import codec, data
 from .checkpoint import load_model, save_model
 from .errors import FlowzipError, UsageError, VerificationError
+from .model import FlowModel
 from .train import TrainConfig, calculate_flops, prune, run_pipeline
 
 
@@ -72,7 +73,7 @@ def build_parser() -> _Parser:
     b.add_argument("--batch", default="4,8,16,32", help="comma-separated batch sizes")
     b.add_argument("--runs", type=int, default=20)
 
-    pr = sub.add_parser("prune", help="physically remove gated-off filters")
+    pr = sub.add_parser("prune", help="freeze the gates and store only kept filters")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
 
@@ -218,14 +219,13 @@ def cmd_bench(args) -> int:
 
 def cmd_prune(args) -> int:
     model, _ = load_model(args.checkpoint)
-    if not model.gated:
-        raise UsageError("checkpoint has no gates to prune")
-    hw = (16, 16)
-    before = calculate_flops(model, hw)
     pruned = prune(model)
-    after = calculate_flops(pruned, hw)
+    # every level's pixel count scales with H*W, so the ratio holds at any size
+    side = 2**model.cfg.levels
+    before = calculate_flops(FlowModel(model.cfg), (side, side))
+    after = calculate_flops(pruned, (side, side))
     save_model(pruned, args.out)
-    print(f"pruned: flops {before} -> {after} ({after / before:.3f}x)")
+    print(f"pruned: {after / before:.3f}x the FLOPs of the unpruned network")
     return 0
 
 

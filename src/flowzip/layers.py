@@ -111,7 +111,8 @@ def int_conv_acc(
     B, C, H, W = values.shape
     cols = ad.im2col(values.astype(np.float64), w_int.shape[2])
     cout = w_int.shape[0]
-    acc = np.matmul(w_int.reshape(cout, -1).astype(np.float64), cols)
+    # an explicit row length: a conv with every filter gated off has cout == 0
+    acc = np.matmul(w_int.reshape(cout, cols.shape[1]).astype(np.float64), cols)
     acc += bhat[:, None]
     return acc.reshape(B, cout, H, W)
 
@@ -135,19 +136,17 @@ def requantize(
 class ResidualBlock:
     """One pre-quantized residual unit: relu(SAdd(Q(x), B(relu(A(Q(x)))))).
 
-    ``idx_a``/``idx_b`` are the kept-filter index lists after physical
-    pruning (identity lists when unpruned). The scatter-add places conv B's
-    (possibly narrow) output back into the unpruned channel space of the
-    shortcut before the addition.
+    Both convs keep the full block width. With gates attached, a gated-off
+    filter of conv A zeroes its channel of the inner activation and a
+    gated-off filter of conv B leaves its output channel to the shortcut
+    alone; ``kept_sets`` lists the filters that remain. A pruned model is
+    this same block with every gate frozen at 0 or 1.
     """
 
     conv_a: ConvLayer
     conv_b: ConvLayer
     q_in: ad.Node
     q_mid: ad.Node
-    idx_a: np.ndarray | None = None
-    idx_b: np.ndarray | None = None
-    width: int = 0
 
     @classmethod
     def build(cls, width: int, rng: np.random.Generator) -> "ResidualBlock":
@@ -156,8 +155,11 @@ class ResidualBlock:
             conv_b=ConvLayer(width, width, rng),
             q_in=ad.Node(np.ones(1), requires_grad=True),
             q_mid=ad.Node(np.ones(1), requires_grad=True),
-            width=width,
         )
+
+    @property
+    def width(self) -> int:
+        return self.conv_b.c_out
 
     def attach_gates(self, alpha: float):
         self.conv_a.gate = GateVector(self.conv_a.c_out, alpha)
@@ -167,9 +169,7 @@ class ResidualBlock:
         return [g for g in (self.conv_a.gate, self.conv_b.gate) if g is not None]
 
     def kept_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kept output-channel indices for conv A and conv B."""
-        if self.idx_a is not None:
-            return self.idx_a, self.idx_b
+        """Kept output-channel indices for conv A and conv B (all when ungated)."""
         if self.conv_a.gate is not None:
             return (
                 np.flatnonzero(self.conv_a.gate.binarized()),
@@ -178,41 +178,6 @@ class ResidualBlock:
         full_a = np.arange(self.conv_a.c_out)
         full_b = np.arange(self.conv_b.c_out)
         return full_a, full_b
-
-
-def _pad_rows(narrow: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
-    full = np.zeros((rows,) + narrow.shape[1:])
-    full[idx] = narrow
-    return full
-
-
-def _pad_cols(narrow: np.ndarray, idx: np.ndarray, cols: int) -> np.ndarray:
-    full = np.zeros((narrow.shape[0], cols) + narrow.shape[2:])
-    full[:, idx] = narrow
-    return full
-
-
-def _pruned_block_weights(blk: "ResidualBlock", weight_quant: bool):
-    """Zero-padded full-width weights of a physically pruned block.
-
-    The float path runs pruned models through full-width GEMMs so kept
-    channels see bit-identical summation order to the gated model; removed
-    positions contribute exact zeros. Pruned models are inference artifacts,
-    so no tape is needed here.
-    """
-
-    def eff(layer: ConvLayer) -> np.ndarray:
-        if not weight_quant:
-            return layer.w.value
-        from .quant import dequantize
-
-        return dequantize(layer.quantized_weight())
-
-    wa = _pad_rows(eff(blk.conv_a), blk.idx_a, blk.width)
-    ba = _pad_rows(blk.conv_a.b.value, blk.idx_a, blk.width)
-    wb = _pad_rows(_pad_cols(eff(blk.conv_b), blk.idx_a, blk.width), blk.idx_b, blk.width)
-    bb = _pad_rows(blk.conv_b.b.value, blk.idx_b, blk.width)
-    return ad.Node(wa), ad.Node(ba), ad.Node(wb), ad.Node(bb)
 
 
 def block_sim(
@@ -228,12 +193,7 @@ def block_sim(
         if calibrate:
             calibrate_activation(blk.q_in, ad.value_of(x))
         a = ad.fake_quantize(x, blk.q_in, signed=False)
-    if blk.idx_a is not None:
-        wa, ba, wb, bb = _pruned_block_weights(blk, weight_quant)
-    else:
-        wa, ba = blk.conv_a.effective_weight(weight_quant), blk.conv_a.b
-        wb, bb = blk.conv_b.effective_weight(weight_quant), blk.conv_b.b
-    h = ad.conv2d(a, wa, ba)
+    h = ad.conv2d(a, blk.conv_a.effective_weight(weight_quant), blk.conv_a.b)
     if blk.conv_a.gate is not None:
         mask = ad.binarize_ste(blk.conv_a.gate.node)
         h = ad.mul(h, ad.reshape(mask, (1, -1, 1, 1)))
@@ -242,7 +202,7 @@ def block_sim(
         if calibrate:
             calibrate_activation(blk.q_mid, ad.value_of(h))
         h = ad.fake_quantize(h, blk.q_mid, signed=False)
-    r = ad.conv2d(h, wb, bb)
+    r = ad.conv2d(h, blk.conv_b.effective_weight(weight_quant), blk.conv_b.b)
     if blk.conv_b.gate is not None:
         mask = ad.binarize_ste(blk.conv_b.gate.node)
         r = ad.mul(r, ad.reshape(mask, (1, -1, 1, 1)))
@@ -255,22 +215,17 @@ def block_int(q: QuantizedTensor, blk: ResidualBlock, next_scale: float) -> Quan
 
     The incoming tensor is already quantized at this block's input scale
     (the producer requantized directly into it). Gated-off channels bypass
-    the accumulator and requantize the shortcut directly, which keeps the
-    gated model bit-identical to the physically pruned one.
+    the accumulator and requantize the shortcut directly; only the kept
+    filters (``kept_sets``) enter the GEMMs, so the work follows the gates.
     """
     sa = float(q.scale[0])
     kept_a, kept_b = blk.kept_sets()
-    pruned = blk.idx_a is not None
-
-    wa = blk.conv_a.quantized_weight().values
-    swa = blk.conv_a.wscale.value
-    ba = blk.conv_a.b.value
-    wb = blk.conv_b.quantized_weight().values
-    swb = blk.conv_b.wscale.value
-    bb = blk.conv_b.b.value
-    if not pruned:
-        wa, swa, ba = wa[kept_a], swa[kept_a], ba[kept_a]
-        wb, swb, bb = wb[kept_b][:, kept_a], swb[kept_b], bb[kept_b]
+    wa = blk.conv_a.quantized_weight().values[kept_a]
+    swa = blk.conv_a.wscale.value[kept_a]
+    ba = blk.conv_a.b.value[kept_a]
+    wb = blk.conv_b.quantized_weight().values[kept_b][:, kept_a]
+    swb = blk.conv_b.wscale.value[kept_b]
+    bb = blk.conv_b.b.value[kept_b]
 
     s_mid = float(blk.q_mid.value[0])
     s_next = float(next_scale)

@@ -11,14 +11,13 @@ held-out calibration batch.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import named_parameters
-from .errors import DataFormatError, StageTimeoutError
+from .errors import DataFormatError, StageTimeoutError, UsageError
 from .model import FlowConfig, FlowModel
 
 MAC_FLOPS = 2  # one multiply-accumulate counts as two floating point ops
@@ -224,15 +223,14 @@ def _conv_flops(c_out: int, c_in: int, hw: int, k: int = 3) -> int:
     return MAC_FLOPS * c_out * c_in * k * k * hw
 
 
-def calculate_flops(model: FlowModel, hw: tuple[int, int] | None = None) -> int:
-    """FLOPs of one forward pass, honoring gates / pruning.
+def calculate_flops(model: FlowModel, hw: tuple[int, int]) -> int:
+    """FLOPs of one forward pass over an H x W image, honoring the gates.
 
-    A disabled filter removes its own output row and the matching input
-    column of the following convolution inside the block; the scatter-add
-    restores the full channel space, so block inputs always count full width.
+    A gated-off filter removes its own output row and the matching input
+    column of the following convolution inside the block; gated-off output
+    channels of conv B pass the shortcut through, so block inputs always
+    count full width. A pruned model counts exactly as its gated original.
     """
-    if hw is None:
-        hw = (16, 16)
     H, W = hw
     total = 0
     for lvl in model.levels:
@@ -257,38 +255,18 @@ def calculate_flops(model: FlowModel, hw: tuple[int, int] | None = None) -> int:
 
 
 def prune(model: FlowModel) -> FlowModel:
-    """Physically remove gated-off filters; outputs stay bit-identical.
+    """A copy of a gated model with every gate frozen at exactly 0 or 1.
 
-    A block whose gates are all off keeps its single largest-gate filter
-    (a zero-width tensor would poison the whole net) and warns.
+    The copy computes bit-identically to the model on every path: the float
+    and fake paths mask the same channels, and the integer path skips the
+    gated-off filters either way. Pruning shows in storage: ``serialize``
+    writes only the kept filters of a pruned model (see ``checkpoint``).
     """
-    if model.pruned:
-        return copy.deepcopy(model)
+    if not model.gated:
+        raise UsageError("model has no gates to prune")
     pruned = copy.deepcopy(model)
-    for net in pruned.coupling_nets():
-        for blk in net.blocks:
-            ka, kb = blk.kept_sets()
-            for name, conv, kept in (("a", blk.conv_a, ka), ("b", blk.conv_b, kb)):
-                if len(kept) == 0:
-                    keep = int(np.argmax(conv.gate.g)) if conv.gate else 0
-                    warnings.warn(
-                        f"all gates off in a conv_{name}; keeping filter {keep}"
-                    )
-                    kept_new = np.array([keep])
-                    if name == "a":
-                        ka = kept_new
-                    else:
-                        kb = kept_new
-            blk.conv_a.w.value = blk.conv_a.w.value[ka]
-            blk.conv_a.b.value = blk.conv_a.b.value[ka]
-            blk.conv_a.wscale.value = blk.conv_a.wscale.value[ka]
-            blk.conv_b.w.value = blk.conv_b.w.value[kb][:, ka]
-            blk.conv_b.b.value = blk.conv_b.b.value[kb]
-            blk.conv_b.wscale.value = blk.conv_b.wscale.value[kb]
-            blk.conv_a.gate = None
-            blk.conv_b.gate = None
-            blk.idx_a, blk.idx_b = np.asarray(ka), np.asarray(kb)
-    pruned.gated = False
+    for gate in pruned.gates():
+        gate.node.value[...] = gate.binarized()
     pruned.pruned = True
     return pruned
 
@@ -370,17 +348,22 @@ class Trainer:
     def _report(self, stage, epoch, bpd, flops, lr):
         self.log(f"stage={stage} epoch={epoch} bpd={bpd:.4f} flops={flops} lr={lr:.6g}")
 
-    def _run_epochs(self, model, optimizer, objective, stage, epochs,
-                    early_stop=False):
+    def _run_stage(self, model, stage, groups, epochs, early_stop=False) -> int:
+        """Train the bpd objective with Adamax over ``groups``; record the stage.
+
+        Gates are frozen or absent in these stages, so the FLOPs stay fixed.
+        Returns them.
+        """
+        opt = Adamax(groups)
         history = []
         best, since_best = np.inf, 0
         flops = calculate_flops(model, self._hw())
         for epoch in range(epochs):
-            self._epoch(model, optimizer, objective)
-            optimizer.decay(self.cfg.lr_decay)
+            self._epoch(model, opt, lambda b: loss_bpd(b, model))
+            opt.decay(self.cfg.lr_decay)
             bpd = self.eval_bpd(model, self.val_x)
             history.append(bpd)
-            lr = next(iter(optimizer.groups.values()))["lr"]
+            lr = next(iter(opt.groups.values()))["lr"]
             self._report(stage, epoch, bpd, flops, lr)
             if early_stop:
                 if bpd < best - self.cfg.min_delta:
@@ -389,20 +372,22 @@ class Trainer:
                     since_best += 1
                     if since_best >= self.cfg.patience:
                         break
-        return history
+        model.stage = stage
+        self.records.append(StageRecord(stage, len(history), history[-1], flops, history))
+        return flops
+
+    def _quant_groups(self, model: FlowModel) -> dict:
+        main, _, scales = param_groups(model)
+        return {"main": (main, self.cfg.quant_lr), "scale": (scales, self.cfg.quant_lr)}
 
     # -- stages --------------------------------------------------------------
 
     def stage1(self, model: FlowModel):
         main, _, _ = param_groups(model)
-        opt = Adamax({"main": (main, self.cfg.lr)})
-        hist = self._run_epochs(
-            model, opt, lambda b: loss_bpd(b, model), 1, self.cfg.epochs_stage1,
+        self.f0 = self._run_stage(
+            model, 1, {"main": (main, self.cfg.lr)}, self.cfg.epochs_stage1,
             early_stop=True,
         )
-        self.f0 = calculate_flops(model, self._hw())
-        model.stage = 1
-        self.records.append(StageRecord(1, len(hist), hist[-1], self.f0, hist))
 
     def stage2(self, model: FlowModel):
         """Gate training until the pruned-model FLOPs reach the target.
@@ -441,44 +426,19 @@ class Trainer:
 
     def stage3(self, model: FlowModel):
         main, _, _ = param_groups(model)  # gates excluded: frozen
-        opt = Adamax({"main": (main, self.cfg.finetune_lr)})
-        hist = self._run_epochs(
-            model, opt, lambda b: loss_bpd(b, model), 3, self.cfg.epochs_stage3
-        )
-        model.stage = 3
-        self.records.append(
-            StageRecord(3, len(hist), hist[-1], calculate_flops(model, self._hw()), hist)
+        self._run_stage(
+            model, 3, {"main": (main, self.cfg.finetune_lr)}, self.cfg.epochs_stage3
         )
 
     def stage4(self, model: FlowModel, calib: np.ndarray):
         model.act_quant = True
         calibrate_activations(model, calib)
-        main, _, scales = param_groups(model)
-        opt = Adamax(
-            {"main": (main, self.cfg.quant_lr), "scale": (scales, self.cfg.quant_lr)}
-        )
-        hist = self._run_epochs(
-            model, opt, lambda b: loss_bpd(b, model), 4, self.cfg.epochs_stage4
-        )
-        model.stage = 4
-        self.records.append(
-            StageRecord(4, len(hist), hist[-1], calculate_flops(model, self._hw()), hist)
-        )
+        self._run_stage(model, 4, self._quant_groups(model), self.cfg.epochs_stage4)
 
     def stage5(self, model: FlowModel):
         model.weight_quant = True
         calibrate_weights(model)
-        main, _, scales = param_groups(model)
-        opt = Adamax(
-            {"main": (main, self.cfg.quant_lr), "scale": (scales, self.cfg.quant_lr)}
-        )
-        hist = self._run_epochs(
-            model, opt, lambda b: loss_bpd(b, model), 5, self.cfg.epochs_stage5
-        )
-        model.stage = 5
-        self.records.append(
-            StageRecord(5, len(hist), hist[-1], calculate_flops(model, self._hw()), hist)
-        )
+        self._run_stage(model, 5, self._quant_groups(model), self.cfg.epochs_stage5)
 
 
 def run_pipeline(

@@ -1,8 +1,15 @@
-"""Shared test utilities: finite differences and gradient projections."""
+"""Shared test utilities: finite differences, gradient projections, checkpoint bytes."""
+
+import math
+import struct
 
 import numpy as np
 
 from flowzip import autodiff as ad
+from flowzip import checkpoint
+from flowzip.data import gen_synth
+from flowzip.model import FlowConfig, FlowModel
+from flowzip.train import calibrate_activations, calibrate_weights, prune
 
 
 def round_half_away_ref(x):
@@ -48,3 +55,79 @@ def check_gradient(build, params: dict, wrt: str, h: float = 1e-6, rtol: float =
         f"{np.max(err / scale):.2e}"
     )
     return grad, num
+
+
+def stored_arrays(blob: bytes, model) -> dict:
+    """name -> (payload offset, array) of each array in a checkpoint's bytes.
+
+    Walks the documented layout on its own; ``model`` only supplies the names.
+    """
+    pos = len(checkpoint.MAGIC) + struct.calcsize("<HHBBBBHB") + 4 * len(model.levels)
+    pos += 4  # array count
+    out = {}
+    for _, name, _, _ in checkpoint._named_entries(model):
+        kind, ndim = blob[pos], blob[pos + 1]
+        shape = struct.unpack_from(f"<{ndim}I", blob, pos + 2)
+        pos += 2 + 4 * ndim
+        dtype = "<u4" if kind == checkpoint.KIND_INDEX else "<f4"
+        n = math.prod(shape)
+        out[name] = (pos, np.frombuffer(blob, dtype, n, pos).reshape(shape))
+        pos += 4 * n
+    assert pos == len(blob) - 8
+    return out
+
+
+def rechecksummed(body: bytes) -> bytes:
+    """Checkpoint bytes with the trailing checksum recomputed over ``body``."""
+    return body + struct.pack("<Q", checkpoint.checksum64(body))
+
+
+def gated_int_model() -> FlowModel:
+    """A small stage-5 model: random convs, random gates, calibrated quantizers."""
+    rng = np.random.default_rng(0)
+    model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
+    model.attach_gates(0.8)
+    for net in model.coupling_nets():
+        for blk in net.blocks:
+            blk.conv_a.w.value[...] = rng.normal(0, 0.2, blk.conv_a.w.value.shape)
+            blk.conv_b.w.value[...] = rng.normal(0, 0.2, blk.conv_b.w.value.shape)
+        net.out.w.value[...] = rng.normal(0, 0.1, net.out.w.value.shape)
+    for gate in model.gates():
+        gate.node.value[...] = rng.uniform(0, 1, gate.g.shape)
+    x = gen_synth(2, 16)
+    model.act_quant = True
+    calibrate_activations(model, x)
+    model.weight_quant = True
+    calibrate_weights(model)
+    return model
+
+
+HOSTILE_CHECKPOINTS = (
+    "kept_index_at_width", "kept_index_repeated", "stem_transposed",
+    "pruned_conv_transposed",
+)
+
+
+def hostile_checkpoint(fault: str) -> bytes:
+    """A checksum-valid pruned checkpoint with one array that does not fit."""
+    model = gated_int_model()
+    blk = model.levels[0].couplings[0].net.blocks[0]
+    blk.conv_a.gate.node.value[:] = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1]
+    blk.conv_b.gate.node.value[:] = 0.9
+    pruned = prune(model)
+    blob = checkpoint.serialize(pruned)
+    arrays = stored_arrays(blob, pruned)
+    body = bytearray(blob[:-8])
+    if fault in ("stem_transposed", "pruned_conv_transposed"):
+        name = "stem.w" if fault == "stem_transposed" else "block0.conv_b.w"
+        off, w = arrays[f"level0.coup0.{name}"]
+        assert w.shape[0] != w.shape[1]
+        struct.pack_into("<4I", body, off - 16, w.shape[1], w.shape[0], *w.shape[2:])
+    else:
+        off, idx = arrays["level0.coup0.block0.idx_b"]
+        assert list(idx) == list(range(blk.width))
+        if fault == "kept_index_at_width":
+            struct.pack_into("<I", body, off + 4 * (blk.width - 1), blk.width)
+        else:
+            struct.pack_into("<I", body, off + 4, 0)
+    return rechecksummed(bytes(body))

@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from flowzip.checkpoint import save_model
+from flowzip import codec
+from flowzip.checkpoint import load_model, save_model
 from flowzip.cli import main
 from flowzip.data import gen_synth, write_u8t
 from flowzip.model import FlowConfig, FlowModel
+
+from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
 
 
 @pytest.fixture()
@@ -83,6 +86,45 @@ def test_exit_codes(tmp_path, small_ckpt, capsys):
         ["decompress", container, "--checkpoint", other_path,
          "--out", str(tmp_path / "o")]
     ) == 3
+
+
+@pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
+def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, fault):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(hostile_checkpoint(fault))
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
+    assert main(
+        ["compress", data_dir, "--checkpoint", str(ckpt), "--out", str(tmp_path / "c")]
+    ) == 2
+
+
+def test_prune_stores_kept_filters_and_decodes_the_gated_payload(tmp_path, small_ckpt):
+    gated_ckpt, pruned_ckpt = str(tmp_path / "gated.ckpt"), str(tmp_path / "pruned.ckpt")
+    save_model(gated_int_model(), gated_ckpt)
+    assert main(["prune", "--checkpoint", gated_ckpt, "--out", pruned_ckpt]) == 0
+    assert os.path.getsize(pruned_ckpt) < os.path.getsize(gated_ckpt)
+
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "4", "--count", "3", "--out", data_dir])
+    container = str(tmp_path / "gated.iodf")
+    assert main(["compress", data_dir, "--checkpoint", gated_ckpt, "--out", container]) == 0
+    # the gated container's payload under the pruned model's id (int path)
+    blob = bytearray(open(container, "rb").read())
+    pruned_id = codec.model_id(load_model(pruned_ckpt)[0], "int")
+    blob[6:14] = pruned_id.to_bytes(8, "little")
+    spliced = str(tmp_path / "pruned.iodf")
+    open(spliced, "wb").write(bytes(blob))
+    out_dir = str(tmp_path / "restored")
+    assert main(["decompress", spliced, "--checkpoint", pruned_ckpt, "--out", out_dir]) == 0
+    names = sorted(os.listdir(data_dir))
+    assert names == sorted(os.listdir(out_dir))
+    for name in names:
+        a = open(os.path.join(data_dir, name), "rb").read()
+        assert open(os.path.join(out_dir, name), "rb").read() == a
+
+    # a checkpoint without gates has nothing to prune
+    assert main(["prune", "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]) == 1
 
 
 def test_missing_required_args_is_usage_error():

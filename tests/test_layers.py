@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
+from flowzip.checkpoint import deserialize, serialize
 from flowzip.layers import (
     ConvLayer,
     GateVector,
@@ -14,7 +15,9 @@ from flowzip.layers import (
     int_conv_acc,
     requantize,
 )
+from flowzip.model import FlowConfig, FlowModel
 from flowzip.quant import QuantizedTensor, dequantize
+from flowzip.train import prune
 
 RNG = np.random.default_rng(7)
 
@@ -194,31 +197,30 @@ def test_int_block_close_to_float_block():
 
 
 def test_int_block_gated_matches_pruned_exactly():
+    # the block of a gated model, and the same block after a pruned checkpoint
+    # save and load (kept filters only on disk, zero-padded back at load)
     blk, x = _calibrated_block(seed=5)
     blk.attach_gates(0.8)
     rng = np.random.default_rng(1)
     blk.conv_a.gate.node.value[:] = rng.uniform(0, 1, 8)
     blk.conv_b.gate.node.value[:] = rng.uniform(0, 1, 8)
+    model = FlowModel(FlowConfig(hidden=8, couplings=1, blocks=1), seed=0)
+    model.attach_gates(0.8)
+    model.act_quant = model.weight_quant = True
+    model.levels[0].couplings[0].net.blocks[0] = blk
+    gated = deserialize(serialize(model))  # the same float32 parameters
+    pruned = deserialize(serialize(prune(gated)))
+    gated_blk = gated.levels[0].couplings[0].net.blocks[0]
+    pruned_blk = pruned.levels[0].couplings[0].net.blocks[0]
+    assert 0 < len(pruned_blk.kept_sets()[1]) < 8
+
     s_in = float(blk.q_in.value[0])
     q = QuantizedTensor(
         values=np.clip(np.round(x / s_in), 0, 255), scale=np.array([s_in]),
         signed=False,
     )
-    y_gated = block_int(q, blk, 0.9 * s_in)
-
-    ka, kb = blk.kept_sets()
-    import copy
-
-    narrow = copy.deepcopy(blk)
-    narrow.conv_a.w.value = narrow.conv_a.w.value[ka]
-    narrow.conv_a.b.value = narrow.conv_a.b.value[ka]
-    narrow.conv_a.wscale.value = narrow.conv_a.wscale.value[ka]
-    narrow.conv_b.w.value = narrow.conv_b.w.value[kb][:, ka]
-    narrow.conv_b.b.value = narrow.conv_b.b.value[kb]
-    narrow.conv_b.wscale.value = narrow.conv_b.wscale.value[kb]
-    narrow.conv_a.gate = narrow.conv_b.gate = None
-    narrow.idx_a, narrow.idx_b = ka, kb
-    y_pruned = block_int(q, narrow, 0.9 * s_in)
+    y_gated = block_int(q, gated_blk, 0.9 * s_in)
+    y_pruned = block_int(q, pruned_blk, 0.9 * s_in)
     assert np.array_equal(y_gated.values, y_pruned.values)
 
 

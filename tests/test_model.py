@@ -19,6 +19,8 @@ from flowzip.model import (
     SimCtx,
 )
 
+from helpers import HOSTILE_CHECKPOINTS, hostile_checkpoint
+
 RNG = np.random.default_rng(9)
 
 
@@ -158,6 +160,13 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_model(bad)
     with pytest.raises(DataFormatError):
         deserialize(b"NOTMAGIC" + bytes(16))
+
+
+@pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
+def test_checkpoint_shapes_are_checked(fault):
+    # each blob carries a valid checksum; the arrays do not fit the model
+    with pytest.raises(DataFormatError):
+        deserialize(hostile_checkpoint(fault))
 
 
 def test_checkpoint_preserves_flags_and_stage(tmp_path):

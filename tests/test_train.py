@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
+from flowzip.checkpoint import deserialize, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import StageTimeoutError
 from flowzip.model import FlowConfig, FlowModel
@@ -13,8 +14,6 @@ from flowzip.train import (
     TrainConfig,
     Trainer,
     calculate_flops,
-    calibrate_activations,
-    calibrate_weights,
     gate_lambdas,
     gated_objective,
     loss_bpd,
@@ -22,7 +21,7 @@ from flowzip.train import (
     run_pipeline,
 )
 
-from helpers import check_gradient
+from helpers import check_gradient, gated_int_model, stored_arrays
 
 
 class _StubModel:
@@ -160,26 +159,21 @@ def test_prune_two_filter_example():
     blk.conv_b.gate.node.value[:] = 0.0
     blk.conv_b.gate.node.value[3] = 0.9
     pruned = prune(model)
-    pblk = pruned.levels[0].couplings[0].net.blocks[0]
-    assert pblk.conv_b.w.value.shape[0] == 1
-    assert list(pblk.idx_b) == [3]
+    blob = serialize(pruned)
+    stored = stored_arrays(blob, pruned)
+    assert stored["level0.coup0.block0.conv_b.w"][1].shape == (1, 8, 3, 3)
+    assert list(stored["level0.coup0.block0.idx_b"][1]) == [3]
+    # loading places the kept filter back at full width with a binary gate
+    lblk = deserialize(blob).levels[0].couplings[0].net.blocks[0]
+    w = lblk.conv_b.w.value
+    assert w.shape == (8, 8, 3, 3) and not np.any(np.delete(w, 3, axis=0))
+    assert np.array_equal(w[3], blk.conv_b.w.value[3].astype(np.float32))
+    assert list(lblk.conv_b.gate.g) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_prune_equivalence_float_and_int():
-    rng = np.random.default_rng(0)
-    model = _small_gated_model()
-    for net in model.coupling_nets():
-        for blk in net.blocks:
-            blk.conv_a.w.value[...] = rng.normal(0, 0.2, blk.conv_a.w.value.shape)
-            blk.conv_b.w.value[...] = rng.normal(0, 0.2, blk.conv_b.w.value.shape)
-        net.out.w.value[...] = rng.normal(0, 0.1, net.out.w.value.shape)
-    for gate in model.gates():
-        gate.node.value[...] = rng.uniform(0, 1, gate.g.shape)
+    model = gated_int_model()
     x = gen_synth(2, 16)
-    model.act_quant = True
-    calibrate_activations(model, x)
-    model.weight_quant = True
-    calibrate_weights(model)
     pruned = prune(model)
     for path in ("float", "int"):
         a = model.flow_forward(x, path)
@@ -189,15 +183,22 @@ def test_prune_equivalence_float_and_int():
     assert calculate_flops(pruned, (16, 16)) == calculate_flops(model, (16, 16))
 
 
-def test_prune_keeps_one_filter_when_all_off():
-    model = _small_gated_model()
-    blk = model.levels[0].couplings[0].net.blocks[0]
-    blk.conv_a.gate.node.value[:] = 0.0
-    blk.conv_a.gate.node.value[2] = 0.4  # still off, but the largest
-    with pytest.warns(UserWarning):
-        pruned = prune(model)
-    pblk = pruned.levels[0].couplings[0].net.blocks[0]
-    assert list(pblk.idx_a) == [2]
+def test_prune_all_off_convs_match_on_every_path():
+    # one block with every conv-A gate off, another with every conv-B gate off
+    model = deserialize(serialize(gated_int_model()))  # float32-exact parameters
+    model.levels[0].couplings[0].net.blocks[0].conv_a.gate.node.value[:] = 0.2
+    model.levels[0].couplings[1].net.blocks[0].conv_b.gate.node.value[:] = 0.2
+    pruned = prune(model)
+    reloaded = deserialize(serialize(pruned))
+    x = gen_synth(3, 4)
+    for path in ("float", "fake", "int"):
+        ref = model.flow_forward(x, path).latents
+        for other in (pruned, reloaded):
+            got = other.flow_forward(x, path).latents
+            assert all(np.array_equal(p, q) for p, q in zip(ref, got)), path
+    flops = calculate_flops(model, (16, 16))
+    assert calculate_flops(pruned, (16, 16)) == flops
+    assert calculate_flops(reloaded, (16, 16)) == flops
 
 
 def test_stage2_immediate_when_target_is_one():
