@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .errors import ChecksumError, DataFormatError
+from .errors import ChecksumError, DataFormatError, UsageError
 from .model import FlowConfig, FlowModel
 
 MAGIC = b"IODFCKPT"
@@ -243,8 +243,11 @@ def deserialize(data: bytes) -> FlowModel:
 def save_model(model: FlowModel, path: str) -> int:
     """Write the checkpoint; returns its checksum (used as the model id)."""
     data = serialize(model)
-    with open(path, "wb") as f:
-        f.write(data)
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as e:
+        raise UsageError(f"cannot write checkpoint: {e}") from e
     return checksum64(data)
 
 

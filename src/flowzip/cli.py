@@ -119,11 +119,18 @@ def _train_val(cfg: TrainConfig, data_dir):
     return images[: cfg.train_count], images[cfg.train_count :]
 
 
+def _write_images(directory: str, images: np.ndarray, fmt: str):
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for i, img in enumerate(images):
+            data.write_image(os.path.join(directory, f"img_{i:05d}.{fmt}"), img)
+    except OSError as e:
+        raise UsageError(f"cannot write images: {e}") from e
+
+
 def cmd_gen_synth(args) -> int:
     images = data.gen_synth(args.seed, args.count, args.height, args.width)
-    os.makedirs(args.out, exist_ok=True)
-    for i, img in enumerate(images):
-        data.write_image(os.path.join(args.out, f"img_{i:05d}.{args.format}"), img)
+    _write_images(args.out, images, args.format)
     print(f"wrote {len(images)} images to {args.out}")
     return 0
 
@@ -149,8 +156,11 @@ def cmd_compress(args) -> int:
     path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
     container, stats = codec.compress(images, model, path)
-    with open(args.out, "wb") as f:
-        f.write(container)
+    try:
+        with open(args.out, "wb") as f:
+            f.write(container)
+    except OSError as e:
+        raise UsageError(f"cannot write container: {e}") from e
     print(
         f"compressed {len(images)} images: coding_bpd={stats['coding_bpd']:.4f} "
         f"analytic_bpd={stats['analytic_bpd']:.4f} bytes={len(container)}"
@@ -167,9 +177,7 @@ def cmd_decompress(args) -> int:
     except OSError as e:
         raise UsageError(f"cannot read container: {e}") from e
     images = codec.decompress(container, model, path)
-    os.makedirs(args.out, exist_ok=True)
-    for i, img in enumerate(images):
-        data.write_image(os.path.join(args.out, f"img_{i:05d}.{args.format}"), img)
+    _write_images(args.out, images, args.format)
     print(f"decompressed {len(images)} images to {args.out}")
     return 0
 

@@ -1,14 +1,29 @@
 """End-to-end lossless codec: flow latents + conditional priors + rANS.
 
-Container layout (little-endian), version 2:
+Container layout (little-endian), version 3:
 
     magic   5 bytes  "IODF1"
-    version u8       (2)
+    version u8       (3)
     model checksum u64   blake2b-64 of (checkpoint bytes || path tag)
     h u16 | w u16 | c u8
     count   u32
+    image checksum u64   blake2b-64 of the images' bytes, (N,C,H,W) order
     len     u32
     payload len bytes: the emitted 32-bit words, then the final u64 coder state
+
+decompress recomputes the image checksum after decoding and raises
+CorruptStreamError on a mismatch, so a damaged or misordered payload that
+still decodes cleanly cannot return a wrong image. Versions 1 and 2 (without
+the image checksum) are not read.
+
+The int path is the portable one: its residual blocks and output convs
+accumulate integers, which float64 BLAS sums exactly in any order, so its
+containers are meant to decode bit-identically under any BLAS thread count
+(a test decodes one in a process limited to one BLAS thread). The float and
+fake paths round float64 sums whose order BLAS may change, so their
+containers are only guaranteed to decode in the same numeric environment
+(numpy and BLAS build, thread count) that wrote them. The model checksum
+binds the checkpoint and the path, not that environment.
 
 The payload is one chained rANS stream over every image. Chaining amortizes
 the coder's fixed 8-byte flush across the whole container, which per-image
@@ -25,8 +40,7 @@ net and each inverse coupling once per slice of a level. Every flow op works
 image by image (one GEMM per image), so the latents do not depend on the
 slice size; the fixed slice only bounds peak memory. The coder itself is
 sequential: it pushes and pulls one slice of one level at a time, fetching
-each distinct mass table once per such block. Reading version-1 containers
-(one length-prefixed chunk per image) is not supported.
+each distinct mass table once per such block.
 
 Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total
@@ -44,7 +58,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .autodiff import depth_to_space
 from .checkpoint import checksum64, serialize
 from .errors import (
     AlphabetOverflowError,
@@ -57,7 +70,7 @@ from .numerics import round_half_away
 from .rans import MassTable, RansDecoder, RansEncoder, mass_table
 
 MAGIC = b"IODF1"
-VERSION = 2
+VERSION = 3
 
 CODING_M = 1 << 20
 ALPHABET_HALF = 2048
@@ -188,9 +201,10 @@ def compress(
     payload = enc.payload()
 
     header = MAGIC + struct.pack(
-        "<BQHHBI", VERSION, model_id(model, path), h, w, c, n
+        "<BQHHBIQI", VERSION, model_id(model, path), h, w, c, n,
+        checksum64(images.tobytes()), len(payload),
     )
-    container = header + struct.pack("<I", len(payload)) + payload
+    container = header + payload
     d = c * h * w
     stats = {
         "analytic_bpd": analytic_bits / (n * d),
@@ -201,19 +215,20 @@ def compress(
 
 
 def _parse_container(container: bytes):
-    if len(container) < 23 or container[:5] != MAGIC:
+    if len(container) < 6 or container[:5] != MAGIC:
         raise DataFormatError("not a flowzip container (bad magic)")
-    version, checksum, h, w, c, count = struct.unpack("<BQHHBI", container[5:23])
-    if version != VERSION:
-        raise DataFormatError(f"unsupported container version {version}")
-    if len(container) < 27:
-        raise DataFormatError("truncated container (length field)")
-    (ln,) = struct.unpack("<I", container[23:27])
-    if 27 + ln > len(container):
+    if container[5] != VERSION:
+        raise DataFormatError(f"unsupported container version {container[5]}")
+    if len(container) < 35:
+        raise DataFormatError("truncated container (header)")
+    _, model_sum, h, w, c, count, image_sum, ln = struct.unpack(
+        "<BQHHBIQI", container[5:35]
+    )
+    if 35 + ln > len(container):
         raise DataFormatError("truncated container (payload)")
-    if 27 + ln < len(container):
+    if 35 + ln < len(container):
         raise DataFormatError("trailing bytes after the payload")
-    return checksum, h, w, c, count, container[27:]
+    return model_sum, h, w, c, count, image_sum, container[35:]
 
 
 def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> np.ndarray:
@@ -224,9 +239,10 @@ def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> 
 
 
 def decompress(container: bytes, model: FlowModel, path: str = "float") -> np.ndarray:
-    """Exact inverse of compress; refuses containers from other models."""
-    checksum, h, w, c, n, payload = _parse_container(container)
-    if checksum != model_id(model, path):
+    """Exact inverse of compress; refuses containers from other models and
+    decoded images that do not match the container's image checksum."""
+    model_sum, h, w, c, n, image_sum, payload = _parse_container(container)
+    if model_sum != model_id(model, path):
         raise ChecksumError(
             "container was written by a different model or inference path"
         )
@@ -253,15 +269,16 @@ def decompress(container: bytes, model: FlowModel, path: str = "float") -> np.nd
         parts = []
         for s in starts:
             z = cur[s : s + FORWARD_SLICE]
+            fac = None
             if not lvl.is_last:
                 mu, log_s = lvl.prior_params_raw(z)
                 fac = _pull_tensor(dec, cache, (len(z), lvl.factored) + z.shape[2:], mu, log_s)
-                z = np.concatenate([z, fac], axis=1)
-            for coup in reversed(lvl.couplings):
-                z = coup.inverse_int_domain(z, t_fn)
-            parts.append(depth_to_space(z))
+            parts.append(lvl.inverse(z, fac, t_fn))
         cur = np.concatenate(parts)
     dec.finish()
     if cur.min() < 0 or cur.max() > 255:
         raise CorruptStreamError("reconstruction left byte range")
-    return cur.astype(np.uint8)
+    images = cur.astype(np.uint8)
+    if checksum64(images.tobytes()) != image_sum:
+        raise CorruptStreamError("decoded images do not match the image checksum")
+    return images

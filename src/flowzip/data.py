@@ -62,9 +62,16 @@ def write_ppm(path: str, image: np.ndarray):
         f.write(np.ascontiguousarray(image.transpose(1, 2, 0)).tobytes())
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise DataFormatError(f"cannot read image: {e}") from e
+
+
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read_bytes(path)
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
     # header: three whitespace-separated fields after P6, '#' comments allowed
@@ -99,8 +106,7 @@ def write_u8t(path: str, image: np.ndarray):
 
 
 def read_u8t(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read_bytes(path)
     if len(data) < 9 or data[:4] != U8T_MAGIC:
         raise DataFormatError(f"{path}: not a raw u8 tensor file")
     c = data[4]

@@ -90,8 +90,6 @@ class CouplingNet:
         v = ad.add_const(ad.scale(u, NET_INPUT_SCALE), -1.0)
         h = ad.relu(ad.conv2d(v, self.stem.w, self.stem.b))
         for blk in self.blocks:
-            if ctx.calibrate and aq:
-                calibrate_activation(blk.q_in, h.value)
             h = block_sim(h, blk, aq, wq, calibrate=ctx.calibrate)
         if ctx.calibrate and aq:
             calibrate_activation(self.q_out, h.value)
@@ -126,13 +124,6 @@ class CouplingNet:
         acc = int_conv_acc(q.values, w_q.values, fold_bias(self.out.b.value, sw, sx))
         return acc * (sw * sx)[None, :, None, None]
 
-    def conv_layers(self):
-        yield self.stem
-        for blk in self.blocks:
-            yield blk.conv_a
-            yield blk.conv_b
-        yield self.out
-
 
 class CouplingLayer:
     """Additive coupling: one half is shifted by the rounded net output.
@@ -147,35 +138,26 @@ class CouplingLayer:
         self.transform_second = transform_second
         self.net = net
 
-    def _split(self, x):
+    def _split(self):
         if self.transform_second:
             return (0, self.m), (self.m, self.channels)
         return (self.m, self.channels), (0, self.m)
 
-    def forward_sim(self, x, ctx: SimCtx):
-        (a0, a1), (b0, b1) = self._split(x)
+    def forward(self, x, t_fn):
+        """x is a latent Node; t_fn(net, xa: Node) -> Node evaluates the net."""
+        (a0, a1), (b0, b1) = self._split()
         xa = ad.channel_slice(x, a0, a1)
         xb = ad.channel_slice(x, b0, b1)
-        zb = ad.add(xb, ad.round_ste(self.net.forward_sim(xa, ctx)))
+        zb = ad.add(xb, ad.round_ste(t_fn(self.net, xa)))
         if self.transform_second:
             return ad.channel_concat(xa, zb)
         return ad.channel_concat(zb, xa)
 
-    def forward_int_domain(self, x: np.ndarray, t_fn) -> np.ndarray:
-        (a0, a1), (b0, b1) = self._split(x)
-        xa, xb = x[:, a0:a1], x[:, b0:b1]
-        t = round_half_away(t_fn(self.net, xa)).astype(np.int64)
-        zb = xb + t
-        return (
-            np.concatenate([xa, zb], axis=1)
-            if self.transform_second
-            else np.concatenate([zb, xa], axis=1)
-        )
-
     def inverse_int_domain(self, z: np.ndarray, t_fn) -> np.ndarray:
-        (a0, a1), (b0, b1) = self._split(z)
+        """Exact inverse of forward on int64 latents, with the same t_fn."""
+        (a0, a1), (b0, b1) = self._split()
         za, zb = z[:, a0:a1], z[:, b0:b1]
-        t = round_half_away(t_fn(self.net, za)).astype(np.int64)
+        t = round_half_away(t_fn(self.net, ad.Node(za)).value).astype(np.int64)
         xb = zb - t
         return (
             np.concatenate([za, xb], axis=1)
@@ -227,6 +209,27 @@ class Level:
                 out_bias_init=bias,
             )
 
+    def forward(self, h, t_fn):
+        """Squeeze a latent Node, run the couplings and split it into
+        (retained, factored) Nodes; the last level returns (h, None)."""
+        h = ad.squeeze2x2(h)
+        for coup in self.couplings:
+            h = coup.forward(h, t_fn)
+        if self.is_last:
+            return h, None
+        return (
+            ad.channel_slice(h, 0, self.retained),
+            ad.channel_slice(h, self.retained, self.channels),
+        )
+
+    def inverse(self, retained: np.ndarray, factored, t_fn) -> np.ndarray:
+        """Exact inverse of forward on int64 latents (factored None on the last
+        level): join the halves, undo the couplings, unsqueeze."""
+        z = retained if factored is None else np.concatenate([retained, factored], axis=1)
+        for coup in reversed(self.couplings):
+            z = coup.inverse_int_domain(z, t_fn)
+        return ad.depth_to_space(z)
+
     def prior_params_sim(self, retained):
         # Prior networks stay unquantized in every path.
         out = self.prior_net.forward_sim(retained, SimCtx())
@@ -235,11 +238,10 @@ class Level:
         return mu, log_s
 
     def prior_params_raw(self, retained_values: np.ndarray):
-        """Prior-net evaluation on plain arrays (used by the codec paths)."""
+        """prior_params_sim on plain arrays, off the tape (the decoder's call)."""
         with ad.no_grad():
-            node = ad.Node(retained_values.astype(np.float64))
-            out = self.prior_net.forward_sim(node, SimCtx()).value
-        return out[:, : self.factored], out[:, self.factored :]
+            mu, log_s = self.prior_params_sim(ad.Node(retained_values))
+        return mu.value, log_s.value
 
 
 class FlowResult:
@@ -311,36 +313,35 @@ class FlowModel:
     def sim_ctx(self, calibrate: bool = False) -> SimCtx:
         return SimCtx(self.act_quant, self.weight_quant, calibrate)
 
-    # -- training path (tape Nodes end to end) ------------------------------
+    # -- the flow, shared by training and the inference paths ---------------
+
+    def walk(self, x: np.ndarray, t_fn):
+        """Run the flow on tape Nodes and yield (latent, mu, log_s) per level,
+        shallow to deep: each factored half under its prior net, then the
+        final latent under the per-channel prior. t_fn(net, xa) evaluates the
+        coupling nets; latents stay integral, and float64 holds them exactly.
+        """
+        x = np.asarray(x)
+        self.check_input(x)
+        h = ad.Node(x)
+        for lvl in self.levels:
+            h, factored = lvl.forward(h, t_fn)
+            if factored is not None:
+                yield (factored, *lvl.prior_params_sim(h))
+        yield (
+            h,
+            ad.reshape(self.final_mu, (1, -1, 1, 1)),
+            ad.reshape(self.final_log_s, (1, -1, 1, 1)),
+        )
 
     def training_forward(self, x: np.ndarray, calibrate: bool = False):
-        """Returns (total log2 probability Node, per-level latent Nodes)."""
-        self.check_input(np.asarray(x))
+        """Returns the batch's total log2 probability as a scalar tape Node."""
         ctx = self.sim_ctx(calibrate)
-        h = ad.Node(np.asarray(x, dtype=np.float64))
-        logps = []
-        for lvl in self.levels:
-            h = ad.squeeze2x2(h)
-            for coup in lvl.couplings:
-                h = coup.forward_sim(h, ctx)
-            if not lvl.is_last:
-                retained = ad.channel_slice(h, 0, lvl.retained)
-                factored = ad.channel_slice(h, lvl.retained, lvl.channels)
-                mu, log_s = lvl.prior_params_sim(retained)
-                logps.append(ad.nsum(ad.logistic_logpmf(factored, mu, log_s)))
-                h = retained
-        mu = ad.reshape(self.final_mu, (1, -1, 1, 1))
-        log_s = ad.reshape(self.final_log_s, (1, -1, 1, 1))
-        logps.append(ad.nsum(ad.logistic_logpmf(h, mu, log_s)))
-        total = logps[0]
-        for term in logps[1:]:
-            total = ad.add(total, term)
+        total = None
+        for z, mu, log_s in self.walk(x, lambda net, xa: net.forward_sim(xa, ctx)):
+            term = ad.nsum(ad.logistic_logpmf(z, mu, log_s))
+            total = term if total is None else ad.add(total, term)
         return total
-
-    # -- inference paths (exact integer latent domain) ----------------------
-
-    def _t_int(self, net: CouplingNet, xa: np.ndarray) -> np.ndarray:
-        return net.forward_int(xa)
 
     def _t_fn(self, path: str):
         """Coupling-net evaluator for an inference path.
@@ -351,7 +352,7 @@ class FlowModel:
         if path == "int":
             if not (self.act_quant and self.weight_quant):
                 raise DataFormatError("integer path requires a stage-5 checkpoint")
-            return self._t_int
+            return lambda net, xa: ad.Node(net.forward_int(xa.value))
         if path == "float":
             ctx = SimCtx(False, False)
         elif path == "fake":
@@ -361,35 +362,22 @@ class FlowModel:
         else:
             raise DataFormatError(f"unknown inference path: {path}")
 
-        def t_sim(net: CouplingNet, xa: np.ndarray) -> np.ndarray:
+        def t_sim(net: CouplingNet, xa):
             with ad.no_grad():
-                return net.forward_sim(ad.Node(xa.astype(np.float64)), ctx).value
+                return net.forward_sim(xa, ctx)
 
         return t_sim
 
     def flow_forward(self, x: np.ndarray, path: str = "float") -> FlowResult:
         """Map images to integer latents plus their priors and log2 mass."""
-        x = np.asarray(x)
-        self.check_input(x)
         t_fn = self._t_fn(path)
-        h = x.astype(np.int64)
         latents, priors = [], []
-        log2p = np.zeros(x.shape[0])
-        for lvl in self.levels:
-            h = ad.space_to_depth(h)
-            for coup in lvl.couplings:
-                h = coup.forward_int_domain(h, t_fn)
-            if not lvl.is_last:
-                retained = h[:, : lvl.retained]
-                factored = h[:, lvl.retained :]
-                mu, log_s = lvl.prior_params_raw(retained)
-                latents.append(factored)
-                priors.append((mu, log_s))
-                log2p += ad.logistic_logpmf_raw(factored, mu, log_s).sum(axis=(1, 2, 3))
-                h = retained
-        mu = self.final_mu.value.reshape(1, -1, 1, 1)
-        log_s = self.final_log_s.value.reshape(1, -1, 1, 1)
-        latents.append(h)
-        priors.append((mu, log_s))
-        log2p += ad.logistic_logpmf_raw(h, mu, log_s).sum(axis=(1, 2, 3))
+        log2p = 0.0
+        with ad.no_grad():
+            for z, mu, log_s in self.walk(x, t_fn):
+                latents.append(z.value.astype(np.int64))
+                priors.append((mu.value, log_s.value))
+                log2p += ad.logistic_logpmf_raw(z.value, mu.value, log_s.value).sum(
+                    axis=(1, 2, 3)
+                )
         return FlowResult(latents, priors, log2p)

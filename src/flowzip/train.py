@@ -97,6 +97,9 @@ class TrainConfig:
                     kwargs[key] = value.lower() in ("1", "true", "yes")
                 elif isinstance(default, int):
                     kwargs[key] = int(value)
+                    # every integer but the seed is a count, a size or an epoch cap
+                    if kwargs[key] < 1 and key != "seed":
+                        raise DataFormatError(f"{path}:{ln}: '{key}' must be at least 1")
                 else:
                     kwargs[key] = float(value)
             except ValueError as e:

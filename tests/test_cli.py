@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from flowzip import codec
 from flowzip.checkpoint import load_model, save_model
 from flowzip.cli import main
 from flowzip.data import gen_synth, write_u8t
+from flowzip.errors import DataFormatError
 from flowzip.model import FlowConfig, FlowModel
+from flowzip.train import TrainConfig
 
 from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
 
@@ -88,6 +91,31 @@ def test_exit_codes(tmp_path, small_ckpt, capsys):
     ) == 3
 
 
+def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
+    # unreadable inputs are data errors (2), unwritable outputs usage errors (1)
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
+    container = str(tmp_path / "c.iodf")
+    assert main(["compress", data_dir, "--checkpoint", small_ckpt, "--out", container]) == 0
+    gated = str(tmp_path / "gated.ckpt")
+    save_model(gated_int_model(), gated)
+    nowhere = str(tmp_path / "nodir" / "x")
+    missing = str(tmp_path / "missing.ppm")
+    cases = [
+        (["compress", missing, "--checkpoint", small_ckpt, "--out", str(tmp_path / "y")],
+         2, "cannot read image"),
+        (["compress", data_dir, "--checkpoint", small_ckpt, "--out", nowhere],
+         1, "cannot write container"),
+        (["decompress", container, "--checkpoint", small_ckpt, "--out", container],
+         1, "cannot write images"),
+        (["prune", "--checkpoint", gated, "--out", nowhere], 1, "cannot write checkpoint"),
+    ]
+    for argv, code, message in cases:
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        assert message in capsys.readouterr().err, argv
+
+
 @pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
 def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, fault):
     ckpt = tmp_path / "bad.ckpt"
@@ -150,6 +178,21 @@ def test_train_and_config_file(tmp_path, capsys):
 def test_bad_config_key_is_data_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 3\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+COUNT_KEYS = [
+    f.name for f in fields(TrainConfig)
+    if isinstance(getattr(TrainConfig(), f.name), int) and f.name != "seed"
+]
+
+
+@pytest.mark.parametrize("key", COUNT_KEYS)
+def test_config_counts_below_one_are_data_errors(tmp_path, key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"seed = 0\n{key} = 0\n")  # the seed alone may be zero
+    with pytest.raises(DataFormatError, match=f"'{key}' must be at least 1"):
+        TrainConfig.from_file(str(cfg))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
