@@ -9,7 +9,11 @@ gradient tests check each against central finite differences.
 
 The plain-array kernels behind some ops (space_to_depth/depth_to_space,
 im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
-run, so the tape and the codec share one implementation of each.
+run, so the tape and the codec share one implementation of each. Every
+convolution is im2col then a GEMM: im2col pads the input and makes one
+strided copy of its sliding windows, and conv2d_raw serves the float and
+fake paths, the input gradient of conv2d and the integer path's
+accumulator (layers.int_conv_acc).
 
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
@@ -242,11 +246,15 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
     pad = (k - 1) // 2
     xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
     xp[:, :, pad : pad + H, pad : pad + W] = x
-    cols = np.empty((B, C, k * k, H, W))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i * k + j] = xp[:, :, i : i + H, j : j + W]
-    return cols.reshape(B, C * k * k, H * W)
+    # sliding_window_view(xp, (H, W), axis=(2, 3)) without its per-call checks,
+    # which cost more than the copy at batch 1. The window count n comes from
+    # xp's padding, so the view stays in bounds; reshape makes the one copy.
+    n = 2 * pad + 1
+    sb, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (B, C, n, n, H, W), (sb, sc, sh, sw, sh, sw), writeable=False
+    )
+    return windows.reshape(B, C * k * k, H * W)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -261,20 +269,19 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray
     return y.reshape(B, Cout, H, W)
 
 
-def conv2d(x, w, b=None):
+def conv2d(x, w, b):
     """Tape-aware convolution; the input gradient reuses the forward kernel
     via the flipped-transposed-weights identity (exact for stride 1)."""
-    xn, wn = _lift(x), _lift(w)
-    bn = _lift(b) if b is not None else None
+    xn, wn, bn = _lift(x), _lift(w), _lift(b)
     xv, wv = xn.value, wn.value
     B, C, H, W = xv.shape
     Cout, Cin, k, _ = wv.shape
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
+    # the forward GEMM stays here rather than in conv2d_raw: vjp_w reuses cols
     cols = im2col(xv, k)
     y = np.matmul(wv.reshape(Cout, Cin * k * k), cols)
-    if bn is not None:
-        y += bn.value[:, None]
+    y += bn.value[:, None]
     y = y.reshape(B, Cout, H, W)
 
     def vjp_x(g):
@@ -284,9 +291,6 @@ def conv2d(x, w, b=None):
     def vjp_w(g):
         gm = g.reshape(B, Cout, H * W)
         return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wv.shape)
-
-    if bn is None:
-        return _make(y, (xn, wn), (vjp_x, vjp_w))
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))

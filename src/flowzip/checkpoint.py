@@ -102,10 +102,11 @@ def _named_entries(model: FlowModel):
 
 
 def named_parameters(model: FlowModel):
-    """(name, Node) pairs of everything the optimizer may touch."""
+    """(kind, name, Node) of everything the optimizer may touch; the kind is
+    KIND_PARAM, KIND_GATE or KIND_QSCALE."""
     for kind, name, obj, _ in _named_entries(model):
         if kind != KIND_INDEX:
-            yield name, obj
+            yield kind, name, obj
 
 
 def serialize(model: FlowModel) -> bytes:
@@ -173,7 +174,7 @@ def _kept_indices(stored: np.ndarray, width: int, name: str) -> np.ndarray:
     return idx
 
 
-def _placed(stored: np.ndarray, full: np.ndarray, keep, name: str) -> np.ndarray:
+def _placed(stored: np.ndarray, full: np.ndarray, keep, kind: int, name: str) -> np.ndarray:
     """The stored part ``keep`` of an array of ``full``'s shape, in float64."""
     expected = full[keep].shape
     if stored.shape != expected:
@@ -182,7 +183,10 @@ def _placed(stored: np.ndarray, full: np.ndarray, keep, name: str) -> np.ndarray
         )
     if not np.all(np.isfinite(stored)):
         raise DataFormatError(f"non-finite values in checkpoint array {name}")
-    out = np.full_like(full, 1.0 if name.endswith(".wscale") else 0.0)
+    if kind == KIND_QSCALE and np.any(stored <= 0):
+        raise DataFormatError(f"non-positive quantizer scale in checkpoint array {name}")
+    # a removed filter's weight scale is 1, every other removed value 0
+    out = np.full_like(full, 1.0 if kind == KIND_QSCALE else 0.0)
     out[keep] = stored
     return out
 
@@ -236,12 +240,16 @@ def deserialize(data: bytes) -> FlowModel:
             gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
     for kind, name, node, keep in _named_entries(model):
         if kind != KIND_INDEX:
-            node.value = _placed(arrays[name], node.value, keep, name)
+            node.value = _placed(arrays[name], node.value, keep, kind, name)
     return model
 
 
 def save_model(model: FlowModel, path: str) -> int:
-    """Write the checkpoint; returns its checksum (used as the model id)."""
+    """Write the checkpoint; returns the blake2b-64 checksum of the file bytes.
+
+    A container's model id is not this checksum: ``codec.model_id`` hashes the
+    serialized model together with the inference path's tag.
+    """
     data = serialize(model)
     try:
         with open(path, "wb") as f:

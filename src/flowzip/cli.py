@@ -119,6 +119,13 @@ def _train_val(cfg: TrainConfig, data_dir):
     return images[: cfg.train_count], images[cfg.train_count :]
 
 
+def _check_out_dir(path: str):
+    """Fail before training when the checkpoint at ``path`` could not be written."""
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise UsageError(f"cannot write checkpoint: {directory} is not a writable directory")
+
+
 def _write_images(directory: str, images: np.ndarray, fmt: str):
     try:
         os.makedirs(directory, exist_ok=True)
@@ -136,6 +143,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     cfg = _load_config(args.config, args.seed)
     train_x, val_x = _train_val(cfg, args.data)
 
@@ -240,6 +248,7 @@ def cmd_prune(args) -> int:
 def cmd_quantize(args) -> int:
     from .train import Trainer
 
+    _check_out_dir(args.out)
     model, _ = load_model(args.checkpoint)
     if model.pruned:
         raise UsageError("quantize the gated checkpoint, then prune")

@@ -6,8 +6,9 @@ Each block runs in one of two engines:
   quantization of activations and weights (training and the float/fake
   inference paths);
 * integer -- int8 values with real scales, 32-bit accumulation, and
-  double-precision rescaling (the deployment path). Its GEMMs run through
-  float64 BLAS, which is exact here because every intermediate sum is an
+  double-precision rescaling (the deployment path). Its accumulator is the
+  shared float convolution ``autodiff.conv2d_raw`` run on the integer values
+  in float64, which is exact here because every intermediate sum is an
   integer far below 2**53.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DataFormatError
 from .numerics import round_half_away
 from .quant import MIN_SCALE, QuantizedTensor, QuantizerParams, init_scale
 
@@ -50,22 +52,17 @@ class GateVector:
 class ConvLayer:
     """3x3 stride-1 same-padding convolution with float bias.
 
-    Weight layout is (C_out, C_in, k, k). ``wscale`` is the per-output-channel
-    learned quantizer step; ``gate`` is optional filter gating.
+    Weight layout is (C_out, C_in, k, k); without ``rng`` the weights start at
+    zero. ``wscale`` is the per-output-channel learned quantizer step; ``gate``
+    is optional filter gating.
     """
 
-    def __init__(
-        self,
-        c_in: int,
-        c_out: int,
-        rng: np.random.Generator | None = None,
-        zero_init: bool = False,
-        k: int = KERNEL,
-    ):
-        if zero_init or rng is None:
-            w = np.zeros((c_out, c_in, k, k))
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None):
+        shape = (c_out, c_in, KERNEL, KERNEL)
+        if rng is None:
+            w = np.zeros(shape)
         else:
-            w = rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), (c_out, c_in, k, k))
+            w = rng.normal(0.0, np.sqrt(2.0 / (c_in * KERNEL * KERNEL)), shape)
         self.w = ad.Node(w, requires_grad=True)
         self.b = ad.Node(np.zeros(c_out), requires_grad=True)
         self.wscale = ad.Node(np.ones(c_out), requires_grad=True)
@@ -100,7 +97,7 @@ class ConvLayer:
 def _check_acc_bound(c_in: int, bhat: np.ndarray):
     bound = 255 * 128 * KERNEL * KERNEL * c_in + int(np.abs(bhat).max(initial=0))
     if bound > MAX_ACC:
-        raise ValueError(f"int32 accumulator could overflow (bound {bound})")
+        raise DataFormatError(f"int32 accumulator could overflow (bound {bound})")
 
 
 def int_conv_acc(
@@ -108,20 +105,14 @@ def int_conv_acc(
 ) -> np.ndarray:
     """Integer convolution accumulator (exact, returned as integral float64)."""
     _check_acc_bound(w_int.shape[1], bhat)
-    B, C, H, W = values.shape
-    cols = ad.im2col(values.astype(np.float64), w_int.shape[2])
-    cout = w_int.shape[0]
-    # an explicit row length: a conv with every filter gated off has cout == 0
-    acc = np.matmul(w_int.reshape(cout, cols.shape[1]).astype(np.float64), cols)
-    acc += bhat[:, None]
-    return acc.reshape(B, cout, H, W)
+    return ad.conv2d_raw(values, w_int.astype(np.float64), bhat)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
     """Bias folded into the accumulator: round(b / (s_W * s_x))."""
     bhat = round_half_away(b / (w_scale * x_scale))
     if np.abs(bhat).max(initial=0) > MAX_BIAS_INT:
-        raise ValueError("folded bias exceeds the 32-bit accumulator budget")
+        raise DataFormatError("folded bias exceeds the 32-bit accumulator budget")
     return bhat
 
 

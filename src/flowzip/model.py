@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DataFormatError
 from .layers import (
+    KERNEL,
     NET_INPUT_SCALE,
     ConvLayer,
     QuantizedTensor,
@@ -31,6 +32,9 @@ from .numerics import round_half_away
 
 LOG_S_INIT = float(np.log(32.0))
 MU_INIT = 128.0
+PRIOR_BLOCKS = 2  # residual blocks in each prior net
+# Conv weights and biases plus the final prior; the desk model has 380,004.
+MAX_PARAMS = 2**24
 
 
 @dataclass
@@ -42,13 +46,36 @@ class FlowConfig:
     in_channels: int = 3
 
     def validate(self):
-        if self.levels < 1 or self.couplings < 1 or self.blocks < 1:
-            raise DataFormatError("levels, couplings, and blocks must be >= 1")
+        if min(self.levels, self.couplings, self.blocks, self.hidden, self.in_channels) < 1:
+            raise DataFormatError(
+                "levels, couplings, blocks, hidden and in_channels must be >= 1"
+            )
         c = self.in_channels * 4
         for _ in range(self.levels - 1):
             if c % 2:
                 raise DataFormatError("channel count must stay even across levels")
             c = (c // 2) * 4
+        n = self.param_count()
+        if n > MAX_PARAMS:
+            raise DataFormatError(f"architecture has {n} parameters, above {MAX_PARAMS}")
+
+    def param_count(self) -> int:
+        """Conv weights and biases of every net plus the final prior, from the
+        architecture alone (nothing is allocated)."""
+
+        def net(c_in: int, c_out: int, blocks: int) -> int:
+            convs = [(c_in, self.hidden)] + [(self.hidden, self.hidden)] * (2 * blocks)
+            convs.append((self.hidden, c_out))
+            return sum(o * i * KERNEL * KERNEL + o for i, o in convs)
+
+        total, c = 0, self.in_channels
+        for li in range(self.levels):
+            c *= 4
+            total += self.couplings * net(c // 2, c - c // 2, self.blocks)
+            if li == self.levels - 1:
+                return total + 2 * c
+            total += net(c // 2, 2 * (c - c // 2), PRIOR_BLOCKS)
+            c //= 2
 
 
 @dataclass
@@ -77,7 +104,7 @@ class CouplingNet:
     ):
         self.stem = ConvLayer(c_in, hidden, rng)
         self.blocks = [ResidualBlock.build(hidden, rng) for _ in range(n_blocks)]
-        self.out = ConvLayer(hidden, c_out, zero_init=True)
+        self.out = ConvLayer(hidden, c_out)
         if out_bias_init is not None:
             self.out.b.value[...] = out_bias_init
         self.q_out = ad.Node(np.ones(1), requires_grad=True)
@@ -203,7 +230,7 @@ class Level:
                 self.retained,
                 2 * self.factored,
                 cfg.hidden,
-                2,
+                PRIOR_BLOCKS,
                 rng,
                 quantizable=False,
                 out_bias_init=bias,

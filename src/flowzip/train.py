@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import named_parameters
+from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters
 from .errors import DataFormatError, StageTimeoutError, UsageError
 from .model import FlowConfig, FlowModel
+from .quant import MIN_SCALE
 
 MAC_FLOPS = 2  # one multiply-accumulate counts as two floating point ops
 
@@ -197,24 +198,19 @@ class Adamax:
 
 def param_groups(model: FlowModel):
     """Split parameters into main / gate / quantizer-scale groups."""
-    main, gates, scales = [], [], []
-    for name, node in named_parameters(model):
-        if name.endswith(".gate"):
-            gates.append(node)
-        elif name.endswith(("wscale", "q_in", "q_mid", "q_out")):
-            scales.append(node)
-        else:
-            main.append(node)
-    return main, gates, scales
+    groups = {KIND_PARAM: [], KIND_GATE: [], KIND_QSCALE: []}
+    for kind, _, node in named_parameters(model):
+        groups[kind].append(node)
+    return groups[KIND_PARAM], groups[KIND_GATE], groups[KIND_QSCALE]
 
 
 def clamp_auxiliary(model: FlowModel):
     """Post-step projections: gates into [0,1], scales positive, s bounded."""
     for gate in model.gates():
         gate.clamp()
-    for name, node in named_parameters(model):
-        if name.endswith(("wscale", "q_in", "q_mid", "q_out")):
-            np.clip(node.value, 1e-6, None, out=node.value)
+    for kind, _, node in named_parameters(model):
+        if kind == KIND_QSCALE:
+            np.clip(node.value, MIN_SCALE, None, out=node.value)
     np.clip(model.final_log_s.value, -5.0, 8.0, out=model.final_log_s.value)
 
 

@@ -104,12 +104,13 @@ def gated_int_model() -> FlowModel:
 
 HOSTILE_CHECKPOINTS = (
     "kept_index_at_width", "kept_index_repeated", "stem_transposed",
-    "pruned_conv_transposed",
+    "pruned_conv_transposed", "wscale_negative", "q_in_zero",
 )
 
 
 def hostile_checkpoint(fault: str) -> bytes:
-    """A checksum-valid pruned checkpoint with one array that does not fit."""
+    """A checksum-valid pruned checkpoint with one array that does not fit the
+    model or holds a value it refuses."""
     model = gated_int_model()
     blk = model.levels[0].couplings[0].net.blocks[0]
     blk.conv_a.gate.node.value[:] = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1]
@@ -118,7 +119,11 @@ def hostile_checkpoint(fault: str) -> bytes:
     blob = checkpoint.serialize(pruned)
     arrays = stored_arrays(blob, pruned)
     body = bytearray(blob[:-8])
-    if fault in ("stem_transposed", "pruned_conv_transposed"):
+    if fault in ("wscale_negative", "q_in_zero"):
+        name = "conv_a.wscale" if fault == "wscale_negative" else "q_in"
+        off, _ = arrays[f"level0.coup0.block0.{name}"]
+        struct.pack_into("<f", body, off, -1.0 if fault == "wscale_negative" else 0.0)
+    elif fault in ("stem_transposed", "pruned_conv_transposed"):
         name = "stem.w" if fault == "stem_transposed" else "block0.conv_b.w"
         off, w = arrays[f"level0.coup0.{name}"]
         assert w.shape[0] != w.shape[1]

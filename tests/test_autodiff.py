@@ -25,6 +25,31 @@ def test_conv2d_gradients():
         check_gradient(build, params, wrt)
 
 
+def _im2col_loop(x, k):
+    # reference: fill the patch matrix one kernel offset at a time
+    B, C, H, W = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = x
+    cols = np.empty((B, C, k * k, H, W))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i * k + j] = xp[:, :, i : i + H, j : j + W]
+    return cols.reshape(B, C * k * k, H * W)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize(
+    "shape", [(0, 2, 4, 4), (1, 0, 4, 4), (1, 3, 4, 6), (2, 2, 1, 1), (2, 4, 8, 8)]
+)
+def test_im2col_matches_loop_reference(shape, k):
+    # the int path hands im2col integer arrays
+    for x in (RNG.normal(0, 1, shape), RNG.integers(-128, 128, shape)):
+        got, ref = ad.im2col(x, k), _im2col_loop(x, k)
+        assert got.shape == (shape[0], shape[1] * k * k, shape[2] * shape[3])
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_conv2d_1x1_kernel():
     x = np.full((1, 1, 1, 1), 1.5)
     w = np.full((1, 1, 1, 1), 2.0)

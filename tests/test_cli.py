@@ -99,6 +99,17 @@ def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
     assert main(["compress", data_dir, "--checkpoint", small_ckpt, "--out", container]) == 0
     gated = str(tmp_path / "gated.ckpt")
     save_model(gated_int_model(), gated)
+    stage3 = str(tmp_path / "stage3.ckpt")
+    model = FlowModel(FlowConfig(hidden=8, couplings=1, blocks=1), seed=0)
+    model.attach_gates(0.8)
+    model.stage = 3
+    save_model(model, stage3)
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(
+        "hidden = 8\ncouplings = 1\nblocks = 1\ntrain_count = 8\nval_count = 4\n"
+        "batch_size = 8\nepochs_stage1 = 1\nepochs_stage4 = 1\nepochs_stage5 = 1\n"
+        "calib_count = 4\n"
+    )
     nowhere = str(tmp_path / "nodir" / "x")
     missing = str(tmp_path / "missing.ppm")
     cases = [
@@ -109,11 +120,18 @@ def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
         (["decompress", container, "--checkpoint", small_ckpt, "--out", container],
          1, "cannot write images"),
         (["prune", "--checkpoint", gated, "--out", nowhere], 1, "cannot write checkpoint"),
+        # the output directory is checked before any training starts
+        (["train", "--config", str(tiny), "--stage", "1", "--out", nowhere],
+         1, "cannot write checkpoint"),
+        (["quantize", "--checkpoint", stage3, "--config", str(tiny), "--out", nowhere],
+         1, "cannot write checkpoint"),
     ]
     for argv, code, message in cases:
         capsys.readouterr()
         assert main(argv) == code, argv
-        assert message in capsys.readouterr().err, argv
+        out, err = capsys.readouterr()
+        assert message in err, argv
+        assert "epoch=" not in out, argv
 
 
 @pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
@@ -124,6 +142,23 @@ def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, fault):
     main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
     assert main(
         ["compress", data_dir, "--checkpoint", str(ckpt), "--out", str(tmp_path / "c")]
+    ) == 2
+
+
+def test_compress_with_unfoldable_bias_is_data_error(tmp_path):
+    # a checksum-valid checkpoint whose conv-A bias folds beyond the
+    # 32-bit accumulator budget on the int path
+    model = gated_int_model()
+    blk = model.levels[0].couplings[0].net.blocks[0]
+    blk.conv_a.gate.node.value[:] = 0.9
+    blk.conv_b.gate.node.value[:] = 0.9
+    blk.conv_a.b.value[:] = 1e9
+    ckpt = str(tmp_path / "bias.ckpt")
+    save_model(model, ckpt)
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
+    assert main(
+        ["compress", data_dir, "--checkpoint", ckpt, "--out", str(tmp_path / "c")]
     ) == 2
 
 

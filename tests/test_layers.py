@@ -5,6 +5,7 @@ import pytest
 
 from flowzip import autodiff as ad
 from flowzip.checkpoint import deserialize, serialize
+from flowzip.errors import DataFormatError
 from flowzip.layers import (
     ConvLayer,
     GateVector,
@@ -65,7 +66,7 @@ def test_int_conv_hand_example():
 
 
 def test_int_conv_zero_input():
-    layer = ConvLayer(2, 2, zero_init=True)
+    layer = ConvLayer(2, 2)
     y = _int_conv(np.zeros((1, 2, 4, 4)), 1.0, layer, 1.0)
     assert np.all(y == 0)
 
@@ -225,7 +226,7 @@ def test_int_block_gated_matches_pruned_exactly():
 
 
 def test_accumulator_bound_asserted():
-    from flowzip.layers import fold_bias
-
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         fold_bias(np.array([1e12]), np.array([1e-3]), 1e-3)
+    with pytest.raises(DataFormatError):
+        int_conv_acc(np.zeros((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), np.array([2.0**31]))

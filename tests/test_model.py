@@ -1,12 +1,15 @@
 """Flow structure: couplings, squeeze, bijectivity, checkpoints."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowzip import autodiff as ad
-from flowzip import codec
+from flowzip import checkpoint, codec
 from flowzip.autodiff import depth_to_space, space_to_depth
 from flowzip.checkpoint import deserialize, load_model, save_model, serialize
 from flowzip.data import gen_synth
@@ -14,12 +17,13 @@ from flowzip.errors import ChecksumError, DataFormatError
 from flowzip.model import (
     CouplingLayer,
     CouplingNet,
+    MAX_PARAMS,
     FlowConfig,
     FlowModel,
     SimCtx,
 )
 
-from helpers import HOSTILE_CHECKPOINTS, hostile_checkpoint
+from helpers import HOSTILE_CHECKPOINTS, hostile_checkpoint, rechecksummed
 
 RNG = np.random.default_rng(9)
 
@@ -167,6 +171,44 @@ def test_checkpoint_shapes_are_checked(fault):
     # each blob carries a valid checksum; the arrays do not fit the model
     with pytest.raises(DataFormatError):
         deserialize(hostile_checkpoint(fault))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [FlowConfig(), FlowConfig(1, 1, 8, 1, 1), FlowConfig(3, 2, 5, 3, 3),
+     FlowConfig(2, 4, 32, 2, 3)],
+)
+def test_param_count_matches_the_built_model(cfg):
+    model = FlowModel(cfg, seed=0)
+    stored = [
+        node.value.size for kind, _, node in checkpoint.named_parameters(model)
+        if kind == checkpoint.KIND_PARAM
+    ]
+    assert cfg.param_count() == sum(stored) <= MAX_PARAMS
+
+
+@pytest.mark.parametrize(
+    "hidden, in_ch, splits, match",
+    [(65535, 3, (6, 6, 24, 0), "parameters"), (0, 3, (6, 6, 24, 0), ">= 1"),
+     (8, 0, (0, 0, 0, 0), ">= 1")],
+)
+def test_header_architecture_is_refused_before_allocation(hidden, in_ch, splits, match):
+    # a checksum-valid 39-byte checkpoint with no arrays: an architecture that
+    # is too large or empty is refused from the header alone, before any
+    # weight exists
+    header = struct.pack("<HHBBBBHB", checkpoint.VERSION, 0, 1, 2, 4, 2, hidden, in_ch)
+    blob = rechecksummed(
+        checkpoint.MAGIC + header + struct.pack("<4H", *splits) + struct.pack("<I", 0)
+    )
+    assert len(blob) == 39
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=match):
+            deserialize(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_checkpoint_preserves_flags_and_stage(tmp_path):

@@ -3,7 +3,23 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from flowzip import autodiff, codec, train
+from flowzip.data import gen_synth
+from flowzip.model import FlowConfig, FlowModel
+
+from helpers import gated_int_model
+
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_perfbench_span_targets_resolve():
@@ -19,3 +35,47 @@ def test_perfbench_span_targets_resolve():
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def _int_round_trip():
+    model = gated_int_model()
+    images = gen_synth(3, 2)
+    container, _ = codec.compress(images, model, "int")
+    assert np.array_equal(codec.decompress(container, model, "int"), images)
+
+
+def _one_step_per_objective():
+    # the stage-1 float, stage-2 gated and stage-5 fake-quant objectives
+    images = gen_synth(4, 2)
+    float_model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
+    gated_model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
+    gated_model.attach_gates(0.8)
+    lambdas = [1e-3] * len(gated_model.levels)
+    quant_model = gated_int_model()
+    steps = (
+        (float_model, lambda: train.loss_bpd(images, float_model)),
+        (gated_model, lambda: train.gated_objective(images, gated_model, lambdas)[0]),
+        (quant_model, lambda: train.loss_bpd(images, quant_model)),
+    )
+    for model, objective in steps:
+        main, gates, scales = train.param_groups(model)
+        opt = train.Adamax({"main": (main, 1e-3), "gate": (gates, 1e-3),
+                            "scale": (scales, 1e-3)})
+        autodiff.backward(objective())
+        opt.step()
+        train.clamp_auxiliary(model)
+
+
+@pytest.mark.parametrize(
+    "run, workloads",
+    [(_int_round_trip, ("int-batch", "int-single")),
+     (_one_step_per_objective, ("train-step",))],
+)
+def test_perfbench_expected_spans_record_calls(run, workloads):
+    # Calls move between spans as kernels are shared; a span in EXPECTED that
+    # records nothing would otherwise show up only in a traced benchmark run.
+    spans = _load_spans()
+    with spans.Tracer() as tracer:
+        run()
+    for workload in workloads:
+        assert tracer.uncovered(workload) == [], workload

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
-from flowzip.checkpoint import deserialize, serialize
+from flowzip.checkpoint import deserialize, named_parameters, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import StageTimeoutError
 from flowzip.model import FlowConfig, FlowModel
+from flowzip.quant import MIN_SCALE
 from flowzip.train import (
     TrainConfig,
     Trainer,
     calculate_flops,
+    clamp_auxiliary,
     gate_lambdas,
     gated_objective,
     loss_bpd,
+    param_groups,
     prune,
     run_pipeline,
 )
@@ -115,6 +118,20 @@ def test_conv_gradient_through_whole_model():
     w.value[idx] = keep
     fd = (up - dn) / (2 * h)
     assert got[idx] == pytest.approx(fd, rel=1e-3, abs=1e-9)
+
+
+def test_param_groups_follow_the_checkpoint_kinds():
+    model = gated_int_model()
+    main, gates, scales = param_groups(model)
+    names = {id(node): name for _, name, node in named_parameters(model)}
+    assert len(main) + len(gates) + len(scales) == len(names)
+    assert all(names[id(n)].endswith(".gate") for n in gates)
+    assert all(names[id(n)].endswith(("wscale", "q_in", "q_mid", "q_out")) for n in scales)
+    assert not any(names[id(n)].endswith(("gate", "wscale", "q_in", "q_mid", "q_out"))
+                   for n in main)
+    scales[0].value[...] = -1.0
+    clamp_auxiliary(model)
+    assert np.all(scales[0].value == MIN_SCALE)
 
 
 def test_calculate_flops_formula():
