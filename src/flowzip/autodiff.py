@@ -30,7 +30,7 @@ import numpy as np
 
 from . import quant
 from .errors import DataFormatError
-from .numerics import round_half_away
+from .numerics import LN2, log1mexp, log_sigmoid, round_half_away
 
 _state = threading.local()
 
@@ -340,15 +340,15 @@ def fake_quantize(r, s, signed: bool):
 # discretized logistic log-mass
 
 
-def _logpmf_terms(z: np.ndarray, mu: np.ndarray, log_s: np.ndarray):
-    """Stable log pmf of the integer logistic plus the two boundary terms.
+def _logpmf_values(z: np.ndarray, mu: np.ndarray, log_s: np.ndarray):
+    """Stable natural-log pmf of the integer logistic and its intermediates.
 
     pmf(z) = sigmoid((z + 1/2 - mu)/s) - sigmoid((z - 1/2 - mu)/s).
     Reflecting z - mu into the left tail keeps the CDF difference away from
     cancellation, so the log never underflows to -inf for any finite input.
+    Returns (ln pmf, s, sign, a, b, la, lb): the gradient of the tape op
+    reuses the reflection sign, the two boundary arguments and their logs.
     """
-    from .numerics import LN2, log1mexp, log_sigmoid
-
     s = np.exp(log_s)
     d = z - mu
     sign = np.where(d > 0, -1.0, 1.0)
@@ -357,21 +357,14 @@ def _logpmf_terms(z: np.ndarray, mu: np.ndarray, log_s: np.ndarray):
     b = (dr - 0.5) / s
     la = log_sigmoid(a)
     lb = log_sigmoid(b)
-    ln_pmf = la + log1mexp(la - lb)
-    # d(ln pmf)/d(a or b) expressed via exp of bounded log differences
-    term_a = np.exp(la + log_sigmoid(-a) - ln_pmf)
-    term_b = np.exp(lb + log_sigmoid(-b) - ln_pmf)
-    # gradient wrt (z - mu), undoing the reflection
-    dlnpmf_dd = sign * (term_a - term_b) / s
-    dlnpmf_dlogs = -(a * term_a - b * term_b)
-    return ln_pmf / LN2, dlnpmf_dd / LN2, dlnpmf_dlogs / LN2
+    return la + log1mexp(la - lb), s, sign, a, b, la, lb
 
 
 def logistic_logpmf_raw(z, mu, log_s) -> np.ndarray:
     """log2 pmf of the discretized logistic, stable in both tails."""
     z = np.asarray(z, dtype=np.float64)
-    out, _, _ = _logpmf_terms(z, np.asarray(mu, float), np.asarray(log_s, float))
-    return out
+    ln_pmf = _logpmf_values(z, np.asarray(mu, float), np.asarray(log_s, float))[0]
+    return ln_pmf / LN2
 
 
 def logistic_logpmf(z, mu, log_s):
@@ -381,9 +374,15 @@ def logistic_logpmf(z, mu, log_s):
     plain integer array.
     """
     zn, mn, ln = _lift(z), _lift(mu), _lift(log_s)
-    out, dz, dls = _logpmf_terms(zn.value, mn.value, ln.value)
+    ln_pmf, s, sign, a, b, la, lb = _logpmf_values(zn.value, mn.value, ln.value)
+    # d(ln pmf)/d(a or b) expressed via exp of bounded log differences
+    term_a = np.exp(la + log_sigmoid(-a) - ln_pmf)
+    term_b = np.exp(lb + log_sigmoid(-b) - ln_pmf)
+    # gradient wrt (z - mu), undoing the reflection
+    dz = sign * (term_a - term_b) / s / LN2
+    dls = -(a * term_a - b * term_b) / LN2
     return _make(
-        out,
+        ln_pmf / LN2,
         (zn, mn, ln),
         (lambda g: g * dz, lambda g: g * (-dz), lambda g: g * dls),
     )

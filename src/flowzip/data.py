@@ -20,6 +20,9 @@ FINE_NOISE = 8.0
 COARSE_STEP = 4
 
 U8T_MAGIC = b"U8T1"
+# a run of whitespace or one '#' comment line; a header field of at most 9 digits
+_PPM_SKIP = re.compile(rb"\s+|#[^\n]*\n")
+_PPM_FIELD = re.compile(rb"\d{1,9}(?!\d)")
 
 
 def gen_synth(seed: int, count: int, h: int = 16, w: int = 16, c: int = 3) -> np.ndarray:
@@ -74,13 +77,18 @@ def read_ppm(path: str) -> np.ndarray:
     data = _read_bytes(path)
     if not data.startswith(b"P6"):
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
-    # header: three whitespace-separated fields after P6, '#' comments allowed
+    # header: three whitespace-separated fields after P6, '#' comments allowed;
+    # each match consumes what it scans, so the scan is linear in the header
     pos, fields = 2, []
     while len(fields) < 3:
-        m = re.compile(rb"\s*(#[^\n]*\n|\s)*?(\d+)").match(data, pos)
+        m = _PPM_SKIP.match(data, pos)
+        if m is not None:
+            pos = m.end()
+            continue
+        m = _PPM_FIELD.match(data, pos)
         if m is None:
             raise DataFormatError(f"{path}: malformed PPM header")
-        fields.append(int(m.group(2)))
+        fields.append(int(m.group()))
         pos = m.end()
     w, h, maxval = fields
     if maxval != 255:

@@ -6,7 +6,10 @@ decoded), so streams are encoded in reverse of the decoder's symbol order.
 
 Mass tables hold integer frequencies F over a contiguous symbol alphabet
 [lo, hi] with sum(F) == M exactly and F >= 1 everywhere, so any in-alphabet
-symbol is encodable no matter how badly the model mispredicts it.
+symbol is encodable no matter how badly the model mispredicts it. They are
+built by a largest-remainder rule over tie groups (see mass_table) in
+vectorized steps, since every codec call builds each distinct table it
+needs afresh.
 """
 
 from __future__ import annotations
@@ -73,12 +76,48 @@ def _raw_probabilities(mu: float, s: float, lo: int, hi: int) -> np.ndarray:
     return p
 
 
+def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int):
+    """Add the units that flooring left over to F, in place.
+
+    The symbols are ranked by remainder, largest first (ties in index
+    order), and cut into tie groups of equal remainder. A group takes one
+    unit per symbol only if the whole group fits in what is left over
+    (all-or-none, which keeps tables of integer- and half-integer-centred
+    priors symmetric); a group that does not fit is skipped and the next
+    ones are tried. The leading run of groups whose cumulative size fits is
+    served in one step, and only the few groups after the first misfit are
+    stepped through. Any residue goes to the largest-frequency symbol.
+    """
+    K = len(F)
+    order = np.argsort(-rem, kind="stable")
+    ranked = rem[order]
+    # ends[g]: one past the last ranked symbol of tie group g
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, K)
+    # groups 0..g-1 all fit; group g (if any) is the first that does not
+    g = int(np.searchsorted(ends, leftover, side="right"))
+    served = int(ends[g - 1]) if g else 0
+    F[order[:served]] += 1
+    leftover -= served
+    while leftover > 0 and g + 1 < len(ends):
+        sizes = np.diff(ends[g:])  # of groups g+1, g+2, ...
+        fits = np.flatnonzero(sizes <= leftover)
+        if not len(fits):
+            break
+        g += int(fits[0]) + 1
+        F[order[ends[g - 1] : ends[g]]] += 1
+        leftover -= int(sizes[fits[0]])
+    if leftover > 0:
+        F[np.argmax(F)] += leftover
+
+
 def mass_table(mu: float, s: float, lo: int, hi: int, M: int = DEFAULT_M) -> MassTable:
     """Quantize the clipped logistic to integer frequencies summing to M.
 
-    Floor-then-largest-remainder, with a floor of one per symbol. Remainder
-    ties are resolved all-or-none per tie group (preserving symmetry), any
-    residue or floor deficit going to the largest-frequency symbol.
+    Floor-then-largest-remainder, with a floor of one per symbol: the units
+    that flooring leaves over go one per symbol to whole tie groups of
+    remainder, largest first (see _spread_leftover), and any residue, and
+    the deficit that the floor of one creates, go to the largest-frequency
+    symbol.
     """
     if not (lo < hi):
         raise DataFormatError("mass table needs lo < hi")
@@ -95,20 +134,9 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int = DEFAULT_M) -> Mas
 
     leftover = int(M - F.sum())
     if leftover > 0:
-        order = np.argsort(-rem, kind="stable")
-        i = 0
-        while leftover > 0 and i < K:
-            j = i
-            while j < K and rem[order[j]] == rem[order[i]]:
-                j += 1
-            group = order[i:j]
-            if len(group) <= leftover:
-                F[group] += 1
-                leftover -= len(group)
-            i = j
-        if leftover > 0:
-            F[np.argmax(F)] += leftover
-            leftover = 0
+        # a call, not inline code: its sort temporaries are freed before the
+        # table's own arrays are allocated (inline they raised peak RSS)
+        _spread_leftover(F, rem, leftover)
 
     zero = F == 0
     F[zero] = 1

@@ -77,10 +77,12 @@ class TrainConfig:
         known = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as e:
             raise DataFormatError(f"cannot read config: {e}") from e
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: config is not UTF-8 text (byte {e.start})") from e
         for ln, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -216,6 +216,23 @@ def test_bad_config_key_is_data_error(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_non_utf8_config_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"lr=\xff\xfe\n")
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        TrainConfig.from_file(str(cfg))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_huge_ppm_header_is_data_error(tmp_path, small_ckpt, capsys):
+    bad = tmp_path / "ws.ppm"
+    bad.write_bytes(b"P6" + b" " * (1 << 20))
+    argv = ["compress", str(bad), "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "malformed PPM header" in capsys.readouterr().err
+
+
 COUNT_KEYS = [
     f.name for f in fields(TrainConfig)
     if isinstance(getattr(TrainConfig(), f.name), int) and f.name != "seed"

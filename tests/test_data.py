@@ -1,5 +1,7 @@
 """Synthetic generator determinism and image file round trips."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ def test_ppm_errors(tmp_path):
     open(p, "wb").write(b"P6\n4 4\n255\nshort")
     with pytest.raises(DataFormatError):
         read_ppm(p)
+
+
+def test_ppm_header_scan_is_linear(tmp_path):
+    # a 1 MiB run of header whitespace, or of comment lines, fails fast
+    p = tmp_path / "ws.ppm"
+    for header in (b" " * (1 << 20), b"#\n" * (1 << 19), b" 16" + b"\t" * (1 << 20)):
+        p.write_bytes(b"P6" + header)
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match="malformed PPM header"):
+            read_ppm(str(p))
+        assert time.perf_counter() - start < 5.0
+
+
+def test_ppm_header_field_of_many_digits_is_data_error(tmp_path):
+    p = tmp_path / "big.ppm"
+    p.write_bytes(b"P6 " + b"9" * 5000 + b" 1 255\n")
+    with pytest.raises(DataFormatError, match="malformed PPM header"):
+        read_ppm(str(p))
 
 
 def test_u8t_roundtrip(tmp_path):

@@ -80,3 +80,16 @@ def test_tail_gradient_matches_finite_differences():
 
     check_gradient(build, params, "mu", h=1e-5)
     check_gradient(build, params, "log_s", h=1e-5)
+
+
+def test_raw_value_is_the_tape_value_bitwise():
+    # the value-only kernel and the tape op share one computation of ln pmf:
+    # centre, near it, both tails, far tails, tiny and huge scales
+    z = np.array([0.0, 1.0, -1.0, 7.0, -7.0, 40.0, -40.0, 1e4, -1e4, 3.0, -3.0])
+    mu = np.array([0.0, 0.3, -0.3, 0.0, 0.0, 1.5, -1.5, 0.0, 0.0, 2.6, -2.6])
+    log_s = np.array([0.0, -1.0, 2.0, -3.0, -3.0, 0.5, 0.5, np.log(0.1), np.log(0.1), -12.0, 12.0])
+    raw = logistic_logpmf_raw(z, mu, log_s)
+    tape = ad.logistic_logpmf(z, ad.Node(mu, requires_grad=True), log_s).value
+    assert raw.tobytes() == tape.tobytes()
+    with ad.no_grad():
+        assert ad.logistic_logpmf(z, mu, log_s).value.tobytes() == raw.tobytes()

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowzip import codec
 from flowzip.errors import CorruptStreamError, DataFormatError
+from flowzip.numerics import round_half_away
 from flowzip.rans import (
     RANS_L,
     MassTable,
+    _raw_probabilities,
     decode_stream,
     encode_stream,
     mass_table,
@@ -27,6 +30,84 @@ def test_mass_table_hand_example():
     t = mass_table(0.0, 1.0, -1, 1, 8)
     assert list(t.F) == [3, 2, 3]
     assert list(t.C) == [0, 3, 5, 8]
+
+
+def _reference_frequencies(mu, s, lo, hi, M):
+    """The largest-remainder rule as a plain loop over tie groups: the
+    specification that mass_table's vectorized form must match bit for bit."""
+    K = hi - lo + 1
+    target = _raw_probabilities(mu, s, lo, hi) * M
+    base = np.floor(target)
+    rem = target - base
+    F = base.astype(np.int64)
+    leftover = int(M - F.sum())
+    if leftover > 0:
+        order = np.argsort(-rem, kind="stable")
+        i = 0
+        while leftover > 0 and i < K:
+            j = i
+            while j < K and rem[order[j]] == rem[order[i]]:
+                j += 1
+            group = order[i:j]
+            if len(group) <= leftover:
+                F[group] += 1
+                leftover -= len(group)
+            i = j
+        if leftover > 0:
+            F[np.argmax(F)] += leftover
+    F[F == 0] = 1
+    deficit = int(F.sum() - M)
+    while deficit > 0:
+        j = int(np.argmax(F))
+        take = min(deficit, int(F[j]) - 1)
+        F[j] -= take
+        deficit -= take
+    return F
+
+
+def _assert_matches_reference(mu, s, lo, hi, M):
+    got = mass_table(mu, s, lo, hi, M).F
+    want = _reference_frequencies(mu, s, lo, hi, M)
+    assert got.tobytes() == want.astype(got.dtype).tobytes(), (mu, s, lo, hi, M)
+
+
+def test_mass_table_matches_reference_at_codec_keys():
+    # every fractional-mu key the codec snaps to, over a stride of its log-s keys
+    ls_lo, ls_hi = (
+        int(round_half_away(np.log(v) * codec.LOG_S_GRID)) for v in (codec.S_MIN, codec.S_MAX)
+    )
+    half = codec.MU_GRID // 2
+    for frac in range(-half, half + 1):
+        for ls in range(ls_lo + frac % 9, ls_hi + 1, 9):
+            _assert_matches_reference(
+                frac / codec.MU_GRID,
+                float(np.exp(ls / codec.LOG_S_GRID)),
+                -codec.ALPHABET_HALF,
+                codec.ALPHABET_HALF - 1,
+                codec.CODING_M,
+            )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mass_table_matches_reference_small_alphabets(data):
+    K = data.draw(st.integers(2, 80))
+    lo = data.draw(st.integers(-60, 20))
+    hi = lo + K - 1
+    M = data.draw(st.integers(K, 4 * K + 64) | st.sampled_from([1 << 8, 1 << 12, 1 << 16]))
+    M = max(M, K)
+    # integer and half-integer centres make remainders tie in mirrored pairs
+    centre = data.draw(st.integers(lo, hi))
+    offset = data.draw(st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0))
+    s = data.draw(st.floats(0.05, 60.0))
+    _assert_matches_reference(centre + offset, s, lo, hi, M)
+
+
+def test_mass_table_skipped_tie_pair_leaves_unit_to_later_symbol():
+    # targets 3.339, 1.321, 3.339: the floors leave one unit, the tied outer
+    # pair (remainder .339) cannot both take it, so the centre (.321) does
+    _assert_matches_reference(0.0, 1.5, -1, 1, 8)
+    assert list(mass_table(0.0, 1.5, -1, 1, 8).F) == [3, 2, 3]
 
 
 def test_mass_table_requires_room():
