@@ -11,7 +11,7 @@ from .checkpoint import load_model, save_model
 from .codec import compress, decompress
 from .data import gen_synth
 from .model import FlowConfig, FlowModel
-from .quant import QuantizedTensor, QuantizerParams, dequantize, init_scale, quantize
+from .quant import QuantizerParams, init_scale, quantize
 from .rans import MassTable, decode_stream, encode_stream, mass_table
 from .train import TrainConfig, calculate_flops, loss_bpd, prune, run_pipeline
 
@@ -21,14 +21,12 @@ __all__ = [
     "FlowConfig",
     "FlowModel",
     "MassTable",
-    "QuantizedTensor",
     "QuantizerParams",
     "TrainConfig",
     "calculate_flops",
     "compress",
     "decode_stream",
     "decompress",
-    "dequantize",
     "encode_stream",
     "gen_synth",
     "init_scale",

@@ -315,14 +315,14 @@ def binarize_ste(a, threshold: float = 0.5):
 
 
 def fake_quantize(r, s, signed: bool):
-    """LSQ fake quantization: dequantize(quantize(r)) with learned scale s.
+    """LSQ fake quantization: the grid quantize(r) times the learned scale s.
 
     Backward delegates to quant.quantizer_backward so the tape and the
     standalone quantizer share one definition of the gradients.
     """
     rn, sn = _lift(r), _lift(s)
     p = quant.QuantizerParams(scale=sn.value, signed=signed)
-    out = quant.dequantize(quant.quantize(rn.value, p))
+    out = quant.quantize(rn.value, p) * p.scale_view(rn.value.ndim)
 
     cache: dict = {}
 

@@ -18,7 +18,8 @@ Layout (little-endian):
 
 Arrays appear in model declaration order. Parameters are stored as 32-bit
 floats; in memory the model computes in float64. Every array's shape is
-checked against the architecture before it is assigned.
+checked against the architecture: no stored shape may exceed the full-width
+one as it is read, and each must match exactly before it is assigned.
 
 A pruned checkpoint (flag bit3) is the storage form of a gated model whose
 gates are frozen at 0 or 1. Each coupling-net block stores only its kept
@@ -223,11 +224,17 @@ def deserialize(data: bytes) -> FlowModel:
             f"checkpoint holds {count} arrays, model expects {len(entries)}"
         )
     arrays = {}
-    for kind, name, _, _ in entries:
+    for kind, name, obj, _ in entries:
         akind, ndim = r.unpack("<BB")
         if akind != kind:
             raise DataFormatError(f"array kind mismatch at {name}")
         shape = r.unpack(f"<{ndim}I")
+        # no stored array, pruned or not, exceeds its full-width shape
+        full = (len(obj.g),) if kind == KIND_INDEX else obj.value.shape
+        if ndim != len(full) or any(n > f for n, f in zip(shape, full)):
+            raise DataFormatError(
+                f"checkpoint array {name} has shape {shape}, larger than {full}"
+            )
         raw = r.take(4 * math.prod(shape))
         dtype = "<u4" if kind == KIND_INDEX else "<f4"
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)

@@ -92,24 +92,24 @@ def model_id(model: FlowModel, path: str) -> int:
     return checksum64(serialize(model) + path.encode())
 
 
+def keys_for(shape, mu, log_s):
+    """Vectorized snap of (mu, log s) broadcast to shape: returns flat
+    (center k, frac key, log-s key) arrays in scan order."""
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
+    log_s = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
+    log_s = np.clip(log_s, np.log(S_MIN), np.log(S_MAX))
+    mq = round_half_away(mu * MU_GRID).astype(np.int64)
+    k = round_half_away(mq / MU_GRID).astype(np.int64)
+    frac = (mq - MU_GRID * k).astype(np.int64)
+    ls = round_half_away(log_s * LOG_S_GRID).astype(np.int64)
+    return k, frac, ls
+
+
 class PriorTableCache:
     """Mass tables keyed by snapped (fractional mu, log s); LRU-bounded."""
 
-    def __init__(self, m: int = CODING_M):
-        self.m = m
+    def __init__(self):
         self.tables: OrderedDict[tuple[int, int], MassTable] = OrderedDict()
-
-    def keys_for(self, shape, mu, log_s):
-        """Vectorized snap of (mu, log s) broadcast to shape: returns flat
-        (center k, frac key, log-s key) arrays in scan order."""
-        mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
-        log_s = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
-        log_s = np.clip(log_s, np.log(S_MIN), np.log(S_MAX))
-        mq = round_half_away(mu * MU_GRID).astype(np.int64)
-        k = round_half_away(mq / MU_GRID).astype(np.int64)
-        frac = (mq - MU_GRID * k).astype(np.int64)
-        ls = round_half_away(log_s * LOG_S_GRID).astype(np.int64)
-        return k, frac, ls
 
     def get(self, frac_key: int, ls_key: int) -> MassTable:
         key = (frac_key, ls_key)
@@ -120,7 +120,7 @@ class PriorTableCache:
                 float(np.exp(ls_key / LOG_S_GRID)),
                 -ALPHABET_HALF,
                 ALPHABET_HALF - 1,
-                self.m,
+                CODING_M,
             )
             self.tables[key] = table
             if len(self.tables) > CACHE_CAP:
@@ -130,10 +130,10 @@ class PriorTableCache:
         return table
 
 
-def _plan_tensor(cache: PriorTableCache, values: np.ndarray, mu, log_s):
+def _plan_tensor(values: np.ndarray, mu, log_s):
     """Flatten a batch of latents into (symbols, table keys) in scan order."""
     flat = values.reshape(-1)
-    k, frac, ls = cache.keys_for(values.shape, mu, log_s)
+    k, frac, ls = keys_for(values.shape, mu, log_s)
     sym = flat - k + ALPHABET_HALF
     bad = (sym < 0) | (sym >= 2 * ALPHABET_HALF)
     if np.any(bad):
@@ -190,7 +190,7 @@ def compress(
     for start in range(0, n, FORWARD_SLICE):
         result = model.flow_forward(images[start : start + FORWARD_SLICE], path)
         for li, (mu, log_s) in enumerate(result.priors):
-            plans[li].append(_plan_tensor(cache, result.latents[li], mu, log_s))
+            plans[li].append(_plan_tensor(result.latents[li], mu, log_s))
         log2p += result.log2p.tolist()
     analytic_bits = -float(sum(log2p))
 
@@ -233,7 +233,7 @@ def _parse_container(container: bytes):
 
 def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> np.ndarray:
     """Decode one block of latents of the given shape under (mu, log s)."""
-    k, frac, ls = cache.keys_for(shape, mu, log_s)
+    k, frac, ls = keys_for(shape, mu, log_s)
     syms = np.asarray(dec.pull(_block_tables(cache, frac, ls)), dtype=np.int64)
     return (syms - ALPHABET_HALF + k).reshape(shape)
 

@@ -5,11 +5,13 @@ Each block runs in one of two engines:
 * simulation -- float arithmetic on tape Nodes, with optional fake
   quantization of activations and weights (training and the float/fake
   inference paths);
-* integer -- int8 values with real scales, 32-bit accumulation, and
-  double-precision rescaling (the deployment path). Its accumulator is the
-  shared float convolution ``autodiff.conv2d_raw`` run on the integer values
-  in float64, which is exact here because every intermediate sum is an
-  integer far below 2**53.
+* integer -- the deployment path. Activations and weights are 8-bit
+  integer grids (``quant.quantize``), held as integral float64 arrays; each
+  grid's real scale stays with the quantizer that owns it (``q_in``,
+  ``q_mid``, ``wscale``) and is folded into the bias and the double-precision
+  requantization. Its 32-bit accumulator is the shared float convolution
+  ``autodiff.conv2d_raw`` run on those grids in float64, which is exact here
+  because every intermediate sum is an integer far below 2**53.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import quant
 from .errors import DataFormatError
 from .numerics import round_half_away
-from .quant import MIN_SCALE, QuantizedTensor, QuantizerParams, init_scale
+from .quant import MIN_SCALE, QuantizerParams, init_scale
 
 KERNEL = 3
 # Input values are bytes plus bounded coupling updates; nets see u/128 - 1.
@@ -87,11 +90,9 @@ class ConvLayer:
             return ad.fake_quantize(self.w, self.wscale, signed=True)
         return self.w
 
-    def quantized_weight(self) -> QuantizedTensor:
-        p = QuantizerParams(scale=self.wscale.value, signed=True)
-        from .quant import quantize
-
-        return quantize(self.w.value, p)
+    def quantized_weight(self) -> np.ndarray:
+        """The int8 weight grid; its per-output-channel scale is ``wscale``."""
+        return quant.quantize(self.w.value, QuantizerParams(scale=self.wscale.value))
 
 
 def _check_acc_bound(c_in: int, bhat: np.ndarray):
@@ -103,9 +104,9 @@ def _check_acc_bound(c_in: int, bhat: np.ndarray):
 def int_conv_acc(
     values: np.ndarray, w_int: np.ndarray, bhat: np.ndarray
 ) -> np.ndarray:
-    """Integer convolution accumulator (exact, returned as integral float64)."""
+    """Integer convolution accumulator over integral float64 grids (exact)."""
     _check_acc_bound(w_int.shape[1], bhat)
-    return ad.conv2d_raw(values, w_int.astype(np.float64), bhat)
+    return ad.conv2d_raw(values, w_int, bhat)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
@@ -201,49 +202,40 @@ def block_sim(
     return ad.relu(y)
 
 
-def block_int(q: QuantizedTensor, blk: ResidualBlock, next_scale: float) -> QuantizedTensor:
-    """Integer-path residual block.
+def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.ndarray:
+    """Integer-path residual block: the u8 grid at ``blk.q_in`` in, the u8
+    grid at ``next_scale`` out.
 
-    The incoming tensor is already quantized at this block's input scale
-    (the producer requantized directly into it). Gated-off channels bypass
-    the accumulator and requantize the shortcut directly; only the kept
-    filters (``kept_sets``) enter the GEMMs, so the work follows the gates.
+    The producer requantized directly onto this block's input grid.
+    Gated-off channels bypass the accumulator and requantize the shortcut
+    directly; only the kept filters (``kept_sets``) enter the GEMMs, so the
+    work follows the gates.
     """
-    sa = float(q.scale[0])
+    sa = float(blk.q_in.value[0])
     kept_a, kept_b = blk.kept_sets()
-    wa = blk.conv_a.quantized_weight().values[kept_a]
+    wa = blk.conv_a.quantized_weight()[kept_a]
     swa = blk.conv_a.wscale.value[kept_a]
     ba = blk.conv_a.b.value[kept_a]
-    wb = blk.conv_b.quantized_weight().values[kept_b][:, kept_a]
+    wb = blk.conv_b.quantized_weight()[kept_b][:, kept_a]
     swb = blk.conv_b.wscale.value[kept_b]
     bb = blk.conv_b.b.value[kept_b]
 
     s_mid = float(blk.q_mid.value[0])
     s_next = float(next_scale)
-    avals = q.values
 
+    out = np.empty_like(values)
     if len(kept_b):
-        acc1 = int_conv_acc(avals, wa, fold_bias(ba, swa, sa))
+        acc1 = int_conv_acc(values, wa, fold_bias(ba, swa, sa))
         h = requantize(acc1, (swa * sa / s_mid)[None, :, None, None], 0, 255)
         acc2 = int_conv_acc(h, wb, fold_bias(bb, swb, s_mid))
         # shortcut joins the 32-bit accumulator in conv B's unit system
         short_unit = sa / (swb * s_mid)
-        acc2 = acc2 + round_half_away(
-            avals[:, kept_b].astype(np.float64) * short_unit[None, :, None, None]
-        )
-        y_kept = requantize(acc2, (swb * s_mid / s_next)[None, :, None, None], 0, 255)
-    else:
-        y_kept = None
-
-    out = np.empty_like(avals)
+        acc2 = acc2 + round_half_away(values[:, kept_b] * short_unit[None, :, None, None])
+        out[:, kept_b] = requantize(acc2, (swb * s_mid / s_next)[None, :, None, None], 0, 255)
     off = np.setdiff1d(np.arange(blk.width), kept_b, assume_unique=True)
     if len(off):
-        out[:, off] = requantize(
-            avals[:, off].astype(np.float64), np.float64(sa / s_next), 0, 255
-        ).astype(avals.dtype)
-    if y_kept is not None:
-        out[:, kept_b] = y_kept.astype(avals.dtype)
-    return QuantizedTensor(values=out, scale=np.atleast_1d(s_next), signed=False)
+        out[:, off] = requantize(values[:, off], np.float64(sa / s_next), 0, 255)
+    return out
 
 
 def calibrate_activation(node: ad.Node, tensor: np.ndarray):

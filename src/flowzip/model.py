@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import quant
 from .errors import DataFormatError
 from .layers import (
     KERNEL,
     NET_INPUT_SCALE,
     ConvLayer,
-    QuantizedTensor,
     ResidualBlock,
     block_int,
     block_sim,
@@ -126,29 +126,23 @@ class CouplingNet:
         return ad.conv2d(h, w_eff, self.out.b)
 
     def forward_int(self, u: np.ndarray) -> np.ndarray:
-        """Integer path: int8 tensors between the (float) stem and the output.
+        """Integer path: u8 grids between the (float) stem and the output.
 
-        Returns the dequantized output as float64; the caller rounds it.
+        The stem output is quantized onto the first block's ``q_in`` grid,
+        each block requantizes onto the next block's ``q_in`` (the last onto
+        ``q_out``), and the output conv accumulates the int8 weights against
+        the ``q_out`` grid. Returns that accumulator rescaled to float64;
+        the caller rounds it.
         """
         v = u.astype(np.float64) * NET_INPUT_SCALE - 1.0
         h = np.maximum(ad.conv2d_raw(v, self.stem.w.value, self.stem.b.value), 0.0)
-        s0 = float(self.blocks[0].q_in.value[0])
-        q = QuantizedTensor(
-            values=np.clip(round_half_away(h / s0), 0, 255),
-            scale=np.atleast_1d(s0),
-            signed=False,
-        )
-        for i, blk in enumerate(self.blocks):
-            nxt = (
-                float(self.blocks[i + 1].q_in.value[0])
-                if i + 1 < len(self.blocks)
-                else float(self.q_out.value[0])
-            )
+        q = quant.quantize(h, quant.QuantizerParams(self.blocks[0].q_in.value, signed=False))
+        scales = [blk.q_in.value[0] for blk in self.blocks[1:]] + [self.q_out.value[0]]
+        for blk, nxt in zip(self.blocks, scales):
             q = block_int(q, blk, nxt)
-        w_q = self.out.quantized_weight()
         sw = self.out.wscale.value
-        sx = float(q.scale[0])
-        acc = int_conv_acc(q.values, w_q.values, fold_bias(self.out.b.value, sw, sx))
+        sx = float(self.q_out.value[0])
+        acc = int_conv_acc(q, self.out.quantized_weight(), fold_bias(self.out.b.value, sw, sx))
         return acc * (sw * sx)[None, :, None, None]
 
 

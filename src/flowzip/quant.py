@@ -1,10 +1,13 @@
-"""Hybrid integer/scale tensors and the learned-step-size quantizer.
+"""The learned-step-size quantizer and its integer grid.
 
-A quantized tensor is an 8-bit integer grid plus a positive real scale;
-``dequantize`` multiplies them back. The quantizer clips, divides by the
-scale, and rounds half-away-from-zero. Its backward pass uses the straight
-through estimator for the input and the three-branch closed form for the
-scale, rescaled by 1/sqrt(C * Q_P).
+A quantized tensor is an 8-bit integer grid: an ndarray of integral float64
+values, which float64 holds exactly, as it does every integer sum the int
+path forms from them. The grid carries no scale. The scale lives in the
+``QuantizerParams`` (or the model's scale Node) that owns it, and the grid
+times ``p.scale_view(ndim)`` is the real tensor it stands for. The quantizer
+clips, divides by the scale, and rounds half-away-from-zero. Its backward
+pass uses the straight through estimator for the input and the three-branch
+closed form for the scale, rescaled by 1/sqrt(C * Q_P).
 """
 
 from __future__ import annotations
@@ -55,41 +58,14 @@ class QuantizerParams:
         return self.scale.reshape((-1,) + (1,) * (ndim - 1))
 
 
-@dataclass
-class QuantizedTensor:
-    """8-bit integer values with a real scale; dequantizes to scale * values."""
+def quantize(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
+    """Clip r/scale to the integer range and round half-away-from-zero.
 
-    values: np.ndarray
-    scale: np.ndarray
-    signed: bool = True
-
-    def __post_init__(self):
-        lo, hi = (SIGNED_LO, SIGNED_HI) if self.signed else (UNSIGNED_LO, UNSIGNED_HI)
-        v = np.asarray(self.values)
-        if v.size and (v.min() < lo or v.max() > hi):
-            raise ValueError(f"quantized values outside [{lo}, {hi}]")
-        self.values = v.astype(np.int32)
-        self.scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
-        if np.any(self.scale <= 0):
-            raise ValueError("scale must be positive")
-
-    def scale_view(self) -> np.ndarray:
-        if self.scale.size == 1:
-            return self.scale
-        return self.scale.reshape((-1,) + (1,) * (self.values.ndim - 1))
-
-
-def quantize(r: np.ndarray, p: QuantizerParams) -> QuantizedTensor:
-    """Clip r/scale to the integer range and round half-away-from-zero."""
+    Returns the integer grid as integral float64 values in [p.lo, p.hi].
+    """
     r = require_finite(np.asarray(r, dtype=np.float64), "quantizer input")
     s = p.scale_view(r.ndim)
-    v = round_half_away(np.clip(r / s, p.lo, p.hi))
-    return QuantizedTensor(values=v, scale=p.scale, signed=p.signed)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Elementwise scale * values (exact: every i8 * f64 product is representable)."""
-    return q.values.astype(np.float64) * q.scale_view()
+    return round_half_away(np.clip(r / s, p.lo, p.hi))
 
 
 def init_scale(r: np.ndarray, bit_width: int = 8) -> float:
@@ -117,7 +93,7 @@ def grad_rescale(r: np.ndarray, p: QuantizerParams) -> float:
 
 
 def scale_grad_branches(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
-    """Elementwise d(dequantized output)/d(scale), the three-branch form.
+    """Elementwise d(fake-quantized output)/d(scale), the three-branch form.
 
     In-range: round(r/s) - r/s; clipped low: lo; clipped high: hi.
     """

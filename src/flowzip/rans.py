@@ -70,9 +70,13 @@ def _raw_probabilities(mu: float, s: float, lo: int, hi: int) -> np.ndarray:
     from .autodiff import logistic_logpmf_raw
 
     z = np.arange(lo, hi + 1, dtype=np.float64)
-    p = np.exp2(logistic_logpmf_raw(z, mu, np.log(s)))
-    p[0] = sigmoid(np.asarray((lo + 0.5 - mu) / s))
-    p[-1] = sigmoid(np.asarray(-(hi - 0.5 - mu) / s))
+    # At a subnormal s, 1/s overflows: a symbol away from mu then has both
+    # boundary arguments at -inf and a NaN log-mass. Its mass is zero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp2(logistic_logpmf_raw(z, mu, np.log(s)))
+        p[0] = sigmoid(np.asarray((lo + 0.5 - mu) / s))
+        p[-1] = sigmoid(np.asarray(-(hi - 0.5 - mu) / s))
+    p[np.isnan(p)] = 0.0
     return p
 
 

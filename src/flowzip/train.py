@@ -105,6 +105,9 @@ class TrainConfig:
                         raise DataFormatError(f"{path}:{ln}: '{key}' must be at least 1")
                 else:
                     kwargs[key] = float(value)
+                # float() takes nan, inf and 1e999; training on them writes NaN weights
+                if isinstance(default, (float, tuple)) and not np.all(np.isfinite(kwargs[key])):
+                    raise DataFormatError(f"{path}:{ln}: '{key}' must be finite")
             except ValueError as e:
                 raise DataFormatError(f"{path}:{ln}: bad value for '{key}'") from e
         return cls(**kwargs)

@@ -104,7 +104,8 @@ def gated_int_model() -> FlowModel:
 
 HOSTILE_CHECKPOINTS = (
     "kept_index_at_width", "kept_index_repeated", "stem_transposed",
-    "pruned_conv_transposed", "wscale_negative", "q_in_zero",
+    "pruned_conv_transposed", "wscale_negative", "q_in_zero", "ndim_above_numpy_max",
+    "shape_beyond_address_space",
 )
 
 
@@ -123,6 +124,15 @@ def hostile_checkpoint(fault: str) -> bytes:
         name = "conv_a.wscale" if fault == "wscale_negative" else "q_in"
         off, _ = arrays[f"level0.coup0.block0.{name}"]
         struct.pack_into("<f", body, off, -1.0 if fault == "wscale_negative" else 0.0)
+    elif fault == "ndim_above_numpy_max":
+        # 65 dims, the first zero, so the payload is empty; numpy allows 64
+        off, w = arrays["level0.coup0.stem.w"]
+        body[off - 4 * w.ndim - 1] = 65
+        struct.pack_into("<I", body, off - 4 * w.ndim, 0)
+    elif fault == "shape_beyond_address_space":
+        # zero elements, so the payload is empty, but no such array exists
+        off, _ = arrays["level0.coup0.stem.w"]
+        struct.pack_into("<4I", body, off - 16, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
     elif fault in ("stem_transposed", "pruned_conv_transposed"):
         name = "stem.w" if fault == "stem_transposed" else "block0.conv_b.w"
         off, w = arrays[f"level0.coup0.{name}"]

@@ -248,6 +248,20 @@ def test_config_counts_below_one_are_data_errors(tmp_path, key):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "lr = nan", "lr = inf", "gate_lr = 1e999", "lambda_boost = -inf",
+    "r_target = NaN", "lambda_levels = 4, nan", "lambda_levels = 1e999, 1",
+])
+def test_config_non_finite_floats_are_data_errors(tmp_path, capsys, line):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(line + "\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(DataFormatError, match=f"'{key}' must be finite"):
+        TrainConfig.from_file(str(cfg))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"'{key}' must be finite" in capsys.readouterr().err
+
+
 def test_bench_report_schema(tmp_path, small_ckpt, capsys):
     data_dir = str(tmp_path / "data")
     main(["gen-synth", "--seed", "2", "--count", "8", "--out", data_dir])
@@ -265,7 +279,11 @@ def test_bench_report_schema(tmp_path, small_ckpt, capsys):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
+    # the child imports the package this process imported, as pytest's
+    # pythonpath setting does not reach it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(codec.__file__)))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "flowzip.cli", "gen-synth", "--count", "2",
          "--out", str(tmp_path / "d")],

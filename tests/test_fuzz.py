@@ -11,10 +11,12 @@ from dataclasses import fields
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowzip import codec
+from flowzip import checkpoint, codec
 from flowzip.data import U8T_MAGIC, read_ppm, read_u8t
 from flowzip.errors import FlowzipError
-from flowzip.train import TrainConfig
+from flowzip.train import TrainConfig, prune
+
+from helpers import gated_int_model, rechecksummed, stored_arrays
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -96,3 +98,47 @@ def test_parse_container_raises_only_flowzip_errors(magic, version, fields_, cla
     header = magic + bytes([version]) + fields_[:-4] + struct.pack("<I", claimed)
     _only_flowzip_errors(codec._parse_container, header + payload)
     _only_flowzip_errors(codec._parse_container, (header + payload)[: len(magic) + version % 40])
+
+
+def _checkpoint_bodies():
+    """(body, offsets of the header fields and array headers) of a gated and
+    a pruned checkpoint; mutations aimed there get past the first check."""
+    model = gated_int_model()
+    out = []
+    for m in (model, prune(model)):
+        blob = checkpoint.serialize(m)
+        spots = list(range(len(checkpoint.MAGIC), len(checkpoint.MAGIC) + 30))
+        for off, arr in stored_arrays(blob, m).values():
+            spots.extend(range(off - 2 - 4 * arr.ndim, off + 4))
+        out.append((blob[:-8], spots))
+    return out
+
+
+_BODIES = _checkpoint_bodies()
+_edit = st.tuples(
+    st.integers(0, 2**16),  # an aimed spot, or any byte (see below)
+    st.booleans(),
+    st.sampled_from([b"\x00", b"\xff", b"\x01", b"\x80\x7f", b"\xff\xff\xff\xff"])
+    | st.binary(min_size=1, max_size=4),
+)
+
+
+@given(
+    st.integers(0, 1),
+    st.lists(_edit, min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=300, deadline=None)
+def test_deserialize_raises_only_flowzip_errors(which, edits, resize, where):
+    # every mutant carries a valid checksum, so it reaches the parser proper
+    body, spots = _BODIES[which]
+    data = bytearray(body)
+    for pos, aimed, chunk in edits:
+        pos = spots[pos % len(spots)] if aimed else pos % len(data)
+        data[pos : pos + len(chunk)] = chunk
+    if resize == 1:
+        del data[where % len(data):]
+    elif resize == 2:
+        data[where % len(data):where % len(data)] = b"\x00\x00\x00\x00"
+    _only_flowzip_errors(checkpoint.deserialize, rechecksummed(bytes(data)))

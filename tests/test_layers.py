@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
+from flowzip import codec
+from flowzip import model as model_module
 from flowzip.checkpoint import deserialize, serialize
+from flowzip.data import gen_synth
 from flowzip.errors import DataFormatError
 from flowzip.layers import (
     ConvLayer,
@@ -17,8 +20,9 @@ from flowzip.layers import (
     requantize,
 )
 from flowzip.model import FlowConfig, FlowModel
-from flowzip.quant import QuantizedTensor, dequantize
 from flowzip.train import prune
+
+from helpers import gated_int_model
 
 RNG = np.random.default_rng(7)
 
@@ -28,7 +32,7 @@ def _int_conv(values, sx, layer, s_y):
     double-precision rescale onto the signed output grid of step s_y."""
     sw = layer.wscale.value
     bhat = fold_bias(layer.b.value, sw, sx)
-    acc = int_conv_acc(values, layer.quantized_weight().values, bhat)
+    acc = int_conv_acc(values, layer.quantized_weight(), bhat)
     return requantize(acc, (sw * sx / s_y)[None, :, None, None], -128, 127)
 
 
@@ -83,7 +87,7 @@ def test_int_conv_error_bound_vs_float():
         values = rng.integers(0, 256, (2, 3, 4, 4))
         s_x, s_y = 0.1, 0.05
         got = _int_conv(values, s_x, layer, s_y) * s_y
-        w_deq = dequantize(layer.quantized_weight())
+        w_deq = layer.quantized_weight() * layer.wscale.value[:, None, None, None]
         ref = ad.conv2d_raw(values * s_x, w_deq, layer.b.value)
         bound = 0.5 * s_y + 0.5 * float(layer.wscale.value.max()) * s_x + 1e-12
         # reference uses the quantized weights; clipped outputs are excluded
@@ -186,14 +190,11 @@ def test_int_block_close_to_float_block():
     blk, x = _calibrated_block()
     y_float = block_sim(ad.Node(x), blk, False, False).value
     s_in = float(blk.q_in.value[0])
-    q = QuantizedTensor(
-        values=np.clip(np.round(x / s_in), 0, 255), scale=np.array([s_in]),
-        signed=False,
-    )
+    q = np.clip(np.round(x / s_in), 0, 255)
     s_next = s_in  # requantize the output on the same grid for comparison
-    y_int = block_int(q, blk, s_next)
-    err = np.abs(dequantize(y_int) - y_float)
-    clipped = dequantize(y_int) >= 255 * s_next
+    y_int = block_int(q, blk, s_next) * s_next
+    err = np.abs(y_int - y_float)
+    clipped = y_int >= 255 * s_next
     assert np.max(err[~clipped]) <= 4 * s_next
 
 
@@ -215,14 +216,35 @@ def test_int_block_gated_matches_pruned_exactly():
     pruned_blk = pruned.levels[0].couplings[0].net.blocks[0]
     assert 0 < len(pruned_blk.kept_sets()[1]) < 8
 
-    s_in = float(blk.q_in.value[0])
-    q = QuantizedTensor(
-        values=np.clip(np.round(x / s_in), 0, 255), scale=np.array([s_in]),
-        signed=False,
-    )
+    s_in = float(gated_blk.q_in.value[0])
+    assert float(pruned_blk.q_in.value[0]) == s_in
+    q = np.clip(np.round(x / s_in), 0, 255)
     y_gated = block_int(q, gated_blk, 0.9 * s_in)
     y_pruned = block_int(q, pruned_blk, 0.9 * s_in)
-    assert np.array_equal(y_gated.values, y_pruned.values)
+    assert np.array_equal(y_gated, y_pruned)
+
+
+def test_int_round_trip_keeps_every_block_on_the_u8_grid(monkeypatch):
+    # block_int takes and returns plain arrays; nothing checks their range
+    # at runtime, so check it here on every block of a gated int model
+    seen = []
+
+    def recording(values, blk, next_scale):
+        out = block_int(values, blk, next_scale)
+        seen.extend((values, out))
+        return out
+
+    monkeypatch.setattr(model_module, "block_int", recording)
+    model = gated_int_model()
+    x = gen_synth(3, 4)
+    container, _ = codec.compress(x, model, "int")
+    assert np.array_equal(codec.decompress(container, model, "int"), x)
+    blocks = sum(len(net.blocks) for net in model.coupling_nets())
+    assert len(seen) >= 4 * blocks  # compress and decompress, input and output
+    for grid in seen:
+        assert grid.dtype == np.float64
+        assert np.array_equal(grid, np.round(grid))
+        assert grid.min() >= 0 and grid.max() <= 255
 
 
 def test_accumulator_bound_asserted():

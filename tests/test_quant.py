@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from flowzip.numerics import round_half_away
 from flowzip.quant import (
-    QuantizedTensor,
     QuantizerParams,
-    dequantize,
     grad_rescale,
     init_scale,
     quantize,
@@ -28,22 +26,21 @@ def test_round_ties_away_from_zero():
 def test_quantize_zero_is_fixed_point():
     p = QuantizerParams(scale=0.37)
     q = quantize(np.zeros((3, 3)), p)
-    assert np.all(q.values == 0)
-    assert np.all(dequantize(q) == 0.0)
+    assert q.dtype == np.float64 and np.all(q == 0)
 
 
 def test_quantize_hand_example():
-    q = quantize(np.array([3.2]), QuantizerParams(scale=0.5))
-    assert q.values[0] == 6
-    assert dequantize(q)[0] == 3.0
+    p = QuantizerParams(scale=0.5)
+    q = quantize(np.array([3.2]), p)
+    assert q[0] == 6
+    assert (q * p.scale_view(q.ndim))[0] == 3.0
 
 
 def test_quantize_clips_to_range():
     q = quantize(np.array([1000.0]), QuantizerParams(scale=1.0))
-    assert q.values[0] == 127
-    assert dequantize(q)[0] == 127.0
+    assert q[0] == 127
     u = quantize(np.array([-5.0, 900.0]), QuantizerParams(scale=1.0, signed=False))
-    assert list(u.values) == [0, 255]
+    assert list(u) == [0, 255]
 
 
 def test_quantize_rejects_bad_inputs():
@@ -55,19 +52,12 @@ def test_quantize_rejects_bad_inputs():
         QuantizerParams(scale=-1.0)
 
 
-def test_dequantize_examples():
-    q = QuantizedTensor(values=np.array([6]), scale=np.array([0.5]))
-    assert dequantize(q)[0] == 3.0
-    z = QuantizedTensor(values=np.zeros(7), scale=np.array([0.1]))
-    assert np.all(dequantize(z) == 0.0)
-
-
 def test_per_channel_scale_broadcasts():
     w = np.ones((2, 1, 1, 1)) * np.array([1.0, 10.0]).reshape(2, 1, 1, 1)
     p = QuantizerParams(scale=np.array([0.5, 5.0]))
     q = quantize(w, p)
-    assert q.values[0, 0, 0, 0] == 2 and q.values[1, 0, 0, 0] == 2
-    d = dequantize(q)
+    assert q[0, 0, 0, 0] == 2 and q[1, 0, 0, 0] == 2
+    d = q * p.scale_view(q.ndim)
     assert d[0, 0, 0, 0] == 1.0 and d[1, 0, 0, 0] == 10.0
 
 
@@ -90,17 +80,20 @@ def test_quantize_idempotent_and_in_range(vals, scale, signed):
     p = QuantizerParams(scale=scale, signed=signed)
     q = quantize(r, p)
     lo, hi = (-128, 127) if signed else (0, 255)
-    assert q.values.min() >= lo and q.values.max() <= hi
-    again = quantize(dequantize(q), p)
-    assert np.array_equal(again.values, q.values)
+    assert q.min() >= lo and q.max() <= hi
+    assert np.array_equal(q, np.round(q))
+    again = quantize(q * p.scale_view(q.ndim), p)
+    assert np.array_equal(again, q)
 
 
 @given(st.integers(-128, 127), st.floats(0.01, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_exact_on_grid(v, scale):
     r = np.array([v * scale])
-    q = quantize(r, QuantizerParams(scale=scale))
-    assert np.allclose(dequantize(q), r, rtol=0, atol=1e-12 * max(1.0, abs(v * scale)))
+    p = QuantizerParams(scale=scale)
+    q = quantize(r, p)
+    assert q[0] == v
+    assert np.allclose(q * p.scale_view(q.ndim), r, rtol=0, atol=1e-12 * max(1.0, abs(v * scale)))
 
 
 def test_ste_passes_upstream_only_in_range():

@@ -132,6 +132,19 @@ def test_mass_table_invariants(mu, s, logm):
     assert np.all(np.diff(t.C) >= 1)
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-308, 1e-310, 1e-320, 5e-324])
+@pytest.mark.parametrize("mu", [0.3, -1.7, 2.0])
+@pytest.mark.parametrize("lo, hi, M", [(-3, 3, 64), (-2048, 2047, 1 << 20)])
+def test_mass_table_valid_down_to_the_smallest_subnormal_scale(s, mu, lo, hi, M):
+    # all the mass sits on the symbol nearest mu; every other symbol keeps
+    # the floor of one
+    t = mass_table(mu, s, lo, hi, M)
+    assert t.F.min() >= 1 and int(t.F.sum()) == M
+    assert t.F.max() == M - (hi - lo)
+    assert lo + int(np.argmax(t.F)) == round_half_away(mu)
+    _assert_matches_reference(mu, s, lo, hi, M)
+
+
 def test_mass_table_palindromic_for_centered_mu():
     for s in (0.7, 1.0, 3.3, 11.0):
         t = mass_table(0.0, s, -32, 32, 1 << 16)
