@@ -75,11 +75,11 @@ def _named_entries(model: FlowModel):
             yield KIND_QSCALE, f"{prefix}.wscale", layer.wscale, rows
 
     for li, lvl in enumerate(model.levels):
-        nets = [(f"level{li}.coup{d}", c.net) for d, c in enumerate(lvl.couplings)]
+        # (name, net, quantized): coupling nets are quantized, prior nets never
+        nets = [(f"level{li}.coup{d}", c.net, True) for d, c in enumerate(lvl.couplings)]
         if lvl.prior_net is not None:
-            nets.append((f"level{li}.prior", lvl.prior_net))
-        for name, net in nets:
-            q = net.quantizable
+            nets.append((f"level{li}.prior", lvl.prior_net, False))
+        for name, net, q in nets:
             yield from conv_entries(f"{name}.stem", net.stem, False)
             for bi, blk in enumerate(net.blocks):
                 bp = f"{name}.block{bi}"
@@ -251,26 +251,21 @@ def deserialize(data: bytes) -> FlowModel:
     return model
 
 
-def save_model(model: FlowModel, path: str) -> int:
-    """Write the checkpoint; returns the blake2b-64 checksum of the file bytes.
-
-    A container's model id is not this checksum: ``codec.model_id`` hashes the
-    serialized model together with the inference path's tag.
-    """
+def save_model(model: FlowModel, path: str):
+    """Write the checkpoint, whose trailer is the model's checksum."""
     data = serialize(model)
     try:
         with open(path, "wb") as f:
             f.write(data)
     except OSError as e:
         raise UsageError(f"cannot write checkpoint: {e}") from e
-    return checksum64(data)
 
 
-def load_model(path: str) -> tuple[FlowModel, int]:
-    """Read a checkpoint; returns (model, checksum of the file bytes)."""
+def load_model(path: str) -> FlowModel:
+    """Read a checkpoint; ``deserialize`` checks its trailer."""
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as e:
         raise DataFormatError(f"cannot read checkpoint: {e}") from e
-    return deserialize(data), checksum64(data)
+    return deserialize(data)

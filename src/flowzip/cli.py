@@ -26,6 +26,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _batch_sizes(text: str) -> list[int]:
+    return [_positive_int(b) for b in text.split(",")]
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
@@ -36,9 +46,9 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen-synth", help="write a deterministic synthetic dataset")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", type=int, required=True)
-    g.add_argument("--height", type=int, default=16)
-    g.add_argument("--width", type=int, default=16)
+    g.add_argument("--count", type=_positive_int, required=True)
+    g.add_argument("--height", type=_positive_int, default=16)
+    g.add_argument("--width", type=_positive_int, default=16)
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--format", choices=("ppm", "u8t"), default="ppm")
 
@@ -70,8 +80,10 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bench", help="latency / bandwidth report (informational)")
     b.add_argument("inputs", nargs="+")
     b.add_argument("--checkpoint", required=True)
-    b.add_argument("--batch", default="4,8,16,32", help="comma-separated batch sizes")
-    b.add_argument("--runs", type=int, default=20)
+    b.add_argument(
+        "--batch", type=_batch_sizes, default="4,8,16,32", help="comma-separated batch sizes"
+    )
+    b.add_argument("--runs", type=_positive_int, default=20)
 
     pr = sub.add_parser("prune", help="freeze the gates and store only kept filters")
     pr.add_argument("--checkpoint", required=True)
@@ -160,7 +172,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
     container, stats = codec.compress(images, model, path)
@@ -177,7 +189,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     path = args.path or _default_path(model)
     try:
         with open(args.container, "rb") as f:
@@ -191,7 +203,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
     _, stats = codec.compress(images, model, path)
@@ -204,16 +216,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     images = _load_inputs(args.inputs)
-    batches = [int(b) for b in args.batch.split(",")]
     paths = ["float"] + (["int"] if model.weight_quant else [])
     hw = images.shape[2:]
     flops = calculate_flops(model, hw)
     print("path\tbatch\tms_per_sample_min\tms_per_sample_median\t"
           "mb_s_min\tmb_s_median\tflops")
     for path in paths:
-        for bs in batches:
+        for bs in args.batch:
             if bs > len(images):
                 raise UsageError(f"batch {bs} exceeds dataset size {len(images)}")
             batch = images[:bs]
@@ -234,7 +245,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     pruned = prune(model)
     # every level's pixel count scales with H*W, so the ratio holds at any size
     side = 2**model.cfg.levels
@@ -249,7 +260,7 @@ def cmd_quantize(args) -> int:
     from .train import Trainer
 
     _check_out_dir(args.out)
-    model, _ = load_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     if model.pruned:
         raise UsageError("quantize the gated checkpoint, then prune")
     if model.stage < 3:

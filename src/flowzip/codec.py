@@ -4,7 +4,7 @@ Container layout (little-endian), version 3:
 
     magic   5 bytes  "IODF1"
     version u8       (3)
-    model checksum u64   blake2b-64 of (checkpoint bytes || path tag)
+    model checksum u64   blake2b-64 of (checkpoint checksum || path tag)
     h u16 | w u16 | c u8
     count   u32
     image checksum u64   blake2b-64 of the images' bytes, (N,C,H,W) order
@@ -88,8 +88,12 @@ MAX_DIMS = 2**24
 
 
 def model_id(model: FlowModel, path: str) -> int:
-    """Checksum committing to both the checkpoint bytes and the inference path."""
-    return checksum64(serialize(model) + path.encode())
+    """Checksum committing to both the checkpoint and the inference path.
+
+    The checkpoint's own 8-byte trailer, a blake2b-64 of its body, stands for
+    the checkpoint, so the body is hashed once, inside ``serialize``.
+    """
+    return checksum64(serialize(model)[-8:] + path.encode())
 
 
 def keys_for(shape, mu, log_s):

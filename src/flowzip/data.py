@@ -27,8 +27,8 @@ _PPM_FIELD = re.compile(rb"\d{1,9}(?!\d)")
 
 def gen_synth(seed: int, count: int, h: int = 16, w: int = 16, c: int = 3) -> np.ndarray:
     """Deterministic synthetic dataset of shape (count, c, h, w), dtype uint8."""
-    if h % COARSE_STEP or w % COARSE_STEP:
-        raise DataFormatError(f"synthetic dims must be multiples of {COARSE_STEP}")
+    if min(h, w) < 1 or h % COARSE_STEP or w % COARSE_STEP:
+        raise DataFormatError(f"synthetic dims must be positive multiples of {COARSE_STEP}")
     rng = SplitMix64(seed)
     gh, gw = h // COARSE_STEP + 1, w // COARSE_STEP + 1
     nodes = rng.uniform(count * c * gh * gw).reshape(count, c, gh, gw) * 255.0

@@ -89,7 +89,8 @@ class CouplingNet:
     """stem conv -> relu -> residual blocks -> zero-initialized output conv.
 
     The stem is never quantized; the output conv has no activation quantizer
-    on its output (the coupling rounds it to integers anyway).
+    on its output (the coupling rounds it to integers anyway). Prior nets are
+    CouplingNets too, never quantized: ``Level`` runs them under an empty SimCtx.
     """
 
     def __init__(
@@ -99,21 +100,15 @@ class CouplingNet:
         hidden: int,
         n_blocks: int,
         rng: np.random.Generator,
-        quantizable: bool = True,
-        out_bias_init: np.ndarray | None = None,
     ):
         self.stem = ConvLayer(c_in, hidden, rng)
         self.blocks = [ResidualBlock.build(hidden, rng) for _ in range(n_blocks)]
         self.out = ConvLayer(hidden, c_out)
-        if out_bias_init is not None:
-            self.out.b.value[...] = out_bias_init
         self.q_out = ad.Node(np.ones(1), requires_grad=True)
-        self.quantizable = quantizable
 
     def forward_sim(self, u, ctx: SimCtx):
         """u holds raw latent values (integral); returns the net output Node."""
-        aq = ctx.act_quant and self.quantizable
-        wq = ctx.weight_quant and self.quantizable
+        aq, wq = ctx.act_quant, ctx.weight_quant
         v = ad.add_const(ad.scale(u, NET_INPUT_SCALE), -1.0)
         h = ad.relu(ad.conv2d(v, self.stem.w, self.stem.b))
         for blk in self.blocks:
@@ -217,18 +212,11 @@ class Level:
         else:
             self.retained = channels // 2
             self.factored = channels - self.retained
-            bias = np.concatenate(
-                [np.full(self.factored, MU_INIT), np.full(self.factored, LOG_S_INIT)]
-            )
             self.prior_net = CouplingNet(
-                self.retained,
-                2 * self.factored,
-                cfg.hidden,
-                PRIOR_BLOCKS,
-                rng,
-                quantizable=False,
-                out_bias_init=bias,
+                self.retained, 2 * self.factored, cfg.hidden, PRIOR_BLOCKS, rng
             )
+            self.prior_net.out.b.value[: self.factored] = MU_INIT
+            self.prior_net.out.b.value[self.factored :] = LOG_S_INIT
 
     def forward(self, h, t_fn):
         """Squeeze a latent Node, run the couplings and split it into

@@ -51,10 +51,6 @@ class MassTable:
         # precomputed renormalization base: state must stay below base * F
         self.renorm_base = (RANS_L // self.M) << 32
 
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
     def cross_entropy_bits(self, counts: np.ndarray) -> float:
         """sum over symbols of count * -log2(F/M); counts indexed from lo."""
         return float(np.sum(counts * -np.log2(self.F / self.M)))

@@ -117,13 +117,13 @@ class TrainConfig:
 # objectives
 
 
-def loss_bpd(batch: np.ndarray, model: FlowModel, calibrate: bool = False):
+def loss_bpd(batch: np.ndarray, model: FlowModel):
     """Mean bits per dimension of the batch under the model (a tape Node)."""
     batch = np.asarray(batch)
     if batch.size == 0:
         raise DataFormatError("empty batch")
     d = batch[0].size
-    total = model.training_forward(batch, calibrate=calibrate)
+    total = model.training_forward(batch)
     return ad.scale(total, -1.0 / (batch.shape[0] * d))
 
 
@@ -287,8 +287,6 @@ def calibrate_activations(model: FlowModel, batch: np.ndarray):
 
 def calibrate_weights(model: FlowModel):
     for net in model.coupling_nets():
-        if not net.quantizable:
-            continue
         for blk in net.blocks:
             blk.conv_a.calibrate_weight_scale()
             blk.conv_b.calibrate_weight_scale()

@@ -236,7 +236,7 @@ def test_criterion_4_gradient_suite():
 
 def test_criterion_5_quantization_quality(desk):
     cfg = desk["cfg"]
-    float_model, _ = load_model(desk["ckpts"][3])
+    float_model = load_model(desk["ckpts"][3])
     trainer = Trainer(cfg, desk["held_out"], desk["held_out"], log=lambda s: None)
     float_bpd = trainer.eval_bpd(float_model, desk["held_out"])
     fake_bpd = trainer.eval_bpd(desk["model"], desk["held_out"])

@@ -174,7 +174,7 @@ def test_prune_stores_kept_filters_and_decodes_the_gated_payload(tmp_path, small
     assert main(["compress", data_dir, "--checkpoint", gated_ckpt, "--out", container]) == 0
     # the gated container's payload under the pruned model's id (int path)
     blob = bytearray(open(container, "rb").read())
-    pruned_id = codec.model_id(load_model(pruned_ckpt)[0], "int")
+    pruned_id = codec.model_id(load_model(pruned_ckpt), "int")
     blob[6:14] = pruned_id.to_bytes(8, "little")
     spliced = str(tmp_path / "pruned.iodf")
     open(spliced, "wb").write(bytes(blob))
@@ -276,6 +276,27 @@ def test_bench_report_schema(tmp_path, small_ckpt, capsys):
     assert {(r[0], r[1]) for r in rows} == {("float", "2"), ("float", "4")}
     for r in rows:
         assert float(r[2]) > 0 and float(r[4]) > 0 and int(r[6]) > 0
+
+
+@pytest.mark.parametrize("bad", [
+    ["--batch", "0"], ["--batch", "abc"], ["--batch", "2", "--runs", "0"], ["--batch=-2"],
+])
+def test_bench_bad_numbers_are_usage_errors(tmp_path, small_ckpt, capsys, bad):
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "2", "--count", "4", "--out", data_dir])
+    capsys.readouterr()
+    assert main(["bench", data_dir, "--checkpoint", small_ckpt, *bad]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", [
+    ["--count", "1", "--height", "-4"], ["--count", "1", "--height", "0"],
+    ["--count", "0"], ["--count", "-1"],
+])
+def test_gen_synth_bad_numbers_are_usage_errors(tmp_path, bad):
+    out = tmp_path / "d"
+    assert main(["gen-synth", *bad, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

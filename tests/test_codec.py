@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowzip import codec
+from flowzip import checkpoint, codec
 from flowzip.checkpoint import checksum64, save_model
 from flowzip.data import gen_synth
 from flowzip.errors import (
@@ -152,7 +152,7 @@ _ONE_THREAD_CHILD = textwrap.dedent("""
     from flowzip.checkpoint import load_model
     from flowzip.data import gen_synth
     work = Path(sys.argv[1])
-    model, _ = load_model(str(work / "model.ckpt"))
+    model = load_model(str(work / "model.ckpt"))
     container = (work / "int.iodf").read_bytes()
     (work / "decoded.bin").write_bytes(codec.decompress(container, model, "int").tobytes())
     x = gen_synth(int(sys.argv[2]), int(sys.argv[3]))
@@ -191,6 +191,36 @@ def test_checksum_binds_model_and_path():
     other = _quantized_model(seed=7)
     with pytest.raises(ChecksumError):
         codec.decompress(container, other, "float")
+
+
+def test_model_field_is_checkpoint_trailer_with_path(tmp_path):
+    """Header bytes 6..13 are blake2b-64 of (checkpoint file trailer || path tag)."""
+    model = _quantized_model()
+    save_model(model, str(tmp_path / "model.ckpt"))
+    trailer = (tmp_path / "model.ckpt").read_bytes()[-8:]
+    x = gen_synth(8, 2)
+    for path in ("float", "fake", "int"):
+        container, _ = codec.compress(x, model, path)
+        want = checksum64(trailer + path.encode())
+        assert container[6:14] == want.to_bytes(8, "little"), path
+
+
+def test_compress_hashes_the_checkpoint_once(monkeypatch):
+    """One compress hashes the checkpoint body once (inside serialize), the
+    images once, and a few bytes more: the trailer and the path tag."""
+    model = _quantized_model()
+    x = gen_synth(9, 3)
+    ckpt_bytes = len(checkpoint.serialize(model))
+    hashed = []
+
+    def recording(data):
+        hashed.append(len(data))
+        return checksum64(data)
+
+    monkeypatch.setattr(codec, "checksum64", recording)
+    monkeypatch.setattr(checkpoint, "checksum64", recording)
+    codec.compress(x, model, "int")
+    assert sum(hashed) <= ckpt_bytes + x.nbytes + 16, hashed
 
 
 def test_tampered_payload_never_crashes():

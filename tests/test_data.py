@@ -61,6 +61,12 @@ def test_ppm_reads_comments_and_whitespace(tmp_path):
     assert np.array_equal(read_ppm(p), img)
 
 
+@pytest.mark.parametrize("h, w", [(0, 16), (-4, 16), (16, 0), (16, -8)])
+def test_gen_synth_rejects_non_positive_dims(h, w):
+    with pytest.raises(DataFormatError, match="positive multiples"):
+        gen_synth(0, 1, h, w)
+
+
 def test_ppm_errors(tmp_path):
     p = str(tmp_path / "bad.ppm")
     open(p, "wb").write(b"P5\n1 1\n255\n\x00")
