@@ -10,10 +10,14 @@ gradient tests check each against central finite differences.
 The plain-array kernels behind some ops (space_to_depth/depth_to_space,
 im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
 run, so the tape and the codec share one implementation of each. Every
-convolution is im2col then a GEMM: im2col pads the input and makes one
-strided copy of its sliding windows, and conv2d_raw serves the float and
-fake paths, the input gradient of conv2d and the integer path's
-accumulator (layers.int_conv_acc).
+convolution is a patch matrix then a GEMM: one helper pads the input and
+makes one strided copy of its sliding windows. im2col lays the patches out
+per image, and conv2d_raw runs one float64 GEMM per image on them: it
+serves the float and fake paths, the input gradient of conv2d and the
+integer path's float stem, whose sums are not integers. im2col_batch_last
+lays them out with the batch innermost for the integer path's accumulator
+(layers.int_conv_acc), whose integer sums are exact in any order, so one
+GEMM covers the whole batch.
 
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
@@ -23,6 +27,7 @@ Inside ``no_grad()`` the same functions run without recording.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable
 
@@ -237,24 +242,50 @@ def squeeze2x2(a):
 # convolution
 
 
+def _patches(x: np.ndarray, k: int, axis: int, dtype) -> np.ndarray:
+    """Same-padded k x k patch matrix of x, whose rows and columns are axes
+    ``axis`` and ``axis + 1``.
+
+    The axes before ``axis`` stay, the last of them merged with the k*k window
+    offsets; the output positions and every axis after them form the last axis.
+    """
+    shape = x.shape
+    lead, (H, W), trail = shape[:axis], shape[axis : axis + 2], shape[axis + 2 :]
+    pad = (k - 1) // 2
+    xp = np.zeros(lead + (H + 2 * pad, W + 2 * pad) + trail, dtype=dtype)
+    xp[(slice(None),) * axis + (slice(pad, pad + H), slice(pad, pad + W))] = x
+    # sliding_window_view(xp, (H, W), axis=(axis, axis + 1)) without its
+    # per-call checks, which cost more than the copy at batch 1. The window
+    # count n comes from xp's padding, so the view stays in bounds; reshape
+    # makes the one copy.
+    n = 2 * pad + 1
+    st = xp.strides
+    sh, sw = st[axis : axis + 2]
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        lead + (n, n, H, W) + trail,
+        st[:axis] + (sh, sw, sh, sw) + st[axis + 2 :],
+        writeable=False,
+    )
+    return windows.reshape(lead[:-1] + (lead[-1] * n * n, H * W * math.prod(trail)))
+
+
 def im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B,C,H,W) -> (B, C*k*k, H*W) patch matrix with same-padding.
+    """(B,C,H,W) -> (B, C*k*k, H*W) float64 patch matrix with same-padding.
 
     The layout keeps the batched GEMM transpose-free: y = W_mat @ cols.
     """
-    B, C, H, W = x.shape
-    pad = (k - 1) // 2
-    xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
-    xp[:, :, pad : pad + H, pad : pad + W] = x
-    # sliding_window_view(xp, (H, W), axis=(2, 3)) without its per-call checks,
-    # which cost more than the copy at batch 1. The window count n comes from
-    # xp's padding, so the view stays in bounds; reshape makes the one copy.
-    n = 2 * pad + 1
-    sb, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (B, C, n, n, H, W), (sb, sc, sh, sw, sh, sw), writeable=False
-    )
-    return windows.reshape(B, C * k * k, H * W)
+    return _patches(x, k, 2, np.float64)
+
+
+def im2col_batch_last(x: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(B,C,H,W) -> (C*k*k, H*W*B) patch matrix with same-padding.
+
+    The batch is the fastest axis, so one GEMM y = W_mat @ cols covers every
+    image and its window copy moves runs of W*B elements. It is cheapest when
+    x is a transposed view of a (C,H,W,B) array, as this GEMM's output is.
+    """
+    return _patches(x.transpose(1, 2, 3, 0), k, 1, dtype)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:

@@ -17,12 +17,13 @@ still decodes cleanly cannot return a wrong image. Versions 1 and 2 (without
 the image checksum) are not read.
 
 The int path is the portable one: its residual blocks and output convs
-accumulate integers, which float64 BLAS sums exactly in any order, so its
-containers are meant to decode bit-identically under any BLAS thread count
-(a test decodes one in a process limited to one BLAS thread). The float and
-fake paths round float64 sums whose order BLAS may change, so their
-containers are only guaranteed to decode in the same numeric environment
-(numpy and BLAS build, thread count) that wrote them. The model checksum
+accumulate integers, which BLAS sums exactly in any order (in float32 or
+float64, as the accumulator bound allows), so its containers are meant to
+decode bit-identically under any BLAS thread count (a test decodes one in a
+process limited to one BLAS thread). The float and fake paths round
+float64 sums whose order BLAS may change, so their containers are only
+guaranteed to decode in the same numeric environment (numpy and BLAS build,
+thread count) that wrote them. The model checksum
 binds the checkpoint and the path, not that environment.
 
 The payload is one chained rANS stream over every image. Chaining amortizes
@@ -36,11 +37,15 @@ channel-major, row-major. The encoder pushes that order in reverse.
 
 Both directions are batched across images in fixed slices of FORWARD_SLICE:
 compress runs the flow forward once per slice, and decompress runs each prior
-net and each inverse coupling once per slice of a level. Every flow op works
-image by image (one GEMM per image), so the latents do not depend on the
-slice size; the fixed slice only bounds peak memory. The coder itself is
-sequential: it pushes and pulls one slice of one level at a time, fetching
-each distinct mass table once per such block.
+net and each inverse coupling once per slice of a level. On the float and
+fake paths every conv works image by image (one GEMM per image). On the int
+path each residual-block and output conv folds the whole slice into one
+GEMM (layers.int_conv_acc); only those convs may, because their sums are
+integers that the GEMM's float type holds exactly, in any order. So on
+every path the latents do not depend on the slice size; the fixed slice
+only bounds peak memory. The coder itself is sequential: it pushes and pulls
+one slice of one level at a time, fetching each distinct mass table once per
+such block.
 
 Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total

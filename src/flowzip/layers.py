@@ -9,9 +9,16 @@ Each block runs in one of two engines:
   integer grids (``quant.quantize``), held as integral float64 arrays; each
   grid's real scale stays with the quantizer that owns it (``q_in``,
   ``q_mid``, ``wscale``) and is folded into the bias and the double-precision
-  requantization. Its 32-bit accumulator is the shared float convolution
-  ``autodiff.conv2d_raw`` run on those grids in float64, which is exact here
-  because every intermediate sum is an integer far below 2**53.
+  requantization. Its 32-bit accumulator (``int_conv_acc``) is one float GEMM
+  per conv over the whole batch, on the batch-last patch matrix of
+  ``autodiff.im2col_batch_last``. Every partial sum of that GEMM is an
+  integer of magnitude at most 255 * 128 * 9 * C_in (``_check_acc_bound``):
+  up to 2**24 the GEMM runs in float32, above it in float64 (exact below
+  2**53), and the folded bias and the shortcut join in float64 afterwards.
+  Any summation order, and so any BLAS thread count or batch split, gives
+  the same accumulator; that is why only these convs fold the batch. The
+  accumulators, and the u8 grids ``block_int`` makes from them, are logical
+  (B,C,H,W) views of batch-last (C,H,W,B) arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ NET_INPUT_SCALE = 1.0 / 128.0
 # True int32 accumulators must not overflow: |acc| <= 255 * 128 * 9 * C_in + |bias|.
 MAX_ACC = 2**31 - 1
 MAX_BIAS_INT = 2**30
+# float32 holds every integer up to 2**24, so below it any GEMM summation
+# order gives the exact accumulator.
+F32_EXACT = 2**24
 
 
 class GateVector:
@@ -95,18 +105,35 @@ class ConvLayer:
         return quant.quantize(self.w.value, QuantizerParams(scale=self.wscale.value))
 
 
-def _check_acc_bound(c_in: int, bhat: np.ndarray):
-    bound = 255 * 128 * KERNEL * KERNEL * c_in + int(np.abs(bhat).max(initial=0))
+def _check_acc_bound(c_in: int, bhat: np.ndarray) -> int:
+    """Raise unless |acc| fits int32; return the GEMM's share of the bound."""
+    gemm = 255 * 128 * KERNEL * KERNEL * c_in
+    bound = gemm + int(np.abs(bhat).max(initial=0))
     if bound > MAX_ACC:
         raise DataFormatError(f"int32 accumulator could overflow (bound {bound})")
+    return gemm
 
 
 def int_conv_acc(
     values: np.ndarray, w_int: np.ndarray, bhat: np.ndarray
 ) -> np.ndarray:
-    """Integer convolution accumulator over integral float64 grids (exact)."""
-    _check_acc_bound(w_int.shape[1], bhat)
-    return ad.conv2d_raw(values, w_int, bhat)
+    """Integer convolution accumulator over integral float64 grids (exact).
+
+    values (B,C,H,W) in, float64 (B,C_out,H,W) out: a transposed view of a
+    (C_out,H,W,B) array, which the next call reads back without a strided copy.
+    """
+    gemm_bound = _check_acc_bound(w_int.shape[1], bhat)
+    B, C, H, W = values.shape
+    Cout, Cin, k, _ = w_int.shape
+    if C != Cin:
+        raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
+    dtype = np.float32 if gemm_bound <= F32_EXACT else np.float64
+    y = np.matmul(
+        w_int.reshape(Cout, Cin * k * k).astype(dtype), ad.im2col_batch_last(values, k, dtype)
+    )
+    # the bias can exceed F32_EXACT, so it joins in float64
+    acc = np.add(y, bhat[:, None], dtype=np.float64)
+    return acc.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
@@ -121,7 +148,8 @@ def requantize(
     acc: np.ndarray, m: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
     """Rescale an integer accumulator by m (double precision), round, clip."""
-    return np.clip(round_half_away(acc * m), lo, hi)
+    y = round_half_away(acc * m)
+    return np.clip(y, lo, hi, out=y)
 
 
 @dataclass
@@ -223,14 +251,17 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
     s_mid = float(blk.q_mid.value[0])
     s_next = float(next_scale)
 
-    out = np.empty_like(values)
+    # batch-last like int_conv_acc's output, so the next block's patch copy
+    # reads it in memory order
+    B, C, H, W = values.shape
+    out = np.empty((C, H, W, B)).transpose(3, 0, 1, 2)
     if len(kept_b):
         acc1 = int_conv_acc(values, wa, fold_bias(ba, swa, sa))
         h = requantize(acc1, (swa * sa / s_mid)[None, :, None, None], 0, 255)
         acc2 = int_conv_acc(h, wb, fold_bias(bb, swb, s_mid))
         # shortcut joins the 32-bit accumulator in conv B's unit system
         short_unit = sa / (swb * s_mid)
-        acc2 = acc2 + round_half_away(values[:, kept_b] * short_unit[None, :, None, None])
+        acc2 += round_half_away(values[:, kept_b] * short_unit[None, :, None, None])
         out[:, kept_b] = requantize(acc2, (swb * s_mid / s_next)[None, :, None, None], 0, 255)
     off = np.setdiff1d(np.arange(blk.width), kept_b, assume_unique=True)
     if len(off):

@@ -18,7 +18,12 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     half-to-even and must not be used on any value that reaches a bitstream.
     """
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    if x.ndim == 0:
+        # numpy turns 0-d results into scalars, which have no out= buffer
+        return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    out = np.abs(x) + 0.5  # floor and copysign then work in place
+    np.floor(out, out=out)
+    return np.copysign(out, x, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -10,10 +10,13 @@ from flowzip.checkpoint import deserialize, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import DataFormatError
 from flowzip.layers import (
+    F32_EXACT,
+    MAX_BIAS_INT,
     ConvLayer,
     GateVector,
     ResidualBlock,
     block_int,
+    _check_acc_bound,
     block_sim,
     fold_bias,
     int_conv_acc,
@@ -49,8 +52,56 @@ def test_conv_dirac_kernel_is_identity():
 
 
 def test_conv_channel_mismatch():
-    with pytest.raises(ValueError):
-        ad.conv2d_raw(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
+    for conv in (ad.conv2d_raw, int_conv_acc):
+        with pytest.raises(ValueError):
+            conv(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
+
+
+def _int64_conv(values, w_int, bhat):
+    """The integer accumulator in int64 arithmetic, tap by tap: no float, no BLAS."""
+    B, _, H, W = values.shape
+    v = np.pad(values.astype(np.int64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    w = w_int.astype(np.int64)
+    acc = np.zeros((B, w.shape[0], H, W), dtype=np.int64)
+    acc += bhat.astype(np.int64)[:, None, None]
+    for i in range(3):
+        for j in range(3):
+            acc += np.einsum("oc,bchw->bohw", w[:, :, i, j], v[:, :, i : i + H, j : j + W])
+    return acc
+
+
+@pytest.mark.parametrize("B, C, H, W", [(1, 3, 4, 6), (5, 4, 3, 5), (4, 0, 4, 4)])
+def test_int_conv_acc_folds_the_batch_exactly(B, C, H, W):
+    # one GEMM over the batch equals per-image calls and the int64 reference,
+    # for a batch-last view (as block_int hands on), a contiguous input and
+    # C = 0 (every filter of conv A gated off)
+    rng = np.random.default_rng(10 * B + C)
+    w = rng.integers(-128, 128, (3, C, 3, 3)).astype(np.float64)
+    bhat = rng.integers(-1000, 1000, 3).astype(np.float64)
+    values = rng.integers(0, 256, (C, H, W, B)).astype(np.float64).transpose(3, 0, 1, 2)
+    ref = _int64_conv(values, w, bhat)
+    got = int_conv_acc(values, w, bhat)
+    assert got.shape == (B, 3, H, W) and got.dtype == np.float64
+    assert np.array_equal(got, ref)
+    assert np.array_equal(int_conv_acc(np.ascontiguousarray(values), w, bhat), ref)
+    per_image = [int_conv_acc(values[i : i + 1], w, bhat) for i in range(B)]
+    assert np.array_equal(np.concatenate(per_image), ref)
+
+
+@pytest.mark.parametrize("c_in", [57, 64])
+def test_int_conv_acc_exact_across_the_float32_bound(c_in):
+    # C_in = 57 is the widest float32 GEMM (bound 16,744,320 <= 2**24), 64
+    # runs in float64. Worst case: all-255 inputs against extreme weights, one
+    # +127 among -128s so that every full-window sum is odd (float32 holds no
+    # odd integer above 2**24), and odd biases near MAX_BIAS_INT, which
+    # float32 cannot hold either, so they must join after the GEMM.
+    assert _check_acc_bound(57, np.zeros(1)) <= F32_EXACT < _check_acc_bound(58, np.zeros(1))
+    values = np.full((2, c_in, 3, 4), 255.0)
+    w = np.full((2, c_in, 3, 3), -128.0)
+    w[:, 0, 0, 0] = 127.0
+    bhat = np.array([MAX_BIAS_INT - 1.0, -(MAX_BIAS_INT - 3.0)])
+    ref = _int64_conv(values, w, bhat)
+    assert np.array_equal(int_conv_acc(values, w, bhat), ref)
 
 
 def test_int_conv_hand_example():

@@ -23,6 +23,22 @@ def test_round_ties_away_from_zero():
     assert np.array_equal(round_half_away(xs), [1, 2, 3, -1, -2, 0, 0, 3])
 
 
+def test_round_half_away_scalar_0d_and_array_match_reference():
+    xs = np.array([
+        0.5, -0.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994,
+        2.0**52 + 1, -(2.0**52) - 1, 0.0, -0.0, 3.2, -3.7, 1e300, -1e-300, 254.5,
+    ])
+    want = round_half_away_ref(xs)
+    for v, w in zip(xs, want):
+        for x in (float(v), np.float64(v), np.asarray(v)):
+            got = round_half_away(x)
+            assert np.ndim(got) == 0 and got == w
+    x = xs.reshape(3, 5).T  # a non-contiguous view
+    before = x.copy()
+    assert np.array_equal(round_half_away(x), want.reshape(3, 5).T)
+    assert np.array_equal(x, before)  # the input is not written
+
+
 def test_quantize_zero_is_fixed_point():
     p = QuantizerParams(scale=0.37)
     q = quantize(np.zeros((3, 3)), p)
