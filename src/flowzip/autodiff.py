@@ -38,6 +38,7 @@ from .errors import DataFormatError
 from .numerics import LN2, log1mexp, log_sigmoid, round_half_away
 
 _state = threading.local()
+GATE_THRESHOLD = 0.5  # a gate is on above this, here and in layers.GateVector
 
 
 def _grad_on() -> bool:
@@ -339,10 +340,10 @@ def round_ste(a):
     return _make(round_half_away(a.value), (a,), (lambda g: g,))
 
 
-def binarize_ste(a, threshold: float = 0.5):
-    """Gate binarization I(g > threshold) with identity gradient."""
+def binarize_ste(a):
+    """Gate binarization I(g > GATE_THRESHOLD) with identity gradient."""
     a = _lift(a)
-    return _make((a.value > threshold).astype(np.float64), (a,), (lambda g: g,))
+    return _make((a.value > GATE_THRESHOLD).astype(np.float64), (a,), (lambda g: g,))
 
 
 def fake_quantize(r, s, signed: bool):

@@ -99,12 +99,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _default_path(model) -> str:
-    if model.weight_quant:
-        return "int"
-    return "float"
-
-
 def _load_inputs(inputs) -> np.ndarray:
     if len(inputs) == 1 and os.path.isdir(inputs[0]):
         paths = data.dataset_paths(inputs[0])
@@ -116,6 +110,8 @@ def _load_inputs(inputs) -> np.ndarray:
 def _load_config(path, seed) -> TrainConfig:
     cfg = TrainConfig.from_file(path) if path else TrainConfig()
     if seed is not None:
+        if seed < 0:  # np.random.default_rng refuses it
+            raise UsageError(f"--seed must be a non-negative integer, got {seed}")
         cfg.seed = seed
     return cfg
 
@@ -173,9 +169,8 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     model = load_model(args.checkpoint)
-    path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
-    container, stats = codec.compress(images, model, path)
+    container, stats = codec.compress(images, model, args.path)
     try:
         with open(args.out, "wb") as f:
             f.write(container)
@@ -190,13 +185,12 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     model = load_model(args.checkpoint)
-    path = args.path or _default_path(model)
     try:
         with open(args.container, "rb") as f:
             container = f.read()
     except OSError as e:
         raise UsageError(f"cannot read container: {e}") from e
-    images = codec.decompress(container, model, path)
+    images = codec.decompress(container, model, args.path)
     _write_images(args.out, images, args.format)
     print(f"decompressed {len(images)} images to {args.out}")
     return 0
@@ -204,9 +198,8 @@ def cmd_decompress(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
-    path = args.path or _default_path(model)
     images = _load_inputs(args.inputs)
-    _, stats = codec.compress(images, model, path)
+    _, stats = codec.compress(images, model, args.path)
     gap = stats["coding_bpd"] - stats["analytic_bpd"]
     print(
         f"analytic_bpd={stats['analytic_bpd']:.6f} "
@@ -260,12 +253,12 @@ def cmd_quantize(args) -> int:
     from .train import Trainer
 
     _check_out_dir(args.out)
+    cfg = _load_config(args.config, args.seed)
     model = load_model(args.checkpoint)
     if model.pruned:
         raise UsageError("quantize the gated checkpoint, then prune")
     if model.stage < 3:
         raise UsageError("quantize expects a stage-3 (fine-tuned) checkpoint")
-    cfg = _load_config(args.config, args.seed)
     train_x, val_x = _train_val(cfg, args.data)
     trainer = Trainer(cfg, train_x, val_x)
     trainer.stage4(model, train_x[: cfg.calib_count])

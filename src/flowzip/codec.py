@@ -53,13 +53,14 @@ the prior's rounded location, with tail-collapsed mass tables of total
 encodable even under a badly mismatched prior. Prior parameters are snapped
 to a grid (mu to 1/64, log s to 1/16, s clamped to [0.02, 512]) purely for
 coding, which lets tables be cached and reused; both sides apply the same
-snapping, and the analytic likelihood keeps the exact parameters.
+snapping, and the analytic likelihood keeps the exact parameters. The grid
+bounds one call's tables at 65 frac by 164 log-s keys, 10,660 in all.
+Without a path, a weight-quantized model codes on the int path, others float.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
 
 import numpy as np
 
@@ -82,7 +83,9 @@ ALPHABET_HALF = 2048
 MU_GRID = 64
 LOG_S_GRID = 16
 S_MIN, S_MAX = 0.02, 512.0
-CACHE_CAP = 8192
+# Beyond 2**52, round_half_away is inexact and frac keys could leave
+# [-32, 32]; keys_for clips mu far below that (such a latent cannot be coded).
+MU_MAX = 2.0**40
 # Images per flow_forward call in compress, and per prior-net and inverse
 # coupling call in decompress. Compressing 1000 desk images on the int path
 # peaks at about 300 MiB RSS in one forward, 80 MiB in slices of 64.
@@ -103,9 +106,11 @@ def model_id(model: FlowModel, path: str) -> int:
 
 def keys_for(shape, mu, log_s):
     """Vectorized snap of (mu, log s) broadcast to shape: returns flat
-    (center k, frac key, log-s key) arrays in scan order."""
+    (center k, frac key, log-s key) arrays in scan order; frac keys lie in
+    [-32, 32] and log-s keys in [-63, 100] (NaN aside)."""
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
     log_s = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
+    mu = np.clip(mu, -MU_MAX, MU_MAX)
     log_s = np.clip(log_s, np.log(S_MIN), np.log(S_MAX))
     mq = round_half_away(mu * MU_GRID).astype(np.int64)
     k = round_half_away(mq / MU_GRID).astype(np.int64)
@@ -115,28 +120,22 @@ def keys_for(shape, mu, log_s):
 
 
 class PriorTableCache:
-    """Mass tables keyed by snapped (fractional mu, log s); LRU-bounded."""
+    """One call's mass tables keyed by snapped (frac, log s): at most 65 * 164."""
 
     def __init__(self):
-        self.tables: OrderedDict[tuple[int, int], MassTable] = OrderedDict()
+        self.tables: dict[tuple[int, int], MassTable] = {}
 
     def get(self, frac_key: int, ls_key: int) -> MassTable:
         key = (frac_key, ls_key)
-        table = self.tables.get(key)
-        if table is None:
-            table = mass_table(
+        if key not in self.tables:
+            self.tables[key] = mass_table(
                 frac_key / MU_GRID,
                 float(np.exp(ls_key / LOG_S_GRID)),
                 -ALPHABET_HALF,
                 ALPHABET_HALF - 1,
                 CODING_M,
             )
-            self.tables[key] = table
-            if len(self.tables) > CACHE_CAP:
-                self.tables.popitem(last=False)
-        else:
-            self.tables.move_to_end(key)
-        return table
+        return self.tables[key]
 
 
 def _plan_tensor(values: np.ndarray, mu, log_s):
@@ -175,13 +174,18 @@ def _check_size(n: int, c: int, h: int, w: int):
         )
 
 
+def _path_for(model: FlowModel, path: str | None) -> str:
+    """The given path, else "int" for a weight-quantized model, else "float"."""
+    return path if path is not None else "int" if model.weight_quant else "float"
+
+
 def compress(
-    images: np.ndarray, model: FlowModel, path: str = "float"
+    images: np.ndarray, model: FlowModel, path: str | None = None
 ) -> tuple[bytes, dict]:
     """Encode a batch of identically shaped u8 images into one container.
 
-    Returns (container bytes, stats) where stats carries the analytic and
-    coding bits-per-dimension of the batch.
+    ``path`` defaults by ``_path_for``. Returns (container bytes, stats) where
+    stats carries the analytic and coding bits-per-dimension of the batch.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.dtype != np.uint8:
@@ -191,6 +195,7 @@ def compress(
         raise DataFormatError("no images to compress")
     model.check_input(images[:1])
     _check_size(n, c, h, w)
+    path = _path_for(model, path)
     cache = PriorTableCache()
 
     # plans[li] holds one (symbols, frac keys, log-s keys) block per slice
@@ -247,9 +252,10 @@ def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> 
     return (syms - ALPHABET_HALF + k).reshape(shape)
 
 
-def decompress(container: bytes, model: FlowModel, path: str = "float") -> np.ndarray:
+def decompress(container: bytes, model: FlowModel, path: str | None = None) -> np.ndarray:
     """Exact inverse of compress; refuses containers from other models and
     decoded images that do not match the container's image checksum."""
+    path = _path_for(model, path)
     model_sum, h, w, c, n, image_sum, payload = _parse_container(container)
     if model_sum != model_id(model, path):
         raise ChecksumError(

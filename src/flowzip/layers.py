@@ -48,7 +48,7 @@ F32_EXACT = 2**24
 class GateVector:
     """Learnable per-filter gates in [0,1]; the binarized view is I(g > 0.5)."""
 
-    def __init__(self, count: int, alpha: float = 0.8):
+    def __init__(self, count: int, alpha: float):
         self.node = ad.Node(np.full(count, float(alpha)), requires_grad=True)
 
     @property
@@ -56,7 +56,7 @@ class GateVector:
         return self.node.value
 
     def binarized(self) -> np.ndarray:
-        return (self.node.value > 0.5).astype(np.int64)
+        return (self.node.value > ad.GATE_THRESHOLD).astype(np.int64)
 
     def clamp(self):
         np.clip(self.node.value, 0.0, 1.0, out=self.node.value)
@@ -271,4 +271,4 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
 
 def calibrate_activation(node: ad.Node, tensor: np.ndarray):
     """Set an activation quantizer scale from calibration data."""
-    node.value[...] = init_scale(tensor, 8)
+    node.value[...] = init_scale(tensor)

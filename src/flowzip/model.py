@@ -46,15 +46,19 @@ class FlowConfig:
     in_channels: int = 3
 
     def validate(self):
+        """Refuse, before any allocation, an architecture the checkpoint cannot hold."""
         if min(self.levels, self.couplings, self.blocks, self.hidden, self.in_channels) < 1:
             raise DataFormatError(
                 "levels, couplings, blocks, hidden and in_channels must be >= 1"
             )
-        c = self.in_channels * 4
-        for _ in range(self.levels - 1):
-            if c % 2:
-                raise DataFormatError("channel count must stay even across levels")
-            c = (c // 2) * 4
+        for name, top in (("levels", 255), ("couplings", 255), ("blocks", 255),
+                          ("hidden", 65535), ("in_channels", 255)):
+            if getattr(self, name) > top:
+                raise DataFormatError(f"{name} must be at most {top} to fit the checkpoint")
+        # channels double per level, and the last level's u16 split keeps them all
+        final = self.in_channels * 2 ** (self.levels + 1)
+        if final > 65535:
+            raise DataFormatError(f"the last level's {final} channels exceed the u16 split field")
         n = self.param_count()
         if n > MAX_PARAMS:
             raise DataFormatError(f"architecture has {n} parameters, above {MAX_PARAMS}")
@@ -377,7 +381,7 @@ class FlowModel:
 
         return t_sim
 
-    def flow_forward(self, x: np.ndarray, path: str = "float") -> FlowResult:
+    def flow_forward(self, x: np.ndarray, path: str) -> FlowResult:
         """Map images to integer latents plus their priors and log2 mass."""
         t_fn = self._t_fn(path)
         latents, priors = [], []

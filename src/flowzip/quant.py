@@ -68,12 +68,12 @@ def quantize(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
     return round_half_away(np.clip(r / s, p.lo, p.hi))
 
 
-def init_scale(r: np.ndarray, bit_width: int = 8) -> float:
-    """Data-dependent scale init: 2 * mean|r| / sqrt(2**b - 1), floored at 1e-6."""
+def init_scale(r: np.ndarray) -> float:
+    """Data-dependent scale init: 2 * mean|r| / sqrt(255), floored at MIN_SCALE."""
     r = np.asarray(r, dtype=np.float64)
     if r.size == 0:
         raise ValueError("cannot initialize a scale from an empty tensor")
-    s = 2.0 * float(np.mean(np.abs(r))) / float(np.sqrt(2.0**bit_width - 1.0))
+    s = 2.0 * float(np.mean(np.abs(r))) / float(np.sqrt(UNSIGNED_HI))
     return max(s, MIN_SCALE)
 
 

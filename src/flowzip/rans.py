@@ -26,7 +26,6 @@ from .numerics import sigmoid
 
 RANS_L = 1 << 31  # lower bound of the normalization interval
 WORD_MASK = 0xFFFFFFFF
-DEFAULT_M = 1 << 16
 
 
 @dataclass
@@ -110,7 +109,7 @@ def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int):
         F[np.argmax(F)] += leftover
 
 
-def mass_table(mu: float, s: float, lo: int, hi: int, M: int = DEFAULT_M) -> MassTable:
+def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
     """Quantize the clipped logistic to integer frequencies summing to M.
 
     Floor-then-largest-remainder, with a floor of one per symbol: the units

@@ -18,10 +18,13 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters
 from .errors import DataFormatError, StageTimeoutError, UsageError
+from .layers import KERNEL
 from .model import FlowConfig, FlowModel
 from .quant import MIN_SCALE
 
 MAC_FLOPS = 2  # one multiply-accumulate counts as two floating point ops
+# Early stopping counts an epoch as an improvement when bpd drops by more.
+MIN_DELTA = 1e-3
 
 
 @dataclass
@@ -48,11 +51,9 @@ class TrainConfig:
     epochs_stage5: int = 5
     stage2_max_epochs: int = 60
     patience: int = 5
-    min_delta: float = 1e-3
     # gating / pruning
     alpha: float = 0.8
     lambda_levels: tuple = (1.0, 2.0, 4.0, 8.0)
-    lambda_boost: float = 1.0
     lambda_ramp: float = 1.25  # per-epoch growth while above the FLOPs target
     r_target: float = 0.6
     # quantization
@@ -96,13 +97,11 @@ class TrainConfig:
             try:
                 if isinstance(default, tuple):
                     kwargs[key] = tuple(float(v) for v in value.split(","))
-                elif isinstance(default, bool):
-                    kwargs[key] = value.lower() in ("1", "true", "yes")
                 elif isinstance(default, int):
                     kwargs[key] = int(value)
-                    # every integer but the seed is a count, a size or an epoch cap
-                    if kwargs[key] < 1 and key != "seed":
-                        raise DataFormatError(f"{path}:{ln}: '{key}' must be at least 1")
+                    least = 0 if key == "seed" else 1  # counts, sizes, epoch caps
+                    if kwargs[key] < least:
+                        raise DataFormatError(f"{path}:{ln}: '{key}' must be at least {least}")
                 else:
                     kwargs[key] = float(value)
                 # float() takes nan, inf and 1e999; training on them writes NaN weights
@@ -133,9 +132,7 @@ def gate_lambdas(model: FlowModel, config: TrainConfig) -> list[float]:
     if total == 0:
         return []
     return [
-        config.lambda_levels[min(li, len(config.lambda_levels) - 1)]
-        * config.lambda_boost
-        / total
+        config.lambda_levels[min(li, len(config.lambda_levels) - 1)] / total
         for li in range(len(model.levels))
     ]
 
@@ -163,7 +160,9 @@ def gated_objective(batch: np.ndarray, model: FlowModel, lambdas) -> tuple:
 class Adamax:
     """Adamax with per-group learning rates and per-epoch decay."""
 
-    def __init__(self, groups: dict, beta1: float = 0.9, beta2: float = 0.999):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups: dict):
         # groups: name -> (params list, lr)
         self.groups = {
             name: {
@@ -174,9 +173,7 @@ class Adamax:
             }
             for name, (params, lr) in groups.items()
         }
-        self.beta1, self.beta2 = beta1, beta2
         self.t = 0
-        self.eps = 1e-8
 
     def step(self):
         self.t += 1
@@ -223,8 +220,8 @@ def clamp_auxiliary(model: FlowModel):
 # FLOPs accounting
 
 
-def _conv_flops(c_out: int, c_in: int, hw: int, k: int = 3) -> int:
-    return MAC_FLOPS * c_out * c_in * k * k * hw
+def _conv_flops(c_out: int, c_in: int, hw: int) -> int:
+    return MAC_FLOPS * c_out * c_in * KERNEL * KERNEL * hw
 
 
 def calculate_flops(model: FlowModel, hw: tuple[int, int]) -> int:
@@ -315,7 +312,6 @@ class Trainer:
         self.rng = np.random.default_rng(config.seed)
         self.log = log
         self.records: list[StageRecord] = []
-        self.f0: int | None = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -329,9 +325,6 @@ class Trainer:
             total += float(-res.log2p.sum()) / d
             n += len(chunk)
         return total / n
-
-    def _hw(self):
-        return (self.cfg.height, self.cfg.width)
 
     def _epoch(self, model, optimizer, objective) -> float:
         order = self.rng.permutation(len(self.train_x))
@@ -350,16 +343,15 @@ class Trainer:
     def _report(self, stage, epoch, bpd, flops, lr):
         self.log(f"stage={stage} epoch={epoch} bpd={bpd:.4f} flops={flops} lr={lr:.6g}")
 
-    def _run_stage(self, model, stage, groups, epochs, early_stop=False) -> int:
+    def _run_stage(self, model, stage, groups, epochs, early_stop=False):
         """Train the bpd objective with Adamax over ``groups``; record the stage.
 
         Gates are frozen or absent in these stages, so the FLOPs stay fixed.
-        Returns them.
         """
         opt = Adamax(groups)
         history = []
         best, since_best = np.inf, 0
-        flops = calculate_flops(model, self._hw())
+        flops = calculate_flops(model, self.train_x.shape[2:])
         for epoch in range(epochs):
             self._epoch(model, opt, lambda b: loss_bpd(b, model))
             opt.decay(self.cfg.lr_decay)
@@ -368,7 +360,7 @@ class Trainer:
             lr = next(iter(opt.groups.values()))["lr"]
             self._report(stage, epoch, bpd, flops, lr)
             if early_stop:
-                if bpd < best - self.cfg.min_delta:
+                if bpd < best - MIN_DELTA:
                     best, since_best = bpd, 0
                 else:
                     since_best += 1
@@ -376,7 +368,6 @@ class Trainer:
                         break
         model.stage = stage
         self.records.append(StageRecord(stage, len(history), history[-1], flops, history))
-        return flops
 
     def _quant_groups(self, model: FlowModel) -> dict:
         main, _, scales = param_groups(model)
@@ -386,7 +377,7 @@ class Trainer:
 
     def stage1(self, model: FlowModel):
         main, _, _ = param_groups(model)
-        self.f0 = self._run_stage(
+        self._run_stage(
             model, 1, {"main": (main, self.cfg.lr)}, self.cfg.epochs_stage1,
             early_stop=True,
         )
@@ -394,18 +385,20 @@ class Trainer:
     def stage2(self, model: FlowModel):
         """Gate training until the pruned-model FLOPs reach the target.
 
-        The per-gate penalty starts at lambda_levels * lambda_boost / G and
+        The target is r_target times the FLOPs of the model before its gates
+        are attached. The per-gate penalty starts at lambda_levels / G and
         grows by lambda_ramp every epoch spent above the target, so the loop
         terminates under any usefulness distribution; relative per-level
         ratios never change.
         """
+        hw = self.train_x.shape[2:]
+        target = self.cfg.r_target * calculate_flops(model, hw)
         model.attach_gates(self.cfg.alpha)
         lambdas = np.asarray(gate_lambdas(model, self.cfg))
         main, gates, _ = param_groups(model)
         opt = Adamax({"main": (main, self.cfg.lr), "gate": (gates, self.cfg.gate_lr)})
-        target = self.cfg.r_target * self.f0
         history = []
-        flops = calculate_flops(model, self._hw())
+        flops = calculate_flops(model, hw)
         epoch = 0
         while flops > target:
             if epoch >= self.cfg.stage2_max_epochs:
@@ -417,7 +410,7 @@ class Trainer:
             self._epoch(model, opt, lambda b: gated_objective(b, model, lambdas)[0])
             opt.decay(self.cfg.lr_decay)
             lambdas = lambdas * self.cfg.lambda_ramp
-            flops = calculate_flops(model, self._hw())
+            flops = calculate_flops(model, hw)
             bpd = self.eval_bpd(model, self.val_x)
             history.append((bpd, flops))
             self._report(2, epoch, bpd, flops, opt.groups["gate"]["lr"])

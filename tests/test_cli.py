@@ -249,7 +249,7 @@ def test_config_counts_below_one_are_data_errors(tmp_path, key):
 
 
 @pytest.mark.parametrize("line", [
-    "lr = nan", "lr = inf", "gate_lr = 1e999", "lambda_boost = -inf",
+    "lr = nan", "lr = inf", "gate_lr = 1e999", "lambda_ramp = -inf",
     "r_target = NaN", "lambda_levels = 4, nan", "lambda_levels = 1e999, 1",
 ])
 def test_config_non_finite_floats_are_data_errors(tmp_path, capsys, line):
@@ -260,6 +260,26 @@ def test_config_non_finite_floats_are_data_errors(tmp_path, capsys, line):
         TrainConfig.from_file(str(cfg))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert f"'{key}' must be finite" in capsys.readouterr().err
+
+
+def test_negative_config_seed_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -3\n")
+    with pytest.raises(DataFormatError, match="'seed' must be at least 0"):
+        TrainConfig.from_file(str(cfg))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "'seed' must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "quantize"])
+def test_negative_seed_flag_is_usage_error(tmp_path, small_ckpt, capsys, command):
+    args = [command, "--out", str(tmp_path / "x"), "--seed", "-2"]
+    if command == "quantize":
+        args += ["--checkpoint", small_ckpt]
+    assert main(args) == 1
+    assert "non-negative integer" in capsys.readouterr().err
+    # gen-synth's SplitMix64 seed takes any integer
+    assert main(["gen-synth", "--seed", "-2", "--count", "1", "--out", str(tmp_path / "d")]) == 0
 
 
 def test_bench_report_schema(tmp_path, small_ckpt, capsys):

@@ -182,6 +182,28 @@ def test_int_container_is_exact_under_one_blas_thread(tmp_path):
     assert (tmp_path / "again.iodf").read_bytes() == container
 
 
+def test_default_path_follows_the_model():
+    # int for a weight-quantized model, float for any other
+    x = gen_synth(12, 3)
+    for model, path in ((_quantized_model(), "int"), (_model(), "float")):
+        container, _ = codec.compress(x, model)
+        assert container == codec.compress(x, model, path)[0], path
+        assert np.array_equal(codec.decompress(container, model), x)
+
+
+def test_keys_for_bounds_the_table_keys():
+    # the bound that caps one call's tables at 65 * 164: frac keys in
+    # [-32, 32] and log-s keys in [-63, 100], every one reachable
+    rng = np.random.default_rng(0)
+    n = 200_000
+    mu = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 20, n)
+    log_s = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 20, n)
+    edges = np.array([np.inf, -np.inf, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    k, frac, ls = codec.keys_for((n + 4,), np.append(mu, edges), np.append(log_s, edges))
+    assert np.array_equal(np.unique(frac), np.arange(-32, 33))
+    assert np.array_equal(np.unique(ls), np.arange(-63, 101))
+
+
 def test_checksum_binds_model_and_path():
     x = gen_synth(5, 4)
     model = _quantized_model()

@@ -180,7 +180,7 @@ def test_gconv_zeroes_disabled_channels():
     blk.conv_b.b.value[...] = 0.0
     for c in range(3):
         blk.conv_b.w.value[c, c, 1, 1] = 1.0
-    blk.conv_a.gate = GateVector(3)
+    blk.conv_a.gate = GateVector(3, 0.8)
     blk.conv_a.gate.node.value[:] = [0.3, 0.9, 0.5]  # 0.5 binarizes to 0 (strict >)
     x = np.abs(RNG.normal(0, 1, (1, 3, 4, 4)))
     h = block_sim(ad.Node(x), blk, False, False).value - x
@@ -191,7 +191,7 @@ def test_gconv_zeroes_disabled_channels():
 def test_gconv_length_mismatch():
     # a gate sized for another width cannot broadcast onto the conv output
     blk = _random_block(3)
-    blk.conv_a.gate = GateVector(5)
+    blk.conv_a.gate = GateVector(5, 0.8)
     with pytest.raises(ValueError):
         block_sim(ad.Node(np.zeros((1, 3, 4, 4))), blk, False, False)
 

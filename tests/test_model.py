@@ -103,11 +103,11 @@ def test_flow_identity_at_init_permutes_input():
 def test_flow_rejects_bad_shapes():
     model = FlowModel(FlowConfig(), seed=0)
     with pytest.raises(DataFormatError):
-        model.flow_forward(np.zeros((1, 3, 10, 10), dtype=np.uint8))
+        model.flow_forward(np.zeros((1, 3, 10, 10), dtype=np.uint8), "float")
     with pytest.raises(DataFormatError):
-        model.flow_forward(np.zeros((1, 3, 0, 16), dtype=np.uint8))
+        model.flow_forward(np.zeros((1, 3, 0, 16), dtype=np.uint8), "float")
     with pytest.raises(DataFormatError):
-        model.flow_forward(np.zeros((1, 1, 16, 16), dtype=np.uint8))
+        model.flow_forward(np.zeros((1, 1, 16, 16), dtype=np.uint8), "float")
 
 
 def test_flow_deterministic():
@@ -209,6 +209,29 @@ def test_header_architecture_is_refused_before_allocation(hidden, in_ch, splits,
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "cfg, match",
+    [(FlowConfig(couplings=300, hidden=4), "couplings"),
+     (FlowConfig(couplings=256, hidden=4), "couplings"),
+     (FlowConfig(blocks=256, hidden=4), "blocks"),
+     (FlowConfig(levels=256, hidden=4), "levels"),
+     (FlowConfig(levels=1, hidden=4, in_channels=256), "in_channels"),
+     (FlowConfig(levels=8, couplings=1, hidden=1, blocks=1, in_channels=255), "split field")],
+)
+def test_architecture_the_header_cannot_store_is_refused(cfg, match):
+    # u8 levels, couplings, blocks and in_channels and u16 level splits: a
+    # wider architecture is refused before any weight exists, and the widest
+    # split that fits (3 * 2**14 last-level channels) is accepted
+    with pytest.raises(DataFormatError, match=match):
+        FlowModel(cfg)
+    FlowConfig(levels=13, couplings=1, hidden=1, blocks=1, in_channels=3).validate()
+
+
+def test_widest_u8_architecture_round_trips():
+    model = FlowModel(FlowConfig(levels=1, couplings=255, hidden=1, blocks=1, in_channels=1))
+    assert deserialize(serialize(model)).cfg == model.cfg
 
 
 def test_checkpoint_preserves_flags_and_stage(tmp_path):

@@ -78,11 +78,11 @@ def test_per_channel_scale_broadcasts():
 
 
 def test_init_scale_formula():
-    assert init_scale(np.array([1.0, -1.0]), 8) == pytest.approx(0.125245, abs=1e-6)
-    assert init_scale(np.full(10, 7.984), 8) == pytest.approx(1.0, rel=1e-3)
-    assert init_scale(np.zeros(5), 8) == 1e-6
+    assert init_scale(np.array([1.0, -1.0])) == pytest.approx(0.125245, abs=1e-6)
+    assert init_scale(np.full(10, 7.984)) == pytest.approx(1.0, rel=1e-3)
+    assert init_scale(np.zeros(5)) == 1e-6
     with pytest.raises(ValueError):
-        init_scale(np.array([]), 8)
+        init_scale(np.array([]))
 
 
 @given(

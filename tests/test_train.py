@@ -233,11 +233,27 @@ def test_stage2_timeout_raises_with_diagnostics():
     cfg = TrainConfig(
         hidden=8, couplings=1, blocks=1, train_count=8, val_count=4,
         epochs_stage1=1, r_target=0.3, stage2_max_epochs=2, batch_size=8,
-        lambda_boost=0.0,  # no pruning pressure: cannot terminate
+        lambda_levels=(0.0,),  # no pruning pressure: cannot terminate
     )
     data = gen_synth(cfg.seed, 12)
     with pytest.raises(StageTimeoutError, match="flops"):
         run_pipeline(cfg, data[:8], data[8:], last_stage=2, log=lambda s: None)
+
+
+def test_flops_are_counted_at_the_training_images_size():
+    # the config's height and width only size synthetic data; 32x32 images
+    # under a 16x16 config cost four times the 16x16 FLOPs
+    cfg = TrainConfig(
+        hidden=8, couplings=1, blocks=1, train_count=8, val_count=4,
+        epochs_stage1=1, r_target=1.0, batch_size=8,
+    )
+    data = gen_synth(cfg.seed, 12, 32, 32)
+    lines = []
+    model, records = run_pipeline(cfg, data[:8], data[8:], last_stage=2, log=lines.append)
+    want = calculate_flops(model, (32, 32))
+    assert want == 4 * calculate_flops(model, (cfg.height, cfg.width))
+    assert [r.flops for r in records] == [want, want]
+    assert f"flops={want} " in lines[0]
 
 
 def test_pipeline_runs_stages_in_order_and_reports(capsys):
