@@ -10,14 +10,21 @@ gradient tests check each against central finite differences.
 The plain-array kernels behind some ops (space_to_depth/depth_to_space,
 im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
 run, so the tape and the codec share one implementation of each. Every
-convolution is a patch matrix then a GEMM: one helper pads the input and
-makes one strided copy of its sliding windows. im2col lays the patches out
-per image, and conv2d_raw runs one float64 GEMM per image on them: it
-serves the float and fake paths, the input gradient of conv2d and the
-integer path's float stem, whose sums are not integers. im2col_batch_last
-lays them out with the batch innermost for the integer path's accumulator
-(layers.int_conv_acc), whose integer sums are exact in any order, so one
-GEMM covers the whole batch.
+convolution is a patch matrix then one GEMM over the whole batch: im2col
+pads the input and makes one strided copy of its sliding windows, with the
+batch innermost. conv2d_raw and conv2d run that GEMM in float64 and return
+a (B,C,H,W) view of (C,H,W,B) memory, which the next conv's patch copy reads
+in memory order; conv2d's weight gradient is one GEMM against the same
+patches. The integer path's accumulator (layers.int_conv_acc) builds its
+patches with im2col too, in float32 or float64.
+
+Each output element of these GEMMs sums its C*k*k products along one axis.
+The integer accumulator's sums are exact, so any order gives the same
+result. The float sums round, so a float conv of a batch equals the
+per-image convs bit for bit only while BLAS sums each output's K axis in the
+same order whatever the batch. An AVX-512 build of OpenBLAS 0.3.31 did so
+for every map with H*W a multiple of 8 that was tried, the desk model's
+among them, and differed in the last bit for some others (3x3 maps, say).
 
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
@@ -27,7 +34,6 @@ Inside ``no_grad()`` the same functions run without recording.
 from __future__ import annotations
 
 import contextlib
-import math
 import threading
 from typing import Callable
 
@@ -100,7 +106,9 @@ def _accum(node: Node, g: np.ndarray):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     if node.grad is None:
-        node.grad = g.copy()
+        # keep g's memory order: a conv's input gradient is batch-last, as
+        # the relu mask and the next weight-gradient GEMM that read it are
+        node.grad = g.copy(order="K")
     else:
         node.grad = node.grad + g
 
@@ -243,67 +251,50 @@ def squeeze2x2(a):
 # convolution
 
 
-def _patches(x: np.ndarray, k: int, axis: int, dtype) -> np.ndarray:
-    """Same-padded k x k patch matrix of x, whose rows and columns are axes
-    ``axis`` and ``axis + 1``.
-
-    The axes before ``axis`` stay, the last of them merged with the k*k window
-    offsets; the output positions and every axis after them form the last axis.
-    """
-    shape = x.shape
-    lead, (H, W), trail = shape[:axis], shape[axis : axis + 2], shape[axis + 2 :]
-    pad = (k - 1) // 2
-    xp = np.zeros(lead + (H + 2 * pad, W + 2 * pad) + trail, dtype=dtype)
-    xp[(slice(None),) * axis + (slice(pad, pad + H), slice(pad, pad + W))] = x
-    # sliding_window_view(xp, (H, W), axis=(axis, axis + 1)) without its
-    # per-call checks, which cost more than the copy at batch 1. The window
-    # count n comes from xp's padding, so the view stays in bounds; reshape
-    # makes the one copy.
-    n = 2 * pad + 1
-    st = xp.strides
-    sh, sw = st[axis : axis + 2]
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        lead + (n, n, H, W) + trail,
-        st[:axis] + (sh, sw, sh, sw) + st[axis + 2 :],
-        writeable=False,
-    )
-    return windows.reshape(lead[:-1] + (lead[-1] * n * n, H * W * math.prod(trail)))
-
-
-def im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B,C,H,W) -> (B, C*k*k, H*W) float64 patch matrix with same-padding.
-
-    The layout keeps the batched GEMM transpose-free: y = W_mat @ cols.
-    """
-    return _patches(x, k, 2, np.float64)
-
-
-def im2col_batch_last(x: np.ndarray, k: int, dtype) -> np.ndarray:
-    """(B,C,H,W) -> (C*k*k, H*W*B) patch matrix with same-padding.
+def im2col(x: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(B,C,H,W) -> (C*k*k, H*W*B) patch matrix with same-padding, odd k.
 
     The batch is the fastest axis, so one GEMM y = W_mat @ cols covers every
-    image and its window copy moves runs of W*B elements. It is cheapest when
-    x is a transposed view of a (C,H,W,B) array, as this GEMM's output is.
+    image and the window copy moves runs of W*B elements. It is cheapest when
+    x is a transposed view of a (C,H,W,B) array, as every conv's output is.
     """
-    return _patches(x.transpose(1, 2, 3, 0), k, 1, dtype)
+    xt = x.transpose(1, 2, 3, 0)
+    C, H, W, B = xt.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=dtype)
+    xp[:, pad : pad + H, pad : pad + W] = xt
+    # sliding_window_view(xp, (H, W), axis=(1, 2)) without its per-call
+    # checks, which cost more than the copy at batch 1. The window count n
+    # comes from xp's padding, so the view stays in bounds; reshape makes the
+    # one copy.
+    n = 2 * pad + 1
+    sc, sh, sw, sb = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (C, n, n, H, W, B), (sc, sh, sw, sh, sw, sb), writeable=False
+    )
+    return windows.reshape(C * n * n, H * W * B)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Plain float convolution, stride 1, same padding, odd kernel."""
+    """Plain float convolution, stride 1, same padding, odd kernel: one
+    float64 GEMM over the whole batch. Returns a (B,C_out,H,W) transposed
+    view of a (C_out,H,W,B) array."""
     B, C, H, W = x.shape
     Cout, Cin, k, _ = w.shape
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
-    y = np.matmul(w.reshape(Cout, Cin * k * k), im2col(x, k))
+    y = np.matmul(w.reshape(Cout, Cin * k * k), im2col(x, k, np.float64))
     if b is not None:
         y += b[:, None]
-    return y.reshape(B, Cout, H, W)
+    return y.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
 
 
 def conv2d(x, w, b):
-    """Tape-aware convolution; the input gradient reuses the forward kernel
-    via the flipped-transposed-weights identity (exact for stride 1)."""
+    """Tape-aware convolution with conv2d_raw's forward and output layout.
+
+    The weight gradient is one GEMM over the whole batch; the input gradient
+    reuses the forward kernel via the flipped-transposed-weights identity
+    (exact for stride 1)."""
     xn, wn, bn = _lift(x), _lift(w), _lift(b)
     xv, wv = xn.value, wn.value
     B, C, H, W = xv.shape
@@ -311,18 +302,18 @@ def conv2d(x, w, b):
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
     # the forward GEMM stays here rather than in conv2d_raw: vjp_w reuses cols
-    cols = im2col(xv, k)
+    cols = im2col(xv, k, np.float64)
     y = np.matmul(wv.reshape(Cout, Cin * k * k), cols)
     y += bn.value[:, None]
-    y = y.reshape(B, Cout, H, W)
+    y = y.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
 
     def vjp_x(g):
         w_flip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         return conv2d_raw(g, w_flip, None)
 
     def vjp_w(g):
-        gm = g.reshape(B, Cout, H * W)
-        return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wv.shape)
+        gm = g.transpose(1, 2, 3, 0).reshape(Cout, H * W * B)
+        return np.matmul(gm, cols.T).reshape(wv.shape)
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))

@@ -252,7 +252,13 @@ def deserialize(data: bytes) -> FlowModel:
 
 
 def save_model(model: FlowModel, path: str):
-    """Write the checkpoint, whose trailer is the model's checksum."""
+    """Write the checkpoint, whose trailer is the model's checksum.
+
+    The checksum names the stored float32 values, not ``model``'s float64
+    ones, which can round apart from them under fake quantization. So a
+    container that a model loaded from this file is to read must be
+    compressed by a loaded model too (see the codec docstring).
+    """
     data = serialize(model)
     try:
         with open(path, "wb") as f:

@@ -20,11 +20,20 @@ The int path is the portable one: its residual blocks and output convs
 accumulate integers, which BLAS sums exactly in any order (in float32 or
 float64, as the accumulator bound allows), so its containers are meant to
 decode bit-identically under any BLAS thread count (a test decodes one in a
-process limited to one BLAS thread). The float and fake paths round
+process limited to one BLAS thread); its stems and prior nets are float
+convs, though, so that rests on BLAS as below. The float and fake paths round
 float64 sums whose order BLAS may change, so their containers are only
 guaranteed to decode in the same numeric environment (numpy and BLAS build,
-thread count) that wrote them. The model checksum
-binds the checkpoint and the path, not that environment.
+thread count) that wrote them.
+
+The model checksum names the checkpoint and the path, not that environment,
+nor the in-memory model that wrote the checkpoint: that model computes with
+float64 values the checkpoint stores as float32, and under fake quantization
+the two can round apart. A fake container of the desk fixture compressed
+before ``save_model`` failed its image checksum after decoding under the
+loaded model, with the same model checksum. So a container meant to be read
+by a loaded model must come from a loaded model; two models loaded from one
+checkpoint file agree on every path.
 
 The payload is one chained rANS stream over every image. Chaining amortizes
 the coder's fixed 8-byte flush across the whole container, which per-image
@@ -37,15 +46,23 @@ channel-major, row-major. The encoder pushes that order in reverse.
 
 Both directions are batched across images in fixed slices of FORWARD_SLICE:
 compress runs the flow forward once per slice, and decompress runs each prior
-net and each inverse coupling once per slice of a level. On the float and
-fake paths every conv works image by image (one GEMM per image). On the int
-path each residual-block and output conv folds the whole slice into one
-GEMM (layers.int_conv_acc); only those convs may, because their sums are
-integers that the GEMM's float type holds exactly, in any order. So on
-every path the latents do not depend on the slice size; the fixed slice
-only bounds peak memory. The coder itself is sequential: it pushes and pulls
-one slice of one level at a time, fetching each distinct mass table once per
-such block.
+net and each inverse coupling once per slice of a level. Each conv folds its
+slice into one GEMM (autodiff.im2col), and both directions cut the same
+slices, so each conv sees the same batch on both sides; otherwise the slice
+size only bounds peak memory. Whether the latents also do not depend on the
+slice size differs by conv:
+
+* the int path's residual-block and output convs (layers.int_conv_acc) sum
+  integers that the GEMM's float type holds exactly, so for them it holds
+  by construction;
+* every float conv -- all convs of the float and fake paths, the int path's
+  stems and every prior net -- rounds its sums, so it holds only while BLAS
+  sums each output's K axis in the same order for any batch. Tests check
+  that at desk size (per-image and 70-image forwards equal bit for bit);
+  autodiff's docstring notes map sizes where a BLAS breaks it.
+
+The coder itself is sequential: it pushes and pulls one slice of one level
+at a time, fetching each distinct mass table once per such block.
 
 Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total
@@ -83,8 +100,9 @@ ALPHABET_HALF = 2048
 MU_GRID = 64
 LOG_S_GRID = 16
 S_MIN, S_MAX = 0.02, 512.0
-# Beyond 2**52, round_half_away is inexact and frac keys could leave
-# [-32, 32]; keys_for clips mu far below that (such a latent cannot be coded).
+# keys_for clips mu here, so mu * MU_GRID stays below 2**53 and its int64
+# keys and their float64 quotients are exact: frac keys stay in [-32, 32]
+# (a latent this far out cannot be coded anyway).
 MU_MAX = 2.0**40
 # Images per flow_forward call in compress, and per prior-net and inverse
 # coupling call in decompress. Compressing 1000 desk images on the int path

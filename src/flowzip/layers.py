@@ -11,14 +11,15 @@ Each block runs in one of two engines:
   ``q_mid``, ``wscale``) and is folded into the bias and the double-precision
   requantization. Its 32-bit accumulator (``int_conv_acc``) is one float GEMM
   per conv over the whole batch, on the batch-last patch matrix of
-  ``autodiff.im2col_batch_last``. Every partial sum of that GEMM is an
-  integer of magnitude at most 255 * 128 * 9 * C_in (``_check_acc_bound``):
-  up to 2**24 the GEMM runs in float32, above it in float64 (exact below
-  2**53), and the folded bias and the shortcut join in float64 afterwards.
+  ``autodiff.im2col``, as every float conv is. Every partial sum of that
+  GEMM is an integer of magnitude at most 255 * 128 * 9 * C_in
+  (``_check_acc_bound``): up to 2**24 the GEMM runs in float32, above it in
+  float64 (exact below 2**53), and the folded bias and the shortcut join in
+  float64 afterwards.
   Any summation order, and so any BLAS thread count or batch split, gives
-  the same accumulator; that is why only these convs fold the batch. The
-  accumulators, and the u8 grids ``block_int`` makes from them, are logical
-  (B,C,H,W) views of batch-last (C,H,W,B) arrays.
+  the same accumulator by construction, which the float convs cannot
+  promise. The accumulators, and the u8 grids ``block_int`` makes from them,
+  are logical (B,C,H,W) views of batch-last (C,H,W,B) arrays.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def int_conv_acc(
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
     dtype = np.float32 if gemm_bound <= F32_EXACT else np.float64
     y = np.matmul(
-        w_int.reshape(Cout, Cin * k * k).astype(dtype), ad.im2col_batch_last(values, k, dtype)
+        w_int.reshape(Cout, Cin * k * k).astype(dtype), ad.im2col(values, k, dtype)
     )
     # the bias can exceed F32_EXACT, so it joins in float64
     acc = np.add(y, bhat[:, None], dtype=np.float64)

@@ -8,6 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 LN2 = float(np.log(2.0))
+# The largest double below one half. floor(|x| + 0.5) rounds the sum first,
+# so it misses for 0.49999999999999994 and every odd integer in [2**52, 2**53);
+# floor(|x| + _HALF_DOWN) is exact round-half-away for every finite double.
+_HALF_DOWN = float(np.nextafter(0.5, 0.0))
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
@@ -20,8 +24,8 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x)
     if x.ndim == 0:
         # numpy turns 0-d results into scalars, which have no out= buffer
-        return np.copysign(np.floor(np.abs(x) + 0.5), x)
-    out = np.abs(x) + 0.5  # floor and copysign then work in place
+        return np.copysign(np.floor(np.abs(x) + _HALF_DOWN), x)
+    out = np.abs(x) + _HALF_DOWN  # floor and copysign then work in place
     np.floor(out, out=out)
     return np.copysign(out, x, out=out)
 

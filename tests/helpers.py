@@ -1,7 +1,11 @@
-"""Shared test utilities: finite differences, gradient projections, checkpoint bytes."""
+"""Shared test utilities: finite differences, gradient projections, checkpoint
+bytes, the benchmark's modules."""
 
+import importlib.util
 import math
 import struct
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -11,11 +15,28 @@ from flowzip.data import gen_synth
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import calibrate_activations, calibrate_weights, prune
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name: str):
+    """Import perfbench/<name>.py, which is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def round_half_away_ref(x):
-    # independent reference for the tie rule (ties away from zero)
+    # independent reference for the tie rule (ties away from zero), in exact
+    # rational arithmetic: nothing rounds before the floor
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    out = [
+        math.copysign(math.floor(abs(Fraction(v)) + Fraction(1, 2)), v)
+        for v in x.ravel().tolist()
+    ]
+    return np.array(out, dtype=np.float64).reshape(x.shape)
 
 
 def proj_loss(out: ad.Node, proj: np.ndarray) -> ad.Node:

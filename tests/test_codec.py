@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flowzip import checkpoint, codec
-from flowzip.checkpoint import checksum64, save_model
+from flowzip.checkpoint import checksum64, load_model, save_model
 from flowzip.data import gen_synth
 from flowzip.errors import (
     AlphabetOverflowError,
@@ -23,6 +23,8 @@ from flowzip.errors import (
 )
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import calibrate_activations, calibrate_weights
+
+from helpers import ROOT, load_perfbench
 
 
 def _model(seed=0, spread=0.05, cfg=None):
@@ -72,7 +74,11 @@ def _same_bits(a, b):
 
 
 def test_latents_do_not_depend_on_batch_split():
-    x = gen_synth(4, 5)
+    # every conv folds its batch into one GEMM: the int path's integer convs
+    # are exact in any order, the float convs (all of the float and fake
+    # paths, the int stems and the prior nets) rest on BLAS summing each
+    # output in the same order for any batch, which holds at desk size
+    x = gen_synth(4, 70)
     model = _quantized_model()
     for path in ("float", "fake", "int"):
         whole = model.flow_forward(x, path)
@@ -180,6 +186,42 @@ def test_int_container_is_exact_under_one_blas_thread(tmp_path):
     assert child.returncode == 0, child.stderr
     assert (tmp_path / "decoded.bin").read_bytes() == x.tobytes()
     assert (tmp_path / "again.iodf").read_bytes() == container
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(tmp_path_factory):
+    """The benchmark's stage-5 desk model in memory, and its checkpoint file."""
+    fixture = load_perfbench("fixture")
+    model = fixture.build_model(fixture.desk_config(str(ROOT)), 5)
+    path = str(tmp_path_factory.mktemp("desk") / "model.ckpt")
+    save_model(model, path)
+    return model, path
+
+
+def test_models_loaded_from_one_checkpoint_agree_on_every_path(desk_checkpoint):
+    _, ckpt = desk_checkpoint
+    writer, reader = load_model(ckpt), load_model(ckpt)
+    x = gen_synth(7, 70)
+    for path in ("float", "fake", "int"):
+        container, _ = codec.compress(x, writer, path)
+        assert np.array_equal(codec.decompress(container, reader, path), x), path
+
+
+def test_in_memory_container_under_loaded_model_is_exact_or_refused(desk_checkpoint):
+    # The model id names the float32 checkpoint, and the in-memory model's
+    # float64 values can round apart from it under fake quantization (this
+    # fake container failed its image checksum under the loaded model). The
+    # decoder may refuse such a container but never returns wrong images.
+    model, ckpt = desk_checkpoint
+    loaded = load_model(ckpt)
+    x = gen_synth(7, 70)
+    for path in ("float", "fake", "int"):
+        container, _ = codec.compress(x, model, path)
+        try:
+            back = codec.decompress(container, loaded, path)
+        except FlowzipError:
+            continue
+        assert np.array_equal(back, x), path
 
 
 def test_default_path_follows_the_model():

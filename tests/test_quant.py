@@ -39,6 +39,23 @@ def test_round_half_away_scalar_0d_and_array_match_reference():
     assert np.array_equal(x, before)  # the input is not written
 
 
+def test_round_half_away_is_exact_for_every_double():
+    # |x| + 0.5 rounds before the floor: it took 0.49999999999999994 to 1 and
+    # every odd integer in [2**52, 2**53) to the next even one
+    rng = np.random.default_rng(7)
+    ties = rng.integers(-(2**20), 2**20, 500) + 0.5
+    big = rng.integers(2**51, 2**54, 2000).astype(np.float64)
+    xs = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), big, -big,
+        [0.49999999999999994, -0.49999999999999994, 2.0**52 + 1, 2.0**53 - 1,
+         -(2.0**52) - 3, 5e-324, -5e-324, 1e308, -1e308, 0.0, -0.0],
+    ])
+    got = round_half_away(xs)
+    want = round_half_away_ref(xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_quantize_zero_is_fixed_point():
     p = QuantizerParams(scale=0.37)
     q = quantize(np.zeros((3, 3)), p)

@@ -1,9 +1,6 @@
 """The benchmark's span tracer finds every flowzip name it wraps, and its
 fixture reads the desk config."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,24 +8,13 @@ from flowzip import autodiff, codec, train
 from flowzip.data import gen_synth
 from flowzip.model import FlowConfig, FlowModel
 
-from helpers import gated_int_model
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_perfbench(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import ROOT, gated_int_model, load_perfbench
 
 
 def test_perfbench_span_targets_resolve():
     # A renamed or no longer imported name would only surface as an incorrect
     # traced benchmark run; fail here instead.
-    spans = _load_perfbench("spans")
+    spans = load_perfbench("spans")
     missing = [
         f"{name}: {owner.__name__}.{attr}"
         for name, targets in spans.SPANS.items()
@@ -41,7 +27,7 @@ def test_perfbench_span_targets_resolve():
 def test_perfbench_fixture_reads_the_desk_config():
     # the benchmark's setup parses configs/desk.cfg on every run: a key that
     # TrainConfig no longer knows would fail every workload
-    fixture = _load_perfbench("fixture")
+    fixture = load_perfbench("fixture")
     cfg = fixture.desk_config(str(ROOT))
     assert isinstance(cfg, train.TrainConfig)
     assert fixture.build_model(cfg, 2).gated
@@ -84,7 +70,7 @@ def _one_step_per_objective():
 def test_perfbench_expected_spans_record_calls(run, workloads):
     # Calls move between spans as kernels are shared; a span in EXPECTED that
     # records nothing would otherwise show up only in a traced benchmark run.
-    spans = _load_perfbench("spans")
+    spans = load_perfbench("spans")
     with spans.Tracer() as tracer:
         run()
     for workload in workloads:
