@@ -252,12 +252,10 @@ def deserialize(data: bytes) -> FlowModel:
 
 
 def save_model(model: FlowModel, path: str):
-    """Write the checkpoint, whose trailer is the model's checksum.
-
-    The checksum names the stored float32 values, not ``model``'s float64
-    ones, which can round apart from them under fake quantization. So a
-    container that a model loaded from this file is to read must be
-    compressed by a loaded model too (see the codec docstring).
+    """Write the checkpoint, whose trailer is the model's checksum, then set
+    every array it stores to the float32 value written. So ``model`` and
+    ``load_model(path)`` compute the same on every path; later training
+    continues from the stored values.
     """
     data = serialize(model)
     try:
@@ -265,6 +263,9 @@ def save_model(model: FlowModel, path: str):
             f.write(data)
     except OSError as e:
         raise UsageError(f"cannot write checkpoint: {e}") from e
+    for kind, _, node, keep in _named_entries(model):
+        if kind != KIND_INDEX:
+            node.value[keep] = node.value[keep].astype(np.float32)
 
 
 def load_model(path: str) -> FlowModel:

@@ -24,16 +24,8 @@ process limited to one BLAS thread); its stems and prior nets are float
 convs, though, so that rests on BLAS as below. The float and fake paths round
 float64 sums whose order BLAS may change, so their containers are only
 guaranteed to decode in the same numeric environment (numpy and BLAS build,
-thread count) that wrote them.
-
-The model checksum names the checkpoint and the path, not that environment,
-nor the in-memory model that wrote the checkpoint: that model computes with
-float64 values the checkpoint stores as float32, and under fake quantization
-the two can round apart. A fake container of the desk fixture compressed
-before ``save_model`` failed its image checksum after decoding under the
-loaded model, with the same model checksum. So a container meant to be read
-by a loaded model must come from a loaded model; two models loaded from one
-checkpoint file agree on every path.
+thread count) that wrote them. The model checksum names the checkpoint and
+the path, not that environment.
 
 The payload is one chained rANS stream over every image. Chaining amortizes
 the coder's fixed 8-byte flush across the whole container, which per-image
@@ -62,7 +54,9 @@ slice size differs by conv:
   autodiff's docstring notes map sizes where a BLAS breaks it.
 
 The coder itself is sequential: it pushes and pulls one slice of one level
-at a time, fetching each distinct mass table once per such block.
+at a time. ``_block_tables`` hands it each such block as the block's
+distinct mass tables, each fetched once, and the index of every symbol's
+table among them (the inverse of one ``np.unique`` over the table keys).
 
 Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total
@@ -171,12 +165,14 @@ def _plan_tensor(values: np.ndarray, mu, log_s):
     return sym.astype(np.int64), frac, ls
 
 
-def _block_tables(cache: PriorTableCache, frac: np.ndarray, ls: np.ndarray) -> list[MassTable]:
-    """One table per symbol of a block, fetching each distinct key once."""
+def _block_tables(
+    cache: PriorTableCache, frac: np.ndarray, ls: np.ndarray
+) -> tuple[list[MassTable], np.ndarray]:
+    """A block's distinct tables, each key fetched once, and the index of
+    each symbol's table among them: the form the coder takes a block in."""
     # keys_for clips log s, so |ls| < 2048 and the combined keys cannot collide
     _, first, inverse = np.unique(frac * 4096 + ls, return_index=True, return_inverse=True)
-    distinct = [cache.get(int(frac[i]), int(ls[i])) for i in first]
-    return [distinct[i] for i in inverse.tolist()]
+    return [cache.get(int(frac[i]), int(ls[i])) for i in first], inverse
 
 
 def _decode_order(levels: int) -> list[int]:
@@ -229,7 +225,7 @@ def compress(
     enc = RansEncoder()
     for li in reversed(_decode_order(len(model.levels))):
         for syms, fracs, lss in reversed(plans[li]):
-            enc.push(syms.tolist(), _block_tables(cache, fracs, lss))
+            enc.push(syms, *_block_tables(cache, fracs, lss))
     payload = enc.payload()
 
     header = MAGIC + struct.pack(
@@ -266,7 +262,7 @@ def _parse_container(container: bytes):
 def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> np.ndarray:
     """Decode one block of latents of the given shape under (mu, log s)."""
     k, frac, ls = keys_for(shape, mu, log_s)
-    syms = np.asarray(dec.pull(_block_tables(cache, frac, ls)), dtype=np.int64)
+    syms = np.asarray(dec.pull(*_block_tables(cache, frac, ls)), dtype=np.int64)
     return (syms - ALPHABET_HALF + k).reshape(shape)
 
 

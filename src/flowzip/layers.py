@@ -20,6 +20,10 @@ Each block runs in one of two engines:
   the same accumulator by construction, which the float convs cannot
   promise. The accumulators, and the u8 grids ``block_int`` makes from them,
   are logical (B,C,H,W) views of batch-last (C,H,W,B) arrays.
+  ``block_int`` works on the same memory as channel-major (C, H*W*B) rows
+  (``channel_rows``): each accumulator's epilogue is a chain of in-place
+  float64 passes over its rows (``requantize``: multiply, clip, round), and
+  kept and gated-off channels are gathered and scattered as whole rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from . import quant
 from .errors import DataFormatError
-from .numerics import round_half_away
+from .numerics import round_half_away, round_half_away_nonneg
 from .quant import MIN_SCALE, QuantizerParams, init_scale
 
 KERNEL = 3
@@ -132,9 +136,23 @@ def int_conv_acc(
     y = np.matmul(
         w_int.reshape(Cout, Cin * k * k).astype(dtype), ad.im2col(values, k, dtype)
     )
-    # the bias can exceed F32_EXACT, so it joins in float64
-    acc = np.add(y, bhat[:, None], dtype=np.float64)
-    return acc.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
+    # the bias can exceed F32_EXACT, so it joins in float64, in the buffer
+    # the GEMM result is cast to
+    acc = y.astype(np.float64, copy=False)
+    acc += bhat[:, None]
+    return grid_view(acc, B, H, W)
+
+
+def channel_rows(grid: np.ndarray) -> np.ndarray:
+    """A (B,C,H,W) grid as the (C, H*W*B) rows of its batch-last array: a
+    view for every accumulator and grid of the int path, a copy otherwise."""
+    B, C, H, W = grid.shape
+    return grid.transpose(1, 2, 3, 0).reshape(C, H * W * B)
+
+
+def grid_view(rows: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
+    """The (B,C,H,W) view of channel-major (C, H*W*B) rows."""
+    return rows.reshape(-1, H, W, B).transpose(3, 0, 1, 2)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
@@ -145,12 +163,17 @@ def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
     return bhat
 
 
-def requantize(
-    acc: np.ndarray, m: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Rescale an integer accumulator by m (double precision), round, clip."""
-    y = round_half_away(acc * m)
-    return np.clip(y, lo, hi, out=y)
+def requantize(acc: np.ndarray, m) -> np.ndarray:
+    """Rescale a float64 accumulator by m (double precision) onto the u8
+    grid, in place: the result overwrites ``acc`` and is returned.
+
+    Multiply, clip to [0, 255], then round: the clip leaves no negative
+    values, so ``round_half_away_nonneg`` applies, and this equals
+    round-half-away-then-clip up to the sign of zeros.
+    """
+    np.multiply(acc, m, out=acc)
+    np.clip(acc, 0, 255, out=acc)
+    return round_half_away_nonneg(acc)
 
 
 @dataclass
@@ -238,7 +261,8 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
     The producer requantized directly onto this block's input grid.
     Gated-off channels bypass the accumulator and requantize the shortcut
     directly; only the kept filters (``kept_sets``) enter the GEMMs, so the
-    work follows the gates.
+    work follows the gates. Both kinds of channel are gathered and scattered
+    as whole rows of the channel-major array.
     """
     sa = float(blk.q_in.value[0])
     kept_a, kept_b = blk.kept_sets()
@@ -252,22 +276,21 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
     s_mid = float(blk.q_mid.value[0])
     s_next = float(next_scale)
 
-    # batch-last like int_conv_acc's output, so the next block's patch copy
-    # reads it in memory order
     B, C, H, W = values.shape
-    out = np.empty((C, H, W, B)).transpose(3, 0, 1, 2)
+    rows = channel_rows(values)
+    out = np.empty_like(rows)
     if len(kept_b):
-        acc1 = int_conv_acc(values, wa, fold_bias(ba, swa, sa))
-        h = requantize(acc1, (swa * sa / s_mid)[None, :, None, None], 0, 255)
-        acc2 = int_conv_acc(h, wb, fold_bias(bb, swb, s_mid))
+        acc1 = channel_rows(int_conv_acc(values, wa, fold_bias(ba, swa, sa)))
+        h = grid_view(requantize(acc1, (swa * sa / s_mid)[:, None]), B, H, W)
+        acc2 = channel_rows(int_conv_acc(h, wb, fold_bias(bb, swb, s_mid)))
         # shortcut joins the 32-bit accumulator in conv B's unit system
-        short_unit = sa / (swb * s_mid)
-        acc2 += round_half_away(values[:, kept_b] * short_unit[None, :, None, None])
-        out[:, kept_b] = requantize(acc2, (swb * s_mid / s_next)[None, :, None, None], 0, 255)
-    off = np.setdiff1d(np.arange(blk.width), kept_b, assume_unique=True)
-    if len(off):
-        out[:, off] = requantize(values[:, off], np.float64(sa / s_next), 0, 255)
-    return out
+        acc2 += round_half_away_nonneg(rows[kept_b] * (sa / (swb * s_mid))[:, None])
+        out[kept_b] = requantize(acc2, (swb * s_mid / s_next)[:, None])
+    off = np.ones(C, dtype=bool)
+    off[kept_b] = False
+    if off.any():
+        out[off] = requantize(rows[off], sa / s_next)
+    return grid_view(out, B, H, W)
 
 
 def calibrate_activation(node: ad.Node, tensor: np.ndarray):

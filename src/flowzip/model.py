@@ -142,7 +142,8 @@ class CouplingNet:
         sw = self.out.wscale.value
         sx = float(self.q_out.value[0])
         acc = int_conv_acc(q, self.out.quantized_weight(), fold_bias(self.out.b.value, sw, sx))
-        return acc * (sw * sx)[None, :, None, None]
+        acc *= (sw * sx)[None, :, None, None]
+        return acc
 
 
 class CouplingLayer:

@@ -30,6 +30,13 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray | float:
     return np.copysign(out, x, out=out)
 
 
+def round_half_away_nonneg(x: np.ndarray) -> np.ndarray:
+    """round_half_away of a float64 array with no negative values, in place:
+    there floor(x + _HALF_DOWN) alone is exact, with no abs or copysign."""
+    x += _HALF_DOWN
+    return np.floor(x, out=x)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid."""
     x = np.asarray(x, dtype=np.float64)
@@ -46,15 +53,21 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def log1mexp(t: np.ndarray) -> np.ndarray:
-    """log(1 - exp(-t)) for t > 0, stable near both ends."""
+    """log(1 - exp(-t)) for t > 0, stable near both ends.
+
+    Each branch runs only where it applies (``where=``), not on every
+    element, and in place on one buffer.
+    """
     t = np.asarray(t, dtype=np.float64)
     small = t < LN2
+    large = ~small
+    out = np.negative(t, out=np.empty_like(t))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            small,
-            np.log(-np.expm1(-np.where(small, t, 1.0))),
-            np.log1p(-np.exp(-np.where(small, 1.0, t))),
-        )
+        np.expm1(out, out=out, where=small)
+        np.exp(out, out=out, where=large)
+        np.negative(out, out=out)
+        np.log(out, out=out, where=small)
+        np.log1p(out, out=out, where=large)
     return out
 
 

@@ -3,6 +3,17 @@
 The coder keeps a single integer state in [2**31, 2**63), emitting 32-bit
 words on renormalization. Encoding is stack-like (last pushed, first
 decoded), so streams are encoded in reverse of the decoder's symbol order.
+The state stays in that interval only if each table's total M divides 2**31,
+so the encoder refuses other tables.
+
+A block is coded as its distinct tables plus a per-symbol index into them.
+``RansEncoder.push`` gathers every symbol's frequency, cumulative sum and
+renormalization threshold with one numpy index over the tables laid end to
+end; ``RansDecoder.pull`` bisects a list of the cumulative sums of each
+table's core, the symbols of frequency above one, and decodes the
+frequency-one tails without a search. Both loops run inline over Python
+ints. ``rans_encode_step`` and ``rans_decode_step`` are the reference for
+one step of each loop.
 
 Mass tables hold integer frequencies F over a contiguous symbol alphabet
 [lo, hi] with sum(F) == M exactly and F >= 1 everywhere, so any in-alphabet
@@ -26,6 +37,9 @@ from .numerics import sigmoid
 
 RANS_L = 1 << 31  # lower bound of the normalization interval
 WORD_MASK = 0xFFFFFFFF
+# RansEncoder.push holds a block's per-symbol entries as Python ints this
+# many symbols at a time, which bounds their memory
+PUSH_CHUNK = 4096
 
 
 @dataclass
@@ -174,21 +188,55 @@ class RansEncoder:
         self.state = RANS_L
         self.words = array("I")  # emitted 32-bit words, in emission order
 
-    def push(self, syms, tables):
-        """Push a block of symbols, one table each, so that a decoder pulls
-        them back in the given order."""
+    def push(self, syms, tables, index):
+        """Push a block of symbols so that a decoder pulls them back in the
+        given order; symbol i is coded under ``tables[index[i]]``."""
+        syms = np.asarray(syms, dtype=np.int64)
+        index = np.asarray(index, dtype=np.intp)
+        sizes = np.array([len(t.F) for t in tables], dtype=np.int64)
+        if len(syms) != len(index):
+            raise DataFormatError("need exactly one table index per symbol")
+        if any(RANS_L % t.M for t in tables):
+            raise DataFormatError("a coding table's total mass must divide 2**31")
+        if not len(syms):
+            return
+        if syms.min() < 0 or np.any(syms >= sizes[index]):
+            raise DataFormatError("symbol outside its table's alphabet")
+        # the tables' rows laid end to end, so one index gathers every
+        # symbol's entries; reversed, since the stack pushes back to front
+        rev = index[::-1]
+        at = (np.cumsum(sizes) - sizes)[rev] + syms[::-1]
+        F = np.concatenate([t.F for t in tables])[at].astype(np.uint64)
+        C = np.concatenate([t.C[:-1] for t in tables])[at]
+        M = np.array([t.M for t in tables], dtype=np.int64)[rev]
+        # the state must be below base * F before a step; that is below 2**63
+        thresholds = np.array([t.renorm_base for t in tables], dtype=np.uint64)[rev] * F
         x, words = self.state, self.words
-        for sym, table in zip(reversed(syms), reversed(tables)):
-            threshold = table.renorm_base * table.Fv[sym]
-            while x >= threshold:
-                words.append(x & WORD_MASK)
-                x >>= 32
-            x = rans_encode_step(x, sym, table)
+        for i in range(0, len(at), PUSH_CHUNK):
+            part = slice(i, i + PUSH_CHUNK)
+            for f, c, threshold, m in zip(
+                F[part].tolist(), C[part].tolist(), thresholds[part].tolist(), M[part].tolist()
+            ):
+                while x >= threshold:
+                    words.append(x & WORD_MASK)
+                    x >>= 32
+                x = (x // f) * m + c + x % f  # rans_encode_step
         self.state = x
 
     def payload(self) -> bytes:
         """The emitted words followed by the final 64-bit state."""
         return np.asarray(self.words, dtype="<u4").tobytes() + struct.pack("<Q", self.state)
+
+
+def _core(t: MassTable) -> tuple:
+    """What RansDecoder.pull bisects in ``t``: the cumulative sums, as a
+    list, of its core [a, b), the symbols from the first to the last of
+    frequency above one; with a, C[a], C[b], b and M. Every symbol outside
+    the core has frequency one, so C[s] = s below it and C[s] = C[b] + s - b
+    above it, and a tail symbol decodes without a search."""
+    above = np.flatnonzero(t.F > 1)
+    a, b = (int(above[0]), int(above[-1]) + 1) if len(above) else (0, 0)
+    return t.C[a : b + 1].tolist(), a, int(t.C[a]), int(t.C[b]), b, t.M
 
 
 class RansDecoder:
@@ -205,12 +253,23 @@ class RansDecoder:
         self.words = memoryview(words.astype(np.uint32, copy=False))
         self.wpos = len(self.words)
 
-    def pull(self, tables) -> list[int]:
-        """Pull one symbol per table, in push order."""
+    def pull(self, tables, index) -> list[int]:
+        """Pull one symbol per entry of ``index``, in push order; symbol i
+        is decoded under ``tables[index[i]]``."""
+        index = np.asarray(index, dtype=np.intp)
+        cores = [_core(t) for t in tables]
         x, words, wpos = self.state, self.words, self.wpos
         out = []
-        for table in tables:
-            sym, x = rans_decode_step(x, table)
+        for C, a, lo, hi, b, M in map(cores.__getitem__, index.tolist()):
+            cf = x % M  # rans_decode_step
+            if lo <= cf < hi:
+                sym = bisect_right(C, cf) - 1
+                c = C[sym]
+                x = (x // M) * (C[sym + 1] - c) + cf - c
+                sym += a
+            else:  # a tail symbol: its frequency is one and its C is cf
+                sym = cf if cf < lo else b + cf - hi
+                x //= M
             while x < RANS_L:
                 if wpos == 0:
                     raise CorruptStreamError("coder state underflow: truncated payload")
@@ -229,12 +288,25 @@ class RansDecoder:
             raise CorruptStreamError("coder state did not return to its initial value")
 
 
+def _distinct_tables(tables: list[MassTable]) -> tuple[list[MassTable], list[int]]:
+    """A per-symbol table list as its distinct tables and an index into them."""
+    slots: dict[int, int] = {}
+    distinct = []
+    index = []
+    for t in tables:
+        i = slots.setdefault(id(t), len(distinct))
+        if i == len(distinct):
+            distinct.append(t)
+        index.append(i)
+    return distinct, index
+
+
 def encode_stream(symbols, tables: list[MassTable]) -> bytes:
     """Encode one symbol per table; empty input yields the 8-byte state."""
     if len(symbols) != len(tables):
         raise DataFormatError("need exactly one mass table per symbol")
     enc = RansEncoder()
-    enc.push([int(s) for s in symbols], tables)
+    enc.push(symbols, *_distinct_tables(tables))
     return enc.payload()
 
 
@@ -242,6 +314,6 @@ def decode_stream(payload: bytes, tables: list[MassTable]) -> list[int]:
     """Inverse of encode_stream; validates full word consumption and the
     final state returning to the initial bound."""
     dec = RansDecoder(payload)
-    out = dec.pull(tables)
+    out = dec.pull(*_distinct_tables(tables))
     dec.finish()
     return out

@@ -207,21 +207,27 @@ def test_models_loaded_from_one_checkpoint_agree_on_every_path(desk_checkpoint):
         assert np.array_equal(codec.decompress(container, reader, path), x), path
 
 
-def test_in_memory_container_under_loaded_model_is_exact_or_refused(desk_checkpoint):
-    # The model id names the float32 checkpoint, and the in-memory model's
-    # float64 values can round apart from it under fake quantization (this
-    # fake container failed its image checksum under the loaded model). The
-    # decoder may refuse such a container but never returns wrong images.
+def test_in_memory_container_decodes_exactly_under_loaded_model(desk_checkpoint):
+    # save_model sets the model to the float32 values it writes, so the
+    # model and the one loaded from its file compute the same on every path
+    # (before, a fake container of these images failed its image checksum)
     model, ckpt = desk_checkpoint
     loaded = load_model(ckpt)
     x = gen_synth(7, 70)
     for path in ("float", "fake", "int"):
         container, _ = codec.compress(x, model, path)
-        try:
-            back = codec.decompress(container, loaded, path)
-        except FlowzipError:
-            continue
-        assert np.array_equal(back, x), path
+        assert np.array_equal(codec.decompress(container, loaded, path), x), path
+        assert container == codec.compress(x, loaded, path)[0], path
+
+
+def test_reference_container_is_byte_identical():
+    # the benchmark's byte-identity gate, in Tier-1: the stage-5 fixture
+    # compresses its reference input, gen_synth(20220617, 64), on the int
+    # path to the same container bytes
+    fixture = load_perfbench("fixture")
+    model = fixture.build_model(fixture.desk_config(str(ROOT)), 5)
+    container, _ = codec.compress(gen_synth(20220617, 64), model, "int")
+    assert fixture.digest(container) == "bd465187134bbdc55f52ebafb9dbe7ef"
 
 
 def test_default_path_follows_the_model():

@@ -23,6 +23,7 @@ from flowzip.layers import (
     requantize,
 )
 from flowzip.model import FlowConfig, FlowModel
+from flowzip.numerics import round_half_away
 from flowzip.train import prune
 
 from helpers import gated_int_model
@@ -32,11 +33,11 @@ RNG = np.random.default_rng(7)
 
 def _int_conv(values, sx, layer, s_y):
     """One int-path conv as block_int composes it: int8 GEMM, folded bias,
-    double-precision rescale onto the signed output grid of step s_y."""
+    double-precision rescale onto the u8 output grid of step s_y."""
     sw = layer.wscale.value
     bhat = fold_bias(layer.b.value, sw, sx)
     acc = int_conv_acc(values, layer.quantized_weight(), bhat)
-    return requantize(acc, (sw * sx / s_y)[None, :, None, None], -128, 127)
+    return requantize(acc, (sw * sx / s_y)[None, :, None, None])
 
 
 def test_conv_zero_kernel():
@@ -113,7 +114,7 @@ def test_int_conv_hand_example():
     assert bhat[0] == 1
     acc = int_conv_acc(np.full((1, 1, 1, 1), 3), np.full((1, 1, 1, 1), 2.0), bhat)
     assert acc[0, 0, 0, 0] == 7
-    y = requantize(acc, np.array([1.0 * 0.5 / 0.25])[None, :, None, None], -128, 127)
+    y = requantize(acc, np.array([1.0 * 0.5 / 0.25])[None, :, None, None])
     assert y[0, 0, 0, 0] == 14
     assert y[0, 0, 0, 0] * 0.25 == 3.5
     float_ref = 2.0 * 1.5 + 0.25
@@ -142,16 +143,42 @@ def test_int_conv_error_bound_vs_float():
         ref = ad.conv2d_raw(values * s_x, w_deq, layer.b.value)
         bound = 0.5 * s_y + 0.5 * float(layer.wscale.value.max()) * s_x + 1e-12
         # reference uses the quantized weights; clipped outputs are excluded
-        inside = np.abs(got / s_y) < 127
+        inside = (got > 0) & (got < 255 * s_y)
         assert np.max(np.abs(got - ref)[inside]) <= bound
 
 
 def test_relu_int():
     # the int path's ReLU is requantize's unsigned [0, 255] clip
     acc = np.array([-5.0, 3.0, -0.4, 300.0])
-    assert list(requantize(acc, np.float64(1.0), 0, 255)) == [0, 3, 0, 255]
-    assert np.all(requantize(np.array([-1.0, -2.0]), np.float64(0.5), 0, 255) == 0)
-    assert list(requantize(np.array([4.0, 7.0]), np.float64(1.0), 0, 255)) == [4, 7]
+    assert list(requantize(acc, np.float64(1.0))) == [0, 3, 0, 255]
+    assert np.all(requantize(np.array([-1.0, -2.0]), np.float64(0.5)) == 0)
+    assert list(requantize(np.array([4.0, 7.0]), np.float64(1.0))) == [4, 7]
+
+
+def _requantize_cases():
+    ties = np.arange(-3, 260) + 0.5
+    return np.concatenate([
+        ties,
+        np.nextafter(ties, -np.inf),
+        np.nextafter(ties, np.inf),
+        # large negatives, values above 255, and the exact-integer edges
+        -np.logspace(0, 300, 40), np.logspace(np.log10(255.0), 300, 40),
+        [-0.0, 0.0, 255.0],
+        np.nextafter([0.0, 255.0], -np.inf), np.nextafter([0.0, 255.0], np.inf),
+    ])
+
+
+@pytest.mark.parametrize("m", [1.0, 0.5, 2.0])
+def test_requantize_is_round_half_away_then_clip(m):
+    # clip-then-floor(y + _HALF_DOWN) in place equals the specification,
+    # round half away from zero, then clip, on every tie and its neighbours;
+    # m is a power of two, so acc * m gives the cases back exactly
+    acc = _requantize_cases() / m
+    want = np.clip(round_half_away(acc * m), 0, 255)
+    got = requantize(acc.copy(), np.float64(m))
+    assert np.array_equal(got, want)
+    buf = acc.copy()
+    assert requantize(buf, np.float64(m)) is buf  # in place
 
 
 def _random_block(width):
@@ -249,14 +276,44 @@ def test_int_block_close_to_float_block():
     assert np.max(err[~clipped]) <= 4 * s_next
 
 
-def test_int_block_gated_matches_pruned_exactly():
+def _block_int_reference(values, blk, s_next):
+    """block_int's specification, unfused: int64 convs over the kept filters,
+    round half away then clip, and channels scattered by index."""
+    sa, s_mid = float(blk.q_in.value[0]), float(blk.q_mid.value[0])
+    ka, kb = blk.kept_sets()
+    swa, swb = blk.conv_a.wscale.value[ka], blk.conv_b.wscale.value[kb]
+    wa = blk.conv_a.quantized_weight()[ka]
+    wb = blk.conv_b.quantized_weight()[kb][:, ka]
+
+    def rq(acc, m):
+        return np.clip(round_half_away(acc * m), 0, 255)
+
+    def per_channel(v):
+        return v[None, :, None, None]
+
+    out = rq(values, sa / s_next)
+    if len(kb):
+        acc1 = _int64_conv(values, wa, fold_bias(blk.conv_a.b.value[ka], swa, sa))
+        h = rq(acc1, per_channel(swa * sa / s_mid))
+        acc2 = _int64_conv(h, wb, fold_bias(blk.conv_b.b.value[kb], swb, s_mid))
+        acc2 = acc2 + round_half_away(values[:, kb] * per_channel(sa / (swb * s_mid)))
+        out[:, kb] = rq(acc2, per_channel(swb * s_mid / s_next))
+    return out
+
+
+@pytest.mark.parametrize("gates", ["random", "all_on", "all_off"])
+@pytest.mark.parametrize("batch", [2, 64])
+def test_int_block_gated_matches_pruned_exactly(gates, batch):
     # the block of a gated model, and the same block after a pruned checkpoint
-    # save and load (kept filters only on disk, zero-padded back at load)
+    # save and load (kept filters only on disk, zero-padded back at load),
+    # both equal to the unfused reference, on contiguous and batch-last grids
     blk, x = _calibrated_block(seed=5)
+    if batch != len(x):
+        x = np.abs(np.random.default_rng(batch).normal(0, 1.5, (batch,) + x.shape[1:]))
     blk.attach_gates(0.8)
     rng = np.random.default_rng(1)
-    blk.conv_a.gate.node.value[:] = rng.uniform(0, 1, 8)
-    blk.conv_b.gate.node.value[:] = rng.uniform(0, 1, 8)
+    for gate in (blk.conv_a.gate, blk.conv_b.gate):
+        gate.node.value[:] = {"random": rng.uniform(0, 1, 8), "all_on": 0.9, "all_off": 0.1}[gates]
     model = FlowModel(FlowConfig(hidden=8, couplings=1, blocks=1), seed=0)
     model.attach_gates(0.8)
     model.act_quant = model.weight_quant = True
@@ -265,14 +322,17 @@ def test_int_block_gated_matches_pruned_exactly():
     pruned = deserialize(serialize(prune(gated)))
     gated_blk = gated.levels[0].couplings[0].net.blocks[0]
     pruned_blk = pruned.levels[0].couplings[0].net.blocks[0]
-    assert 0 < len(pruned_blk.kept_sets()[1]) < 8
+    kept_b = len(pruned_blk.kept_sets()[1])
+    assert {"random": 0 < kept_b < 8, "all_on": kept_b == 8, "all_off": kept_b == 0}[gates]
 
     s_in = float(gated_blk.q_in.value[0])
     assert float(pruned_blk.q_in.value[0]) == s_in
     q = np.clip(np.round(x / s_in), 0, 255)
-    y_gated = block_int(q, gated_blk, 0.9 * s_in)
-    y_pruned = block_int(q, pruned_blk, 0.9 * s_in)
-    assert np.array_equal(y_gated, y_pruned)
+    want = _block_int_reference(q, gated_blk, 0.9 * s_in)
+    batch_last = np.ascontiguousarray(q.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    for grid in (q, batch_last):
+        assert np.array_equal(block_int(grid, gated_blk, 0.9 * s_in), want)
+        assert np.array_equal(block_int(grid, pruned_blk, 0.9 * s_in), want)
 
 
 def test_int_round_trip_keeps_every_block_on_the_u8_grid(monkeypatch):

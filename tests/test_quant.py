@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowzip.numerics import round_half_away
+from flowzip.numerics import round_half_away, round_half_away_nonneg
 from flowzip.quant import (
     QuantizerParams,
     grad_rescale,
@@ -54,6 +54,11 @@ def test_round_half_away_is_exact_for_every_double():
     want = round_half_away_ref(xs)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the in-place form for non-negative arrays agrees wherever it applies
+    nonneg = xs[xs >= 0]
+    buf = nonneg.copy()
+    assert round_half_away_nonneg(buf) is buf
+    assert np.array_equal(buf, round_half_away_ref(nonneg))
 
 
 def test_quantize_zero_is_fixed_point():

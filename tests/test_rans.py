@@ -1,5 +1,7 @@
 """Entropy coder: mass tables, single steps, streams, optimality."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,13 @@ def _table(freqs):
     F = np.asarray(freqs, dtype=np.int64)
     C = np.concatenate([[0], np.cumsum(F)])
     return MassTable(lo=0, hi=len(F) - 1, F=F, C=C, M=int(F.sum()))
+
+
+def _coding_table(freqs):
+    """A table over freqs plus one symbol that pads the total to a power of
+    two, as the coder needs (the total must divide RANS_L)."""
+    pad = (1 << (sum(freqs) - 1).bit_length()) - sum(freqs)
+    return _table(freqs + [pad] if pad else freqs)
 
 
 def test_mass_table_hand_example():
@@ -190,13 +199,98 @@ def test_stream_roundtrip(data):
     freqs = data.draw(
         st.lists(st.integers(1, 200), min_size=n_sym, max_size=n_sym)
     )
-    t = _table(freqs)
+    t = _coding_table(freqs)
     length = data.draw(st.integers(0, 200))
     symbols = data.draw(
         st.lists(st.integers(0, n_sym - 1), min_size=length, max_size=length)
     )
     payload = encode_stream(symbols, [t] * length)
     assert decode_stream(payload, [t] * length) == symbols
+
+
+def _reference_encode(symbols, tables):
+    """encode_stream's specification: rans_encode_step once per symbol, back
+    to front, each step after emitting low words while x >= (L // M << 32) * F."""
+    x, words = RANS_L, []
+    for sym, t in zip(reversed(symbols), reversed(tables)):
+        while x >= ((RANS_L // t.M) << 32) * int(t.F[sym]):
+            words.append(x & 0xFFFFFFFF)
+            x >>= 32
+        x = rans_encode_step(x, sym, t)
+    return np.asarray(words, dtype="<u4").tobytes() + struct.pack("<Q", x)
+
+
+def _reference_decode(payload, tables):
+    """decode_stream's specification: rans_decode_step once per symbol, each
+    step followed by reading words back to front while x < L."""
+    words = np.frombuffer(payload[:-8], dtype="<u4").tolist()
+    (x,) = struct.unpack("<Q", payload[-8:])
+    out = []
+    for t in tables:
+        sym, x = rans_decode_step(x, t)
+        while x < RANS_L:
+            x = (x << 32) | words.pop()
+        out.append(sym)
+    assert not words and x == RANS_L
+    return out
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_stream_matches_per_symbol_reference(data):
+    # blocks that mix up to four tables; every symbol's mass is at most M/2,
+    # so each step at least doubles the state and any 64 symbols emit a
+    # renormalization word
+    tables = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        freqs = data.draw(st.lists(st.integers(1, 3000), min_size=1, max_size=12))
+        tables.append(_coding_table(freqs + [max(freqs)]))
+    length = data.draw(st.integers(0, 300))
+    which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=length, max_size=length))
+    per_symbol = [tables[i] for i in which]
+    symbols = [data.draw(st.integers(0, len(t.F) - 1)) for t in per_symbol]
+
+    payload = encode_stream(symbols, per_symbol)
+    assert payload == _reference_encode(symbols, per_symbol)
+    assert decode_stream(payload, per_symbol) == _reference_decode(payload, per_symbol) == symbols
+    if length >= 64:
+        assert len(payload) > 8
+    if len(payload) > 8:
+        # without its first-emitted word the decoder runs out of words
+        with pytest.raises(CorruptStreamError):
+            decode_stream(payload[4:], per_symbol)
+
+
+def test_stream_decodes_core_and_tail_symbols():
+    # pull bisects only a table's core, from its first to its last symbol of
+    # frequency above one, and decodes the frequency-one tails directly:
+    # codec-sized tables with long tails, a table that is all tail, and
+    # tables whose core reaches one end or both
+    rng = np.random.default_rng(2)
+    distinct = [
+        mass_table(float(rng.normal(0, 3)), float(rng.uniform(0.5, 9)), -2048, 2047, 1 << 20)
+        for _ in range(3)
+    ] + [_table([1] * 8), _table([1, 1, 5, 9]), _table([7, 1, 1, 7]), _table([2, 1, 1, 4])]
+    which = rng.integers(0, len(distinct), 600)
+    per_symbol = [distinct[i] for i in which]
+    # each table's end symbols, its middle (in the codec tables' core) and any
+    symbols = [
+        int(rng.choice([0, len(t.F) - 1, len(t.F) // 2, rng.integers(len(t.F))]))
+        for t in per_symbol
+    ]
+    payload = encode_stream(symbols, per_symbol)
+    assert payload == _reference_encode(symbols, per_symbol)
+    assert decode_stream(payload, per_symbol) == _reference_decode(payload, per_symbol) == symbols
+
+
+def test_push_refuses_totals_that_do_not_divide_rans_l():
+    # with M = 6 the step can leave the state below RANS_L, and the decoder
+    # then reads a word that was never written: 32 zeros under F = [3, 3]
+    # once made a payload whose final state was out of range
+    with pytest.raises(DataFormatError):
+        encode_stream([0] * 32, [_table([3, 3])] * 32)
+    padded = [_coding_table([3, 3])] * 32  # total 8
+    assert decode_stream(encode_stream([0] * 32, padded), padded) == [0] * 32
 
 
 def test_mixed_tables_roundtrip():
