@@ -10,13 +10,13 @@ gradient tests check each against central finite differences.
 The plain-array kernels behind some ops (space_to_depth/depth_to_space,
 im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
 run, so the tape and the codec share one implementation of each. Every
-convolution is a patch matrix then one GEMM over the whole batch: im2col
-pads the input and makes one strided copy of its sliding windows, with the
-batch innermost. conv2d_raw and conv2d run that GEMM in float64 and return
-a (B,C,H,W) view of (C,H,W,B) memory, which the next conv's patch copy reads
-in memory order; conv2d's weight gradient is one GEMM against the same
-patches. The integer path's accumulator (layers.int_conv_acc) builds its
-patches with im2col too, in float32 or float64.
+convolution runs one kernel, conv_gemm: im2col copies the padded input's
+sliding windows once, batch innermost, and one GEMM over the whole batch
+makes (C_out, H*W*B) rows. conv2d_raw, the tape conv2d (whose weight
+gradient is one GEMM against the same patches) and the integer accumulator
+layers.int_conv_acc are epilogues on it. grid_view shows such rows as a
+(B,C,H,W) view of (C,H,W,B) memory, which the next patch copy reads in
+memory order; channel_rows turns that view back into rows.
 
 Each output element of these GEMMs sums its C*k*k products along one axis.
 The integer accumulator's sums are exact, so any order gives the same
@@ -275,50 +275,59 @@ def im2col(x: np.ndarray, k: int, dtype) -> np.ndarray:
     return windows.reshape(C * n * n, H * W * B)
 
 
-def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Plain float convolution, stride 1, same padding, odd kernel: one
-    float64 GEMM over the whole batch. Returns a (B,C_out,H,W) transposed
-    view of a (C_out,H,W,B) array."""
-    B, C, H, W = x.shape
+def channel_rows(grid: np.ndarray) -> np.ndarray:
+    """(B,C,H,W) -> (C, H*W*B) rows: a view of a grid_view, a copy otherwise."""
+    B, C, H, W = grid.shape
+    return grid.transpose(1, 2, 3, 0).reshape(C, H * W * B)
+
+
+def grid_view(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """(C, H*W*B) rows -> their (B,C,H,W) view, with B, H, W from ``shape``."""
+    B, _, H, W = shape
+    return rows.reshape(rows.shape[0], H, W, B).transpose(3, 0, 1, 2)
+
+
+def conv_gemm(x: np.ndarray, w: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every conv's forward GEMM, in ``dtype``: its (C_out, H*W*B) rows and the patches."""
+    C = x.shape[1]
     Cout, Cin, k, _ = w.shape
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
-    y = np.matmul(w.reshape(Cout, Cin * k * k), im2col(x, k, np.float64))
+    cols = im2col(x, k, dtype)
+    # C_in*k*k, not -1, sizes the zero-input kernel of conv B after an all-off conv A
+    return np.matmul(w.reshape(Cout, Cin * k * k).astype(dtype, copy=False), cols), cols
+
+
+def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Float conv, stride 1, same padding, odd kernel: float64 conv_gemm + bias."""
+    y, _ = conv_gemm(x, w, np.float64)
     if b is not None:
         y += b[:, None]
-    return y.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
+    return grid_view(y, x.shape)
 
 
 def conv2d(x, w, b):
     """Tape-aware convolution with conv2d_raw's forward and output layout.
 
-    The weight gradient is one GEMM over the whole batch; the input gradient
-    reuses the forward kernel via the flipped-transposed-weights identity
-    (exact for stride 1)."""
+    The weight gradient is one GEMM against the forward patches; the input
+    gradient reuses the forward kernel via the flipped-transposed-weights
+    identity (exact for stride 1)."""
     xn, wn, bn = _lift(x), _lift(w), _lift(b)
     xv, wv = xn.value, wn.value
-    B, C, H, W = xv.shape
-    Cout, Cin, k, _ = wv.shape
-    if C != Cin:
-        raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
-    # the forward GEMM stays here rather than in conv2d_raw: vjp_w reuses cols
-    cols = im2col(xv, k, np.float64)
-    y = np.matmul(wv.reshape(Cout, Cin * k * k), cols)
+    y, cols = conv_gemm(xv, wv, np.float64)
     y += bn.value[:, None]
-    y = y.reshape(Cout, H, W, B).transpose(3, 0, 1, 2)
 
     def vjp_x(g):
         w_flip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         return conv2d_raw(g, w_flip, None)
 
     def vjp_w(g):
-        gm = g.transpose(1, 2, 3, 0).reshape(Cout, H * W * B)
-        return np.matmul(gm, cols.T).reshape(wv.shape)
+        return np.matmul(channel_rows(g), cols.T).reshape(wv.shape)
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))
 
-    return _make(y, (xn, wn, bn), (vjp_x, vjp_w, vjp_b))
+    return _make(grid_view(y, xv.shape), (xn, wn, bn), (vjp_x, vjp_w, vjp_b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
-CLI exit-code mapping: UsageError -> 1, DataFormatError -> 2,
-VerificationError -> 3.
+CLI exit-code mapping: UsageError -> 1, VerificationError -> 3, every
+other FlowzipError -> 2: DataFormatError, AlphabetOverflowError,
+StageTimeoutError and DivergenceError.
 """
 
 
@@ -35,3 +36,7 @@ class AlphabetOverflowError(FlowzipError):
 
 class StageTimeoutError(FlowzipError):
     """A training stage hit its epoch cap before meeting its stop condition."""
+
+
+class DivergenceError(FlowzipError):
+    """A training step's loss was not finite; the stage stops before its checkpoint."""

@@ -9,21 +9,21 @@ Each block runs in one of two engines:
   integer grids (``quant.quantize``), held as integral float64 arrays; each
   grid's real scale stays with the quantizer that owns it (``q_in``,
   ``q_mid``, ``wscale``) and is folded into the bias and the double-precision
-  requantization. Its 32-bit accumulator (``int_conv_acc``) is one float GEMM
-  per conv over the whole batch, on the batch-last patch matrix of
-  ``autodiff.im2col``, as every float conv is. Every partial sum of that
-  GEMM is an integer of magnitude at most 255 * 128 * 9 * C_in
-  (``_check_acc_bound``): up to 2**24 the GEMM runs in float32, above it in
-  float64 (exact below 2**53), and the folded bias and the shortcut join in
-  float64 afterwards.
+  requantization. Its 32-bit accumulator (``int_conv_acc``) is the one
+  float GEMM per conv over the whole batch that every float conv runs too,
+  ``autodiff.conv_gemm``. Every partial sum of that GEMM is an integer of
+  magnitude at most 255 * 128 * 9 * C_in (``_check_acc_bound``): up to
+  2**24 the GEMM runs in float32, above it in float64 (exact below 2**53),
+  and the folded bias and the shortcut join in float64 afterwards.
   Any summation order, and so any BLAS thread count or batch split, gives
   the same accumulator by construction, which the float convs cannot
   promise. The accumulators, and the u8 grids ``block_int`` makes from them,
   are logical (B,C,H,W) views of batch-last (C,H,W,B) arrays.
-  ``block_int`` works on the same memory as channel-major (C, H*W*B) rows
-  (``channel_rows``): each accumulator's epilogue is a chain of in-place
-  float64 passes over its rows (``requantize``: multiply, clip, round), and
-  kept and gated-off channels are gathered and scattered as whole rows.
+  ``block_int`` works on the same memory as the channel-major (C, H*W*B)
+  rows that ``autodiff.channel_rows`` gives: each accumulator's epilogue is
+  a chain of in-place float64 passes over its rows (``requantize``:
+  multiply, clip, round), and kept and gated-off channels are gathered and
+  scattered as whole rows.
 """
 
 from __future__ import annotations
@@ -100,10 +100,14 @@ class ConvLayer:
         s = 2.0 * flat.mean(axis=1) / np.sqrt(255.0)
         self.wscale.value[...] = np.maximum(s, MIN_SCALE)
 
-    def effective_weight(self, weight_quant: bool):
-        if weight_quant:
-            return ad.fake_quantize(self.w, self.wscale, signed=True)
-        return self.w
+    def forward_sim(self, x, weight_quant: bool):
+        """The conv on the tape: fake-quantized weights when asked, and the
+        binarized gate mask on the output channels of a gated conv."""
+        w = ad.fake_quantize(self.w, self.wscale, signed=True) if weight_quant else self.w
+        y = ad.conv2d(x, w, self.b)
+        if self.gate is not None:
+            y = ad.mul(y, ad.reshape(ad.binarize_ste(self.gate.node), (1, -1, 1, 1)))
+        return y
 
     def quantized_weight(self) -> np.ndarray:
         """The int8 weight grid; its per-output-channel scale is ``wscale``."""
@@ -122,37 +126,17 @@ def _check_acc_bound(c_in: int, bhat: np.ndarray) -> int:
 def int_conv_acc(
     values: np.ndarray, w_int: np.ndarray, bhat: np.ndarray
 ) -> np.ndarray:
-    """Integer convolution accumulator over integral float64 grids (exact).
-
-    values (B,C,H,W) in, float64 (B,C_out,H,W) out: a transposed view of a
-    (C_out,H,W,B) array, which the next call reads back without a strided copy.
-    """
+    """Integer convolution accumulator over integral float64 grids (exact):
+    the float64 ``grid_view`` of ``autodiff.conv_gemm``'s rows plus the bias,
+    which the next call reads back without a strided copy."""
     gemm_bound = _check_acc_bound(w_int.shape[1], bhat)
-    B, C, H, W = values.shape
-    Cout, Cin, k, _ = w_int.shape
-    if C != Cin:
-        raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
     dtype = np.float32 if gemm_bound <= F32_EXACT else np.float64
-    y = np.matmul(
-        w_int.reshape(Cout, Cin * k * k).astype(dtype), ad.im2col(values, k, dtype)
-    )
+    y, _ = ad.conv_gemm(values, w_int, dtype)
     # the bias can exceed F32_EXACT, so it joins in float64, in the buffer
     # the GEMM result is cast to
     acc = y.astype(np.float64, copy=False)
     acc += bhat[:, None]
-    return grid_view(acc, B, H, W)
-
-
-def channel_rows(grid: np.ndarray) -> np.ndarray:
-    """A (B,C,H,W) grid as the (C, H*W*B) rows of its batch-last array: a
-    view for every accumulator and grid of the int path, a copy otherwise."""
-    B, C, H, W = grid.shape
-    return grid.transpose(1, 2, 3, 0).reshape(C, H * W * B)
-
-
-def grid_view(rows: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
-    """The (B,C,H,W) view of channel-major (C, H*W*B) rows."""
-    return rows.reshape(-1, H, W, B).transpose(3, 0, 1, 2)
+    return ad.grid_view(acc, values.shape)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
@@ -237,21 +221,12 @@ def block_sim(
         if calibrate:
             calibrate_activation(blk.q_in, ad.value_of(x))
         a = ad.fake_quantize(x, blk.q_in, signed=False)
-    h = ad.conv2d(a, blk.conv_a.effective_weight(weight_quant), blk.conv_a.b)
-    if blk.conv_a.gate is not None:
-        mask = ad.binarize_ste(blk.conv_a.gate.node)
-        h = ad.mul(h, ad.reshape(mask, (1, -1, 1, 1)))
-    h = ad.relu(h)
+    h = ad.relu(blk.conv_a.forward_sim(a, weight_quant))
     if act_quant:
         if calibrate:
             calibrate_activation(blk.q_mid, ad.value_of(h))
         h = ad.fake_quantize(h, blk.q_mid, signed=False)
-    r = ad.conv2d(h, blk.conv_b.effective_weight(weight_quant), blk.conv_b.b)
-    if blk.conv_b.gate is not None:
-        mask = ad.binarize_ste(blk.conv_b.gate.node)
-        r = ad.mul(r, ad.reshape(mask, (1, -1, 1, 1)))
-    y = ad.add(a, r)
-    return ad.relu(y)
+    return ad.relu(ad.add(a, blk.conv_b.forward_sim(h, weight_quant)))
 
 
 def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.ndarray:
@@ -276,21 +251,20 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
     s_mid = float(blk.q_mid.value[0])
     s_next = float(next_scale)
 
-    B, C, H, W = values.shape
-    rows = channel_rows(values)
+    rows = ad.channel_rows(values)
     out = np.empty_like(rows)
     if len(kept_b):
-        acc1 = channel_rows(int_conv_acc(values, wa, fold_bias(ba, swa, sa)))
-        h = grid_view(requantize(acc1, (swa * sa / s_mid)[:, None]), B, H, W)
-        acc2 = channel_rows(int_conv_acc(h, wb, fold_bias(bb, swb, s_mid)))
+        acc1 = ad.channel_rows(int_conv_acc(values, wa, fold_bias(ba, swa, sa)))
+        h = ad.grid_view(requantize(acc1, (swa * sa / s_mid)[:, None]), values.shape)
+        acc2 = ad.channel_rows(int_conv_acc(h, wb, fold_bias(bb, swb, s_mid)))
         # shortcut joins the 32-bit accumulator in conv B's unit system
         acc2 += round_half_away_nonneg(rows[kept_b] * (sa / (swb * s_mid))[:, None])
         out[kept_b] = requantize(acc2, (swb * s_mid / s_next)[:, None])
-    off = np.ones(C, dtype=bool)
+    off = np.ones(len(rows), dtype=bool)
     off[kept_b] = False
     if off.any():
         out[off] = requantize(rows[off], sa / s_next)
-    return grid_view(out, B, H, W)
+    return ad.grid_view(out, values.shape)
 
 
 def calibrate_activation(node: ad.Node, tensor: np.ndarray):

@@ -114,15 +114,14 @@ class CouplingNet:
         """u holds raw latent values (integral); returns the net output Node."""
         aq, wq = ctx.act_quant, ctx.weight_quant
         v = ad.add_const(ad.scale(u, NET_INPUT_SCALE), -1.0)
-        h = ad.relu(ad.conv2d(v, self.stem.w, self.stem.b))
+        h = ad.relu(self.stem.forward_sim(v, False))
         for blk in self.blocks:
             h = block_sim(h, blk, aq, wq, calibrate=ctx.calibrate)
         if ctx.calibrate and aq:
             calibrate_activation(self.q_out, h.value)
         if aq:
             h = ad.fake_quantize(h, self.q_out, signed=False)
-        w_eff = self.out.effective_weight(wq)
-        return ad.conv2d(h, w_eff, self.out.b)
+        return self.out.forward_sim(h, wq)
 
     def forward_int(self, u: np.ndarray) -> np.ndarray:
         """Integer path: u8 grids between the (float) stem and the output.

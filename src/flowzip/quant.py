@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_finite, round_half_away
+from .numerics import require_finite, round_half_away, round_half_away_nonneg
 
 SIGNED_LO, SIGNED_HI = -128, 127
 UNSIGNED_LO, UNSIGNED_HI = 0, 255
@@ -62,10 +62,12 @@ def quantize(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
     """Clip r/scale to the integer range and round half-away-from-zero.
 
     Returns the integer grid as integral float64 values in [p.lo, p.hi].
+    The unsigned clip leaves no negatives, so it rounds in place (-0.0 becomes 0.0).
     """
     r = require_finite(np.asarray(r, dtype=np.float64), "quantizer input")
-    s = p.scale_view(r.ndim)
-    return round_half_away(np.clip(r / s, p.lo, p.hi))
+    q = np.asarray(r / p.scale_view(r.ndim))  # a 0-d quotient is a scalar
+    np.clip(q, p.lo, p.hi, out=q)
+    return round_half_away(q) if p.signed else round_half_away_nonneg(q)
 
 
 def init_scale(r: np.ndarray) -> float:

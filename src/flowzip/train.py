@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters
-from .errors import DataFormatError, StageTimeoutError, UsageError
+from .errors import DataFormatError, DivergenceError, StageTimeoutError, UsageError
 from .layers import KERNEL
 from .model import FlowConfig, FlowModel
 from .quant import MIN_SCALE
@@ -326,19 +326,28 @@ class Trainer:
             n += len(chunk)
         return total / n
 
-    def _epoch(self, model, optimizer, objective) -> float:
+    def _epoch(self, model, optimizer, objective, stage: int, epoch: int):
+        """One pass over the training set. A non-finite loss raises
+        DivergenceError before its step updates anything, and so does a
+        parameter that the last step left non-finite, which no checkpoint
+        may hold. These checks replace numpy's overflow warnings."""
+        where = f"training diverged at stage {stage} epoch {epoch}"
         order = self.rng.permutation(len(self.train_x))
-        losses = []
         bs = self.cfg.batch_size
-        for i in range(0, len(order), bs):
-            batch = self.train_x[order[i : i + bs]]
-            optimizer.zero_grad()
-            loss = objective(batch)
-            ad.backward(loss)
-            optimizer.step()
-            clamp_auxiliary(model)
-            losses.append(float(loss.value))
-        return float(np.mean(losses))
+        with np.errstate(all="ignore"):
+            for i in range(0, len(order), bs):
+                batch = self.train_x[order[i : i + bs]]
+                optimizer.zero_grad()
+                loss = objective(batch)
+                value = float(loss.value)
+                if not np.isfinite(value):
+                    raise DivergenceError(f"{where}: loss is {value}")
+                ad.backward(loss)
+                optimizer.step()
+                clamp_auxiliary(model)
+        for grp in optimizer.groups.values():
+            if not all(np.isfinite(p.value).all() for p in grp["params"]):
+                raise DivergenceError(f"{where}: a parameter is not finite")
 
     def _report(self, stage, epoch, bpd, flops, lr):
         self.log(f"stage={stage} epoch={epoch} bpd={bpd:.4f} flops={flops} lr={lr:.6g}")
@@ -353,7 +362,7 @@ class Trainer:
         best, since_best = np.inf, 0
         flops = calculate_flops(model, self.train_x.shape[2:])
         for epoch in range(epochs):
-            self._epoch(model, opt, lambda b: loss_bpd(b, model))
+            self._epoch(model, opt, lambda b: loss_bpd(b, model), stage, epoch)
             opt.decay(self.cfg.lr_decay)
             bpd = self.eval_bpd(model, self.val_x)
             history.append(bpd)
@@ -407,7 +416,7 @@ class Trainer:
                     f"at {flops} FLOPs (target {target:.0f}); "
                     f"flops history: {history}"
                 )
-            self._epoch(model, opt, lambda b: gated_objective(b, model, lambdas)[0])
+            self._epoch(model, opt, lambda b: gated_objective(b, model, lambdas)[0], 2, epoch)
             opt.decay(self.cfg.lr_decay)
             lambdas = lambdas * self.cfg.lambda_ramp
             flops = calculate_flops(model, hw)
@@ -415,7 +424,7 @@ class Trainer:
             history.append((bpd, flops))
             self._report(2, epoch, bpd, flops, opt.groups["gate"]["lr"])
             epoch += 1
-        bpd = self.eval_bpd(model, self.val_x)
+        bpd = history[-1][0] if history else self.eval_bpd(model, self.val_x)
         model.stage = 2
         self.records.append(StageRecord(2, epoch, bpd, flops, history))
 

@@ -18,6 +18,15 @@ from flowzip.train import calibrate_activations, calibrate_weights, prune
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# A tiny run whose first Adamax step throws the weights out of range, so a
+# later step of stage 1's first epoch has a non-finite loss.
+DIVERGING_CONFIG = dict(
+    levels=2, couplings=1, hidden=4, blocks=1, train_count=16, val_count=4,
+    batch_size=8, epochs_stage1=2, epochs_stage3=1, epochs_stage4=1,
+    epochs_stage5=1, r_target=1.0, calib_count=8, lr=1e30,
+)
+
+
 def load_perfbench(name: str):
     """Import perfbench/<name>.py, which is not a package."""
     spec = importlib.util.spec_from_file_location(
@@ -37,6 +46,21 @@ def round_half_away_ref(x):
         for v in x.ravel().tolist()
     ]
     return np.array(out, dtype=np.float64).reshape(x.shape)
+
+
+def u8_rounding_cases() -> np.ndarray:
+    """Values that probe rounding onto the u8 grid: every tie k + 0.5 around
+    [0, 255] with both float neighbours, large values of either sign, and
+    the edges 0 and 255 (both zeros) with their neighbours."""
+    ties = np.arange(-3, 260) + 0.5
+    return np.concatenate([
+        ties,
+        np.nextafter(ties, -np.inf),
+        np.nextafter(ties, np.inf),
+        -np.logspace(0, 300, 40), np.logspace(np.log10(255.0), 300, 40),
+        [-0.0, 0.0, 255.0],
+        np.nextafter([0.0, 255.0], -np.inf), np.nextafter([0.0, 255.0], np.inf),
+    ])
 
 
 def proj_loss(out: ad.Node, proj: np.ndarray) -> ad.Node:

@@ -70,21 +70,30 @@ def test_batched_convs_equal_per_image_calls(batch, c_in):
 
 
 def test_each_conv_builds_one_patch_matrix_per_batch(monkeypatch):
-    calls = []
-    im2col = ad.im2col
+    # every conv is an epilogue on the one kernel: one conv_gemm call, and
+    # through it one im2col call, per conv per batch
+    calls = {"im2col": [], "conv_gemm": []}
+    for name in calls:
+        kernel = getattr(ad, name)
 
-    def counting(x, k, dtype):
-        calls.append(x.shape)
-        return im2col(x, k, dtype)
+        def counting(x, arg, dtype, name=name, kernel=kernel):
+            calls[name].append(x.shape)
+            return kernel(x, arg, dtype)
 
-    monkeypatch.setattr(ad, "im2col", counting)
+        monkeypatch.setattr(ad, name, counting)
     x = RNG.normal(0, 1, (7, 2, 4, 4))
     w = RNG.normal(0, 0.5, (3, 2, 3, 3))
     b = np.zeros(3)
-    ad.conv2d_raw(x, w, b)
-    ad.conv2d(x, w, b)
-    int_conv_acc(RNG.integers(0, 256, (7, 2, 4, 4)).astype(float), np.ones((3, 2, 3, 3)), b)
-    assert calls == [(7, 2, 4, 4)] * 3
+    grid = RNG.integers(0, 256, (7, 2, 4, 4)).astype(float)
+    for conv in (
+        lambda: ad.conv2d_raw(x, w, b),
+        lambda: ad.conv2d(x, w, b),
+        lambda: int_conv_acc(grid, np.ones((3, 2, 3, 3)), b),
+    ):
+        for seen in calls.values():
+            seen.clear()
+        conv()
+        assert calls == {"im2col": [(7, 2, 4, 4)], "conv_gemm": [(7, 2, 4, 4)]}
 
 
 def test_conv2d_1x1_kernel():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,7 @@ from flowzip.errors import DataFormatError
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import TrainConfig
 
-from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
+from helpers import DIVERGING_CONFIG, HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
 
 
 @pytest.fixture()
@@ -208,6 +209,18 @@ def test_train_and_config_file(tmp_path, capsys):
     assert os.path.exists(out) and os.path.exists(out + ".stage1.ckpt")
     lines = capsys.readouterr().out
     assert re.search(r"stage=1 epoch=0 bpd=\d+\.\d+ flops=\d+ lr=", lines)
+
+
+def test_diverging_training_is_one_error_line_and_no_checkpoint(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in DIVERGING_CONFIG.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would reach stderr
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: training diverged at stage 1")
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 def test_bad_config_key_is_data_error(tmp_path):

@@ -26,7 +26,7 @@ from flowzip.model import FlowConfig, FlowModel
 from flowzip.numerics import round_half_away
 from flowzip.train import prune
 
-from helpers import gated_int_model
+from helpers import gated_int_model, u8_rounding_cases
 
 RNG = np.random.default_rng(7)
 
@@ -53,7 +53,7 @@ def test_conv_dirac_kernel_is_identity():
 
 
 def test_conv_channel_mismatch():
-    for conv in (ad.conv2d_raw, int_conv_acc):
+    for conv in (ad.conv2d_raw, ad.conv2d, int_conv_acc):
         with pytest.raises(ValueError):
             conv(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
 
@@ -155,25 +155,12 @@ def test_relu_int():
     assert list(requantize(np.array([4.0, 7.0]), np.float64(1.0))) == [4, 7]
 
 
-def _requantize_cases():
-    ties = np.arange(-3, 260) + 0.5
-    return np.concatenate([
-        ties,
-        np.nextafter(ties, -np.inf),
-        np.nextafter(ties, np.inf),
-        # large negatives, values above 255, and the exact-integer edges
-        -np.logspace(0, 300, 40), np.logspace(np.log10(255.0), 300, 40),
-        [-0.0, 0.0, 255.0],
-        np.nextafter([0.0, 255.0], -np.inf), np.nextafter([0.0, 255.0], np.inf),
-    ])
-
-
 @pytest.mark.parametrize("m", [1.0, 0.5, 2.0])
 def test_requantize_is_round_half_away_then_clip(m):
     # clip-then-floor(y + _HALF_DOWN) in place equals the specification,
     # round half away from zero, then clip, on every tie and its neighbours;
     # m is a power of two, so acc * m gives the cases back exactly
-    acc = _requantize_cases() / m
+    acc = u8_rounding_cases() / m
     want = np.clip(round_half_away(acc * m), 0, 255)
     got = requantize(acc.copy(), np.float64(m))
     assert np.array_equal(got, want)

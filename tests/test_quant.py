@@ -15,7 +15,7 @@ from flowzip.quant import (
     scale_grad_branches,
 )
 
-from helpers import round_half_away_ref
+from helpers import round_half_away_ref, u8_rounding_cases
 
 
 def test_round_ties_away_from_zero():
@@ -88,6 +88,20 @@ def test_quantize_rejects_bad_inputs():
         QuantizerParams(scale=0.0)
     with pytest.raises(ValueError):
         QuantizerParams(scale=-1.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 2.0])
+def test_unsigned_quantize_is_round_half_away_of_the_clip(s):
+    # the unsigned grid rounds its clipped quotient in place with
+    # round_half_away_nonneg; s is a power of two, so r / s gives the cases
+    # back exactly
+    r = u8_rounding_cases() * s
+    want = round_half_away(np.clip(r / s, 0, 255))
+    got = quantize(r, QuantizerParams(scale=s, signed=False))
+    assert np.array_equal(got, want)
+    grid = quantize(r.reshape(1, -1, 1, 1), QuantizerParams(scale=s, signed=False))
+    assert np.array_equal(grid.ravel(), want)
+    assert quantize(np.asarray(r[0]), QuantizerParams(scale=s, signed=False)) == want[0]
 
 
 def test_per_channel_scale_broadcasts():

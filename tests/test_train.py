@@ -8,7 +8,7 @@ import pytest
 from flowzip import autodiff as ad
 from flowzip.checkpoint import deserialize, named_parameters, serialize
 from flowzip.data import gen_synth
-from flowzip.errors import StageTimeoutError
+from flowzip.errors import DivergenceError, StageTimeoutError
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.quant import MIN_SCALE
 from flowzip.train import (
@@ -24,7 +24,7 @@ from flowzip.train import (
     run_pipeline,
 )
 
-from helpers import check_gradient, gated_int_model, stored_arrays
+from helpers import DIVERGING_CONFIG, check_gradient, gated_int_model, stored_arrays
 
 
 class _StubModel:
@@ -238,6 +238,21 @@ def test_stage2_timeout_raises_with_diagnostics():
     data = gen_synth(cfg.seed, 12)
     with pytest.raises(StageTimeoutError, match="flops"):
         run_pipeline(cfg, data[:8], data[8:], last_stage=2, log=lambda s: None)
+
+
+@pytest.mark.parametrize("change, found", [
+    ({}, "loss is nan"),
+    # one step per epoch, whose update overflows: the next loss comes too late
+    ({"lr": 1e308, "train_count": 8, "epochs_stage1": 1}, "a parameter is not finite"),
+])
+def test_diverging_run_stops_before_any_checkpoint(change, found):
+    cfg = TrainConfig(**{**DIVERGING_CONFIG, **change})
+    data = gen_synth(cfg.seed, cfg.train_count + cfg.val_count)
+    stages = []
+    with pytest.raises(DivergenceError, match=f"stage 1 epoch 0: {found}"):
+        run_pipeline(cfg, data[: cfg.train_count], data[cfg.train_count :],
+                     log=lambda s: None, checkpoint_cb=lambda model, stage: stages.append(stage))
+    assert stages == []
 
 
 def test_flops_are_counted_at_the_training_images_size():
