@@ -127,16 +127,29 @@ def _train_val(cfg: TrainConfig, data_dir):
     return images[: cfg.train_count], images[cfg.train_count :]
 
 
-def _check_out_dir(path: str):
-    """Fail before training when the checkpoint at ``path`` could not be written."""
+def _check_out_dir(path: str, what: str):
+    """Fail before any training or coding when the ``what`` file at ``path``
+    could not be written."""
     directory = os.path.dirname(path) or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise UsageError(f"cannot write checkpoint: {directory} is not a writable directory")
+        raise UsageError(f"cannot write {what}: {directory} is not a writable directory")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {what}: {path} is a directory")
+
+
+def _make_image_dir(directory: str):
+    """Create ``directory`` for image files; called before any work, so an
+    unwritable ``--out`` fails first."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot write images: {e}") from e
+    if not os.access(directory, os.W_OK):
+        raise UsageError(f"cannot write images: {directory} is not writable")
 
 
 def _write_images(directory: str, images: np.ndarray, fmt: str):
     try:
-        os.makedirs(directory, exist_ok=True)
         for i, img in enumerate(images):
             data.write_image(os.path.join(directory, f"img_{i:05d}.{fmt}"), img)
     except OSError as e:
@@ -144,6 +157,7 @@ def _write_images(directory: str, images: np.ndarray, fmt: str):
 
 
 def cmd_gen_synth(args) -> int:
+    _make_image_dir(args.out)
     images = data.gen_synth(args.seed, args.count, args.height, args.width)
     _write_images(args.out, images, args.format)
     print(f"wrote {len(images)} images to {args.out}")
@@ -151,7 +165,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, "checkpoint")
     cfg = _load_config(args.config, args.seed)
     train_x, val_x = _train_val(cfg, args.data)
 
@@ -168,6 +182,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    _check_out_dir(args.out, "container")
     model = load_model(args.checkpoint)
     images = _load_inputs(args.inputs)
     container, stats = codec.compress(images, model, args.path)
@@ -184,6 +199,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    _make_image_dir(args.out)
     model = load_model(args.checkpoint)
     try:
         with open(args.container, "rb") as f:
@@ -238,6 +254,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    _check_out_dir(args.out, "checkpoint")
     model = load_model(args.checkpoint)
     pruned = prune(model)
     # every level's pixel count scales with H*W, so the ratio holds at any size
@@ -252,7 +269,7 @@ def cmd_prune(args) -> int:
 def cmd_quantize(args) -> int:
     from .train import Trainer
 
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, "checkpoint")
     cfg = _load_config(args.config, args.seed)
     model = load_model(args.checkpoint)
     if model.pruned:

@@ -111,7 +111,15 @@ class ConvLayer:
 
     def quantized_weight(self) -> np.ndarray:
         """The int8 weight grid; its per-output-channel scale is ``wscale``."""
-        return quant.quantize(self.w.value, QuantizerParams(scale=self.wscale.value))
+        return _weight_grid(self.w.value, self.wscale.value)
+
+
+def _weight_grid(w: np.ndarray, wscale: np.ndarray) -> np.ndarray:
+    """The int8 grid of the (C_out, ...) weights ``w`` at the per-row scales
+    ``wscale``. Quantization works element by element, so rows and columns
+    taken from a conv's weight quantize as they do in the whole tensor."""
+    # the explicit shape keeps a single row, or none, on axis 0
+    return quant.quantize(w, QuantizerParams(scale=wscale.reshape(-1, 1, 1, 1)))
 
 
 def _check_acc_bound(c_in: int, bhat: np.ndarray) -> int:
@@ -241,11 +249,13 @@ def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.n
     """
     sa = float(blk.q_in.value[0])
     kept_a, kept_b = blk.kept_sets()
-    wa = blk.conv_a.quantized_weight()[kept_a]
+    # only what the GEMMs read is quantized: conv A's kept rows, and conv B's
+    # kept rows at conv A's kept columns
     swa = blk.conv_a.wscale.value[kept_a]
+    wa = _weight_grid(blk.conv_a.w.value[kept_a], swa)
     ba = blk.conv_a.b.value[kept_a]
-    wb = blk.conv_b.quantized_weight()[kept_b][:, kept_a]
     swb = blk.conv_b.wscale.value[kept_b]
+    wb = _weight_grid(blk.conv_b.w.value[kept_b][:, kept_a], swb)
     bb = blk.conv_b.b.value[kept_b]
 
     s_mid = float(blk.q_mid.value[0])

@@ -20,11 +20,17 @@ Mass tables hold integer frequencies F over a contiguous symbol alphabet
 symbol is encodable no matter how badly the model mispredicts it. They are
 built by a largest-remainder rule over tie groups (see mass_table) in
 vectorized steps, since every codec call builds each distinct table it
-needs afresh.
+needs afresh. A build evaluates only the window of symbols near mu whose
+frequency can leave the floor of one, a few hundred of the codec's 4,096 at
+its usual scales; beyond it every target mass is below TAU/2 and every
+frequency is one. When the units that flooring leaves over cannot all go to
+the window's remainders of at least TAU, the build reruns over the whole
+alphabet, so every table equals the full-alphabet build bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from array import array
 from bisect import bisect_right
@@ -40,6 +46,9 @@ WORD_MASK = 0xFFFFFFFF
 # RansEncoder.push holds a block's per-symbol entries as Python ints this
 # many symbols at a time, which bounds their memory
 PUSH_CHUNK = 4096
+# mass_table's remainder floor: outside its window every symbol's target mass
+# is below TAU/2, and only remainders of at least TAU are ranked there
+TAU = 1 / 16
 
 
 @dataclass
@@ -69,43 +78,57 @@ class MassTable:
         return float(np.sum(counts * -np.log2(self.F / self.M)))
 
 
-def _raw_probabilities(mu: float, s: float, lo: int, hi: int) -> np.ndarray:
-    """Tail-collapsed discretized logistic over [lo, hi].
+def _raw_probabilities(mu: float, s: float, lo: int, hi: int, a: int, b: int) -> np.ndarray:
+    """Tail-collapsed discretized logistic over [lo, hi], at the symbols a..b.
 
     Interior masses come from the stable log-pmf; the boundary symbols absorb
     their whole tails. The two edge expressions mirror each other exactly so
-    integer-centered tables come out palindromic.
+    integer-centered tables come out palindromic. Each symbol's mass is
+    computed on its own, so a window gives the same values as the whole
+    alphabet does at those symbols.
     """
     from .autodiff import logistic_logpmf_raw
 
-    z = np.arange(lo, hi + 1, dtype=np.float64)
+    z = np.arange(a, b + 1, dtype=np.float64)
     # At a subnormal s, 1/s overflows: a symbol away from mu then has both
     # boundary arguments at -inf and a NaN log-mass. Its mass is zero.
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp2(logistic_logpmf_raw(z, mu, np.log(s)))
-        p[0] = sigmoid(np.asarray((lo + 0.5 - mu) / s))
-        p[-1] = sigmoid(np.asarray(-(hi - 0.5 - mu) / s))
+        if a == lo:
+            p[0] = sigmoid(np.asarray((lo + 0.5 - mu) / s))
+        if b == hi:
+            p[-1] = sigmoid(np.asarray(-(hi - 0.5 - mu) / s))
     p[np.isnan(p)] = 0.0
     return p
 
 
-def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int):
-    """Add the units that flooring left over to F, in place.
+def _window(mu: float, s: float, lo: int, hi: int, M: int) -> tuple[int, int]:
+    """The symbols a..b within s*ln(2M/TAU) + 1 of mu, clipped to [lo, hi];
+    the whole alphabet when mu lies outside it (see mass_table)."""
+    r = s * math.log(2 * M / TAU) + 1
+    if not lo <= mu <= hi or r >= hi - lo:
+        return lo, hi
+    return max(lo, math.ceil(mu - r)), min(hi, math.floor(mu + r))
 
-    The symbols are ranked by remainder, largest first (ties in index
-    order), and cut into tie groups of equal remainder. A group takes one
-    unit per symbol only if the whole group fits in what is left over
-    (all-or-none, which keeps tables of integer- and half-integer-centred
-    priors symmetric); a group that does not fit is skipped and the next
-    ones are tried. The leading run of groups whose cumulative size fits is
-    served in one step, and only the few groups after the first misfit are
-    stepped through. Any residue goes to the largest-frequency symbol.
+
+def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int, min_rem: float) -> int:
+    """Add the units that flooring left over to F, in place, and return the
+    units that could not be placed.
+
+    The symbols whose remainder is at least ``min_rem`` are ranked by
+    remainder, largest first (ties in index order), and cut into tie groups
+    of equal remainder. A group takes one unit per symbol only if the whole
+    group fits in what is left over (all-or-none, which keeps tables of
+    integer- and half-integer-centred priors symmetric); a group that does
+    not fit is skipped and the next ones are tried. The leading run of
+    groups whose cumulative size fits is served in one step, and only the
+    few groups after the first misfit are stepped through.
     """
-    K = len(F)
-    order = np.argsort(-rem, kind="stable")
+    eligible = np.flatnonzero(rem >= min_rem)
+    order = eligible[np.argsort(-rem[eligible], kind="stable")]
     ranked = rem[order]
     # ends[g]: one past the last ranked symbol of tie group g
-    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, K)
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(order))
     # groups 0..g-1 all fit; group g (if any) is the first that does not
     g = int(np.searchsorted(ends, leftover, side="right"))
     served = int(ends[g - 1]) if g else 0
@@ -119,8 +142,7 @@ def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int):
         g += int(fits[0]) + 1
         F[order[ends[g - 1] : ends[g]]] += 1
         leftover -= int(sizes[fits[0]])
-    if leftover > 0:
-        F[np.argmax(F)] += leftover
+    return leftover
 
 
 def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
@@ -131,6 +153,20 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
     remainder, largest first (see _spread_leftover), and any residue, and
     the deficit that the floor of one creates, go to the largest-frequency
     symbol.
+
+    Only a window of symbols is evaluated: those within r = s*ln(2M/TAU) + 1
+    of mu (see _window). Every symbol z outside it, the two tail-absorbing
+    edge symbols included, has mass at most sigmoid((1/2 - |z - mu|)/s),
+    which is below exp((1/2 - r)/s) < TAU/(2M). So its target p*M floors to
+    zero with a remainder below TAU/2, and the floor of one makes its
+    frequency one. Within the window the targets floor as over the whole
+    alphabet, and only the tie groups of remainder at least TAU are ranked:
+    they all lie inside the window, and the full rule ranks them first, in
+    the same order. When they take the whole leftover, the table equals the
+    full build bit for bit. When they do not, the same steps rerun over the
+    whole alphabet with every remainder eligible, which is the full rule
+    itself. The bound needs mu in [lo, hi]: otherwise the nearer edge symbol
+    holds at least half the mass, and the window is the whole alphabet.
     """
     if not (lo < hi):
         raise DataFormatError("mass table needs lo < hi")
@@ -140,30 +176,42 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
     if not (s > 0 and np.isfinite(s) and np.isfinite(mu)):
         raise DataFormatError("mass table needs finite mu and positive s")
 
-    target = _raw_probabilities(mu, s, lo, hi) * M
-    base = np.floor(target)
-    rem = target - base
-    F = base.astype(np.int64)
+    for a, b, min_rem in ((*_window(mu, s, lo, hi, M), TAU), (lo, hi, 0.0)):
+        target = _raw_probabilities(mu, s, lo, hi, a, b) * M
+        base = np.floor(target)
+        rem = target - base
+        Fw = base.astype(np.int64)
+        leftover = int(M - Fw.sum())
+        if leftover > 0:
+            # a call, not inline code: its sort temporaries are freed before
+            # the table's own arrays are allocated (inline they raised peak RSS)
+            leftover = _spread_leftover(Fw, rem, leftover, min_rem)
+        if leftover <= 0:
+            break
+    else:
+        # the full rule ranked every symbol: the residue goes to the largest
+        Fw[np.argmax(Fw)] += leftover
 
-    leftover = int(M - F.sum())
-    if leftover > 0:
-        # a call, not inline code: its sort temporaries are freed before the
-        # table's own arrays are allocated (inline they raised peak RSS)
-        _spread_leftover(F, rem, leftover)
-
-    zero = F == 0
-    F[zero] = 1
-    deficit = int(F.sum() - M)
+    # the floor of one: every symbol outside the window floored to zero, so
+    # its frequency is one, and the first largest frequency, which pays the
+    # deficit, lies inside the window whenever it is above one
+    np.maximum(Fw, 1, out=Fw)
+    deficit = int(Fw.sum()) + K - len(Fw) - M
     while deficit > 0:
-        j = int(np.argmax(F))
-        take = min(deficit, int(F[j]) - 1)
+        j = int(np.argmax(Fw))
+        take = min(deficit, int(Fw[j]) - 1)
         if take == 0:
             raise DataFormatError("mass table cannot satisfy the frequency floor")
-        F[j] -= take
+        Fw[j] -= take
         deficit -= take
 
-    C = np.zeros(K + 1, dtype=np.int64)
-    np.cumsum(F, out=C[1:])
+    w0, w1 = a - lo, b - lo + 1  # the window's slice of the alphabet
+    F = np.ones(K, dtype=np.int64)
+    F[w0:w1] = Fw
+    # C steps by one at every symbol outside the window
+    C = np.arange(K + 1, dtype=np.int64)
+    C[w0 + 1 : w1 + 1] = w0 + np.cumsum(Fw)
+    C[w1 + 1 :] += C[w1] - w1
     return MassTable(lo=lo, hi=hi, F=F, C=C, M=M)
 
 

@@ -135,6 +135,31 @@ def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
         assert "epoch=" not in out, argv
 
 
+def test_unwritable_out_fails_before_any_coding(tmp_path, small_ckpt, monkeypatch, capsys):
+    data_dir = str(tmp_path / "data")
+    main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
+    container = str(tmp_path / "c.iodf")
+    assert main(["compress", data_dir, "--checkpoint", small_ckpt, "--out", container]) == 0
+
+    def no_coding(*args, **kwargs):
+        raise AssertionError("coded before checking --out")
+
+    monkeypatch.setattr(codec, "compress", no_coding)
+    monkeypatch.setattr(codec, "decompress", no_coding)
+    cases = [
+        ["compress", data_dir, "--checkpoint", small_ckpt,
+         "--out", str(tmp_path / "nodir" / "c.iodf")],
+        ["compress", data_dir, "--checkpoint", small_ckpt, "--out", data_dir],
+        ["decompress", container, "--checkpoint", small_ckpt,
+         "--out", os.path.join(container, "imgs")],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: cannot write"), (argv, err)
+
+
 @pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
 def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, fault):
     ckpt = tmp_path / "bad.ckpt"

@@ -1,13 +1,14 @@
 """Entropy coder: mass tables, single steps, streams, optimality."""
 
 import struct
+from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowzip import codec
+from flowzip import codec, rans
 from flowzip.errors import CorruptStreamError, DataFormatError
 from flowzip.numerics import round_half_away
 from flowzip.rans import (
@@ -42,26 +43,28 @@ def test_mass_table_hand_example():
 
 
 def _reference_frequencies(mu, s, lo, hi, M):
-    """The largest-remainder rule as a plain loop over tie groups: the
-    specification that mass_table's vectorized form must match bit for bit."""
-    K = hi - lo + 1
-    target = _raw_probabilities(mu, s, lo, hi) * M
+    """The largest-remainder rule as a plain loop over tie groups, over the
+    whole alphabet: the specification that mass_table's windowed, vectorized
+    form must match bit for bit."""
+    target = _raw_probabilities(mu, s, lo, hi, lo, hi) * M
     base = np.floor(target)
     rem = target - base
     F = base.astype(np.int64)
     leftover = int(M - F.sum())
     if leftover > 0:
         order = np.argsort(-rem, kind="stable")
+        ranked = rem[order].tolist()
+        served = []  # ranks of the symbols that take a unit
         i = 0
-        while leftover > 0 and i < K:
-            j = i
-            while j < K and rem[order[j]] == rem[order[i]]:
-                j += 1
-            group = order[i:j]
-            if len(group) <= leftover:
-                F[group] += 1
-                leftover -= len(group)
-            i = j
+        for _, tie_group in groupby(ranked):
+            if leftover == 0:
+                break
+            n = len(list(tie_group))
+            if n <= leftover:
+                served.extend(range(i, i + n))
+                leftover -= n
+            i += n
+        F[order[served]] += 1
         if leftover > 0:
             F[np.argmax(F)] += leftover
     F[F == 0] = 1
@@ -75,26 +78,80 @@ def _reference_frequencies(mu, s, lo, hi, M):
 
 
 def _assert_matches_reference(mu, s, lo, hi, M):
-    got = mass_table(mu, s, lo, hi, M).F
-    want = _reference_frequencies(mu, s, lo, hi, M)
-    assert got.tobytes() == want.astype(got.dtype).tobytes(), (mu, s, lo, hi, M)
+    t = mass_table(mu, s, lo, hi, M)
+    F = _reference_frequencies(mu, s, lo, hi, M).astype(t.F.dtype)
+    C = np.concatenate([[0], np.cumsum(F)]).astype(t.C.dtype)
+    assert t.F.tobytes() == F.tobytes(), (mu, s, lo, hi, M)
+    assert t.C.tobytes() == C.tobytes(), (mu, s, lo, hi, M)
 
 
-def test_mass_table_matches_reference_at_codec_keys():
-    # every fractional-mu key the codec snaps to, over a stride of its log-s keys
+def _codec_keys():
+    """Every (mu, s) that the codec snaps its priors to."""
     ls_lo, ls_hi = (
         int(round_half_away(np.log(v) * codec.LOG_S_GRID)) for v in (codec.S_MIN, codec.S_MAX)
     )
     half = codec.MU_GRID // 2
     for frac in range(-half, half + 1):
-        for ls in range(ls_lo + frac % 9, ls_hi + 1, 9):
-            _assert_matches_reference(
-                frac / codec.MU_GRID,
-                float(np.exp(ls / codec.LOG_S_GRID)),
-                -codec.ALPHABET_HALF,
-                codec.ALPHABET_HALF - 1,
-                codec.CODING_M,
-            )
+        for ls in range(ls_lo, ls_hi + 1):
+            yield frac / codec.MU_GRID, float(np.exp(ls / codec.LOG_S_GRID))
+
+
+# lo, hi and M of every codec table
+CODEC_TABLE_ARGS = (-codec.ALPHABET_HALF, codec.ALPHABET_HALF - 1, codec.CODING_M)
+
+
+def _evaluated_symbols(monkeypatch):
+    """Record the size of every window of symbols that mass_table evaluates."""
+    windows = []
+    raw = rans._raw_probabilities
+
+    def counted(*args):
+        p = raw(*args)
+        windows.append(len(p))
+        return p
+
+    monkeypatch.setattr(rans, "_raw_probabilities", counted)
+    return windows
+
+
+def test_mass_table_matches_reference_at_codec_keys():
+    keys = list(_codec_keys())
+    assert len(keys) == 65 * 164
+    for mu, s in keys:
+        _assert_matches_reference(mu, s, *CODEC_TABLE_ARGS)
+
+
+def test_mass_table_fallback_matches_reference(monkeypatch):
+    # cases where the window's eligible remainders may not take the whole
+    # leftover, or where the window is the whole alphabet: integer and
+    # half-integer centres (mirrored tie pairs leave an odd leftover), mu
+    # outside [lo, hi], scales whose window covers the alphabet, and
+    # subnormal scales
+    windows = _evaluated_symbols(monkeypatch)
+    lo, hi, M = CODEC_TABLE_ARGS
+    cases = [(c, s, -32, 31, 256) for c in (0.0, 3.0, 0.5, -2.5) for s in (0.3, 0.7, 1.0, 3.0)]
+    cases += [(c, s, -64, 63, 4096) for c in (0.0, 3.0, 0.5) for s in (0.3, 3.0, 5.0)]
+    cases += [(0.0, float(np.exp(ls / codec.LOG_S_GRID)), lo, hi, M) for ls in (-54, 19, 48, 69)]
+    cases += [(0.5, float(np.exp(87 / codec.LOG_S_GRID)), lo, hi, M)]
+    cases += [(40.0, 3.0, -32, 31, 256), (-33.5, 0.8, -32, 31, 256), (-2100.25, 20.0, lo, hi, M)]
+    cases += [(0.3, s, -32, 31, 256) for s in (60.0, 1e6, 1e300, 1.7e308)]
+    cases += [(mu, s, -3, 3, 64) for mu in (0.3, 2.0) for s in (1e-310, 5e-324)]
+    cases += [(0.3, 1e-310, lo, hi, M)]
+    fallbacks = 0
+    for case in cases:
+        windows.clear()
+        _assert_matches_reference(*case)
+        assert len(windows) in (1, 2)
+        fallbacks += len(windows) == 2
+    assert fallbacks >= 5
+
+
+def test_mass_table_evaluates_only_a_window(monkeypatch):
+    # a desk-range key (s about 12) needs a few hundred symbols of the codec's
+    # 4,096; evaluating the whole alphabet again fails here
+    windows = _evaluated_symbols(monkeypatch)
+    mass_table(5 / codec.MU_GRID, float(np.exp(40 / codec.LOG_S_GRID)), *CODEC_TABLE_ARGS)
+    assert sum(windows) <= 1024
 
 
 @given(st.data())
