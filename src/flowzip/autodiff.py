@@ -14,12 +14,17 @@ convolution runs one kernel, conv_gemm: im2col copies the padded input's
 sliding windows once, batch innermost, and one GEMM over the whole batch
 makes (C_out, H*W*B) rows. conv2d_raw, the tape conv2d (whose weight
 gradient is one GEMM against the same patches) and the integer accumulator
-layers.int_conv_acc are epilogues on it. grid_view shows such rows as a
+layers.int_conv_acc are epilogues on it. The float convs run it in float64.
+The integer accumulator runs it in the dtype of its plan entry's int8 grid
+(layers.IntConv): float32 when the conv's weight bound, 255 * max over rows
+of sum |w_int| + max |bhat|, is at most 2**24, else float64; its folded
+bias joins in the same buffer. grid_view shows such rows as a
 (B,C,H,W) view of (C,H,W,B) memory, which the next patch copy reads in
 memory order; channel_rows turns that view back into rows.
 
 Each output element of these GEMMs sums its C*k*k products along one axis.
-The integer accumulator's sums are exact, so any order gives the same
+The integer accumulator's sums are exact in either dtype (that bound holds
+for every partial sum), so any order gives the same
 result. The float sums round, so a float conv of a batch equals the
 per-image convs bit for bit only while BLAS sums each output's K axis in the
 same order whatever the batch. An AVX-512 build of OpenBLAS 0.3.31 did so

@@ -248,14 +248,26 @@ def deserialize(data: bytes) -> FlowModel:
     for kind, name, node, keep in _named_entries(model):
         if kind != KIND_INDEX:
             node.value = _placed(arrays[name], node.value, keep, kind, name)
+    if model.act_quant and model.weight_quant:
+        # bound every int-path accumulator now, not at the first compress
+        model.int_plan()
     return model
 
 
+def round_to_stored(model: FlowModel):
+    """Set every array a checkpoint stores to the float32 value it stores, in
+    place. Then ``model`` and the model that ``deserialize(serialize(model))``
+    returns compute the same on every path."""
+    for kind, _, node, keep in _named_entries(model):
+        if kind != KIND_INDEX:
+            node.value[keep] = node.value[keep].astype(np.float32)
+
+
 def save_model(model: FlowModel, path: str):
-    """Write the checkpoint, whose trailer is the model's checksum, then set
-    every array it stores to the float32 value written. So ``model`` and
-    ``load_model(path)`` compute the same on every path; later training
-    continues from the stored values.
+    """Write the checkpoint, whose trailer is the model's checksum. Writing
+    changes nothing in ``model``: to compute as ``load_model(path)`` does, a
+    float64 model is first rounded with ``round_to_stored``, as
+    ``train.run_pipeline`` does at the end of every stage.
     """
     data = serialize(model)
     try:
@@ -263,9 +275,6 @@ def save_model(model: FlowModel, path: str):
             f.write(data)
     except OSError as e:
         raise UsageError(f"cannot write checkpoint: {e}") from e
-    for kind, _, node, keep in _named_entries(model):
-        if kind != KIND_INDEX:
-            node.value[keep] = node.value[keep].astype(np.float32)
 
 
 def load_model(path: str) -> FlowModel:

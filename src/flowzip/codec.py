@@ -18,14 +18,14 @@ the image checksum) are not read.
 
 The int path is the portable one: its residual blocks and output convs
 accumulate integers, which BLAS sums exactly in any order (in float32 or
-float64, as the accumulator bound allows), so its containers are meant to
-decode bit-identically under any BLAS thread count (a test decodes one in a
-process limited to one BLAS thread); its stems and prior nets are float
-convs, though, so that rests on BLAS as below. The float and fake paths round
-float64 sums whose order BLAS may change, so their containers are only
-guaranteed to decode in the same numeric environment (numpy and BLAS build,
-thread count) that wrote them. The model checksum names the checkpoint and
-the path, not that environment.
+float64, as each conv's weight bound allows; see ``layers``), so its
+containers are meant to decode bit-identically under any BLAS thread count
+(a test decodes one in a process limited to one BLAS thread); its stems and
+prior nets are float convs, though, so that rests on BLAS as below. The
+float and fake paths round float64 sums whose order BLAS may change, so
+their containers are only guaranteed to decode in the same numeric
+environment (numpy and BLAS build, thread count) that wrote them. The model
+checksum names the checkpoint and the path, not that environment.
 
 The payload is one chained rANS stream over every image. Chaining amortizes
 the coder's fixed 8-byte flush across the whole container, which per-image
@@ -67,6 +67,16 @@ coding, which lets tables be cached and reused; both sides apply the same
 snapping, and the analytic likelihood keeps the exact parameters. The grid
 bounds one call's tables at 65 frac by 164 log-s keys, 10,660 in all.
 Without a path, a weight-quantized model codes on the int path, others float.
+
+Per-model state. The int path reads the model's ``IntPlan``
+(``FlowModel.int_plan``): its int8 weight grids, folded biases, multipliers,
+kept sets and per-conv bounds are built once per model and kept across
+calls while an exact comparison finds every array they were built from
+unchanged; any in-place edit rebuilds them. The mass tables
+(``PriorTableCache``) and the model id (``model_id``) are still built on
+every call: perfbench's ``spans.EXPECTED`` requires ``rans.mass_table`` and
+``checkpoint.serialize`` to record calls on every int operation, so they stay
+per call until that list changes.
 """
 
 from __future__ import annotations

@@ -6,24 +6,39 @@ Each block runs in one of two engines:
   quantization of activations and weights (training and the float/fake
   inference paths);
 * integer -- the deployment path. Activations and weights are 8-bit
-  integer grids (``quant.quantize``), held as integral float64 arrays; each
+  integer grids (``quant.quantize``), held as integral float arrays; each
   grid's real scale stays with the quantizer that owns it (``q_in``,
   ``q_mid``, ``wscale``) and is folded into the bias and the double-precision
-  requantization. Its 32-bit accumulator (``int_conv_acc``) is the one
-  float GEMM per conv over the whole batch that every float conv runs too,
-  ``autodiff.conv_gemm``. Every partial sum of that GEMM is an integer of
-  magnitude at most 255 * 128 * 9 * C_in (``_check_acc_bound``): up to
-  2**24 the GEMM runs in float32, above it in float64 (exact below 2**53),
-  and the folded bias and the shortcut join in float64 afterwards.
+  requantization multipliers. None of that depends on the activations, so
+  it is built once per model into frozen plan entries: an ``IntConv`` per
+  conv (the int8 grid of its kept rows and columns and its folded bias,
+  both in the GEMM dtype, and its exact accumulator bound) and an
+  ``IntBlock`` per residual block (its convs, kept and gated-off rows, and
+  the multipliers as (C, 1) columns). ``model.IntPlan`` collects them per
+  model, and ``block_int`` is a pure function of an entry and a grid.
+  ``FlowModel.int_plan`` keeps one plan per model across calls and rebuilds
+  it whenever an exact comparison finds any array it was built from
+  changed, since training, loading and rounding edit arrays in place.
+
+  The 32-bit accumulator (``int_conv_acc``) is the one GEMM per conv over the
+  whole batch that every float conv runs too, ``autodiff.conv_gemm``. Its
+  inputs are u8 grids, so every partial sum of an output row, in any order,
+  is an integer of magnitude at most 255 times the row's sum of |w_int|;
+  with the folded bias, ``IntConv.bound`` = 255 * max over rows of
+  sum |w_int| + max |bhat|, computed at build. Above 2**31 - 1 the plan
+  refuses the conv (``DataFormatError``). Up to 2**24 the GEMM and the bias
+  run in float32, which holds every such integer, and ``requantize``
+  multiplies the float32 accumulator into float64 in one pass; otherwise
+  they run in float64 (exact below 2**53). The shortcut joins in float64.
   Any summation order, and so any BLAS thread count or batch split, gives
   the same accumulator by construction, which the float convs cannot
   promise. The accumulators, and the u8 grids ``block_int`` makes from them,
   are logical (B,C,H,W) views of batch-last (C,H,W,B) arrays.
   ``block_int`` works on the same memory as the channel-major (C, H*W*B)
   rows that ``autodiff.channel_rows`` gives: each accumulator's epilogue is
-  a chain of in-place float64 passes over its rows (``requantize``:
-  multiply, clip, round), and kept and gated-off channels are gathered and
-  scattered as whole rows.
+  a short chain of float64 passes over its rows (``requantize``: multiply,
+  clip, round), and kept and gated-off channels are gathered and scattered
+  as whole rows.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ KERNEL = 3
 # Input values are bytes plus bounded coupling updates; nets see u/128 - 1.
 NET_INPUT_SCALE = 1.0 / 128.0
 
-# True int32 accumulators must not overflow: |acc| <= 255 * 128 * 9 * C_in + |bias|.
+# True int32 accumulators must not overflow: |acc| <= IntConv.bound.
 MAX_ACC = 2**31 - 1
 MAX_BIAS_INT = 2**30
 # float32 holds every integer up to 2**24, so below it any GEMM summation
@@ -122,29 +137,36 @@ def _weight_grid(w: np.ndarray, wscale: np.ndarray) -> np.ndarray:
     return quant.quantize(w, QuantizerParams(scale=wscale.reshape(-1, 1, 1, 1)))
 
 
-def _check_acc_bound(c_in: int, bhat: np.ndarray) -> int:
-    """Raise unless |acc| fits int32; return the GEMM's share of the bound."""
-    gemm = 255 * 128 * KERNEL * KERNEL * c_in
-    bound = gemm + int(np.abs(bhat).max(initial=0))
-    if bound > MAX_ACC:
-        raise DataFormatError(f"int32 accumulator could overflow (bound {bound})")
-    return gemm
+@dataclass(frozen=True)
+class IntConv:
+    """One int-path conv, frozen: the int8 weight grid ``w`` (C_out, C_in, k, k)
+    and the folded bias ``bhat``, both in the conv's GEMM dtype, and the exact
+    bound on |acc| over u8 inputs that chose that dtype."""
+
+    w: np.ndarray
+    bhat: np.ndarray
+    bound: int
+
+    @classmethod
+    def build(cls, w_int: np.ndarray, bhat: np.ndarray) -> "IntConv":
+        """Bound the accumulator by 255 * max over rows of sum |w_int| plus
+        max |bhat|, refuse it above MAX_ACC, and pick float32 up to F32_EXACT."""
+        row_sum = np.abs(w_int).sum(axis=(1, 2, 3))
+        bound = 255 * int(row_sum.max(initial=0)) + int(np.abs(bhat).max(initial=0))
+        if bound > MAX_ACC:
+            raise DataFormatError(f"int32 accumulator could overflow (bound {bound})")
+        dtype = np.float32 if bound <= F32_EXACT else np.float64
+        return cls(w_int.astype(dtype), bhat.astype(dtype), bound)
 
 
-def int_conv_acc(
-    values: np.ndarray, w_int: np.ndarray, bhat: np.ndarray
-) -> np.ndarray:
-    """Integer convolution accumulator over integral float64 grids (exact):
-    the float64 ``grid_view`` of ``autodiff.conv_gemm``'s rows plus the bias,
-    which the next call reads back without a strided copy."""
-    gemm_bound = _check_acc_bound(w_int.shape[1], bhat)
-    dtype = np.float32 if gemm_bound <= F32_EXACT else np.float64
-    y, _ = ad.conv_gemm(values, w_int, dtype)
-    # the bias can exceed F32_EXACT, so it joins in float64, in the buffer
-    # the GEMM result is cast to
-    acc = y.astype(np.float64, copy=False)
-    acc += bhat[:, None]
-    return ad.grid_view(acc, values.shape)
+def int_conv_acc(values: np.ndarray, conv: IntConv) -> np.ndarray:
+    """Integer convolution accumulator over an integral u8 grid (exact):
+    ``autodiff.conv_gemm`` in the conv's GEMM dtype, plus the folded bias in
+    the GEMM's own buffer, as the ``grid_view`` that the next call reads back
+    without a strided copy. ``conv.bound`` keeps every sum exact in that dtype."""
+    y, _ = ad.conv_gemm(values, conv.w, conv.w.dtype)
+    y += conv.bhat[:, None]
+    return ad.grid_view(y, values.shape)
 
 
 def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
@@ -155,15 +177,22 @@ def fold_bias(b: np.ndarray, w_scale: np.ndarray, x_scale: float) -> np.ndarray:
     return bhat
 
 
+def rescale(acc: np.ndarray, m) -> np.ndarray:
+    """acc * m in float64: in place for a float64 ``acc``; a float32 one (whose
+    integers float64 holds exactly) multiplies into a new float64 array."""
+    out = acc if acc.dtype == np.float64 else None
+    return np.multiply(acc, m, out=out, dtype=np.float64)
+
+
 def requantize(acc: np.ndarray, m) -> np.ndarray:
-    """Rescale a float64 accumulator by m (double precision) onto the u8
-    grid, in place: the result overwrites ``acc`` and is returned.
+    """Rescale an accumulator by m (double precision, ``rescale``) onto the
+    u8 grid: a float64 ``acc`` is overwritten with the result.
 
     Multiply, clip to [0, 255], then round: the clip leaves no negative
     values, so ``round_half_away_nonneg`` applies, and this equals
     round-half-away-then-clip up to the sign of zeros.
     """
-    np.multiply(acc, m, out=acc)
+    acc = rescale(acc, m)
     np.clip(acc, 0, 255, out=acc)
     return round_half_away_nonneg(acc)
 
@@ -237,43 +266,81 @@ def block_sim(
     return ad.relu(ad.add(a, blk.conv_b.forward_sim(h, weight_quant)))
 
 
-def block_int(values: np.ndarray, blk: ResidualBlock, next_scale: float) -> np.ndarray:
-    """Integer-path residual block: the u8 grid at ``blk.q_in`` in, the u8
-    grid at ``next_scale`` out.
+@dataclass(frozen=True)
+class IntBlock:
+    """A residual block's int-path constants, frozen at plan build.
+
+    ``conv_a`` holds conv A's kept rows and ``conv_b`` conv B's kept rows at
+    conv A's kept columns; both are None when conv B keeps no filter. The
+    (C, 1) multiplier columns take conv A's accumulator onto ``q_mid``
+    (``m_mid``), the shortcut into conv B's unit system (``m_short``) and
+    conv B's accumulator onto the next grid (``m_out``); ``m_off`` takes the
+    gated-off rows ``off`` of the shortcut onto the next grid.
+    """
+
+    conv_a: IntConv | None
+    conv_b: IntConv | None
+    kept_b: np.ndarray
+    off: np.ndarray
+    m_mid: np.ndarray
+    m_short: np.ndarray
+    m_out: np.ndarray
+    m_off: float
+
+    @classmethod
+    def build(cls, blk: ResidualBlock, next_scale: float) -> "IntBlock":
+        """The entry of ``blk`` whose output grid has step ``next_scale``; only
+        what the GEMMs read is quantized."""
+        sa = float(blk.q_in.value[0])
+        s_mid = float(blk.q_mid.value[0])
+        s_next = float(next_scale)
+        kept_a, kept_b = blk.kept_sets()
+        swa = blk.conv_a.wscale.value[kept_a]
+        swb = blk.conv_b.wscale.value[kept_b]
+        conv_a = conv_b = None
+        if len(kept_b):
+            conv_a = IntConv.build(
+                _weight_grid(blk.conv_a.w.value[kept_a], swa),
+                fold_bias(blk.conv_a.b.value[kept_a], swa, sa),
+            )
+            conv_b = IntConv.build(
+                _weight_grid(blk.conv_b.w.value[kept_b][:, kept_a], swb),
+                fold_bias(blk.conv_b.b.value[kept_b], swb, s_mid),
+            )
+        off = np.ones(blk.width, dtype=bool)
+        off[kept_b] = False
+        return cls(
+            conv_a, conv_b, kept_b, off,
+            m_mid=(swa * sa / s_mid)[:, None],
+            m_short=(sa / (swb * s_mid))[:, None],
+            m_out=(swb * s_mid / s_next)[:, None],
+            m_off=sa / s_next,
+        )
+
+
+def block_int(values: np.ndarray, blk: IntBlock) -> np.ndarray:
+    """Integer-path residual block: the u8 grid at the block's ``q_in`` in,
+    the u8 grid at the next step out, from the plan entry ``blk`` alone.
 
     The producer requantized directly onto this block's input grid.
     Gated-off channels bypass the accumulator and requantize the shortcut
-    directly; only the kept filters (``kept_sets``) enter the GEMMs, so the
-    work follows the gates. Both kinds of channel are gathered and scattered
-    as whole rows of the channel-major array.
+    directly; only the kept filters enter the GEMMs, so the work follows the
+    gates. Both kinds of channel are gathered and scattered as whole rows of
+    the channel-major array.
     """
-    sa = float(blk.q_in.value[0])
-    kept_a, kept_b = blk.kept_sets()
-    # only what the GEMMs read is quantized: conv A's kept rows, and conv B's
-    # kept rows at conv A's kept columns
-    swa = blk.conv_a.wscale.value[kept_a]
-    wa = _weight_grid(blk.conv_a.w.value[kept_a], swa)
-    ba = blk.conv_a.b.value[kept_a]
-    swb = blk.conv_b.wscale.value[kept_b]
-    wb = _weight_grid(blk.conv_b.w.value[kept_b][:, kept_a], swb)
-    bb = blk.conv_b.b.value[kept_b]
-
-    s_mid = float(blk.q_mid.value[0])
-    s_next = float(next_scale)
-
     rows = ad.channel_rows(values)
     out = np.empty_like(rows)
-    if len(kept_b):
-        acc1 = ad.channel_rows(int_conv_acc(values, wa, fold_bias(ba, swa, sa)))
-        h = ad.grid_view(requantize(acc1, (swa * sa / s_mid)[:, None]), values.shape)
-        acc2 = ad.channel_rows(int_conv_acc(h, wb, fold_bias(bb, swb, s_mid)))
-        # shortcut joins the 32-bit accumulator in conv B's unit system
-        acc2 += round_half_away_nonneg(rows[kept_b] * (sa / (swb * s_mid))[:, None])
-        out[kept_b] = requantize(acc2, (swb * s_mid / s_next)[:, None])
-    off = np.ones(len(rows), dtype=bool)
-    off[kept_b] = False
-    if off.any():
-        out[off] = requantize(rows[off], sa / s_next)
+    if blk.conv_b is not None:
+        acc1 = ad.channel_rows(int_conv_acc(values, blk.conv_a))
+        h = ad.grid_view(requantize(acc1, blk.m_mid), values.shape)
+        acc2 = ad.channel_rows(int_conv_acc(h, blk.conv_b))
+        # the shortcut joins the 32-bit accumulator in conv B's unit system,
+        # in float64: it may pass F32_EXACT
+        acc = round_half_away_nonneg(rows[blk.kept_b] * blk.m_short)
+        acc += acc2
+        out[blk.kept_b] = requantize(acc, blk.m_out)
+    if blk.off.any():
+        out[blk.off] = requantize(rows[blk.off], blk.m_off)
     return ad.grid_view(out, values.shape)
 
 

@@ -10,6 +10,8 @@ and any of the three execution paths (float, fake-quantized, integer).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +23,15 @@ from .layers import (
     KERNEL,
     NET_INPUT_SCALE,
     ConvLayer,
+    IntBlock,
+    IntConv,
     ResidualBlock,
     block_int,
     block_sim,
     calibrate_activation,
     fold_bias,
     int_conv_acc,
+    rescale,
 )
 from .numerics import round_half_away
 
@@ -123,8 +128,9 @@ class CouplingNet:
             h = ad.fake_quantize(h, self.q_out, signed=False)
         return self.out.forward_sim(h, wq)
 
-    def forward_int(self, u: np.ndarray) -> np.ndarray:
-        """Integer path: u8 grids between the (float) stem and the output.
+    def forward_int(self, u: np.ndarray, plan: "IntNet") -> np.ndarray:
+        """Integer path: u8 grids between the (float) stem and the output,
+        computed from this net's plan entry ``plan`` alone.
 
         The stem output is quantized onto the first block's ``q_in`` grid,
         each block requantizes onto the next block's ``q_in`` (the last onto
@@ -133,16 +139,40 @@ class CouplingNet:
         the caller rounds it.
         """
         v = u.astype(np.float64) * NET_INPUT_SCALE - 1.0
-        h = np.maximum(ad.conv2d_raw(v, self.stem.w.value, self.stem.b.value), 0.0)
-        q = quant.quantize(h, quant.QuantizerParams(self.blocks[0].q_in.value, signed=False))
-        scales = [blk.q_in.value[0] for blk in self.blocks[1:]] + [self.q_out.value[0]]
-        for blk, nxt in zip(self.blocks, scales):
-            q = block_int(q, blk, nxt)
-        sw = self.out.wscale.value
-        sx = float(self.q_out.value[0])
-        acc = int_conv_acc(q, self.out.quantized_weight(), fold_bias(self.out.b.value, sw, sx))
-        acc *= (sw * sx)[None, :, None, None]
-        return acc
+        h = np.maximum(ad.conv2d_raw(v, plan.stem_w, plan.stem_b), 0.0)
+        q = quant.quantize(h, plan.stem_q)
+        for blk in plan.blocks:
+            q = block_int(q, blk)
+        acc = ad.channel_rows(int_conv_acc(q, plan.out))
+        return ad.grid_view(rescale(acc, plan.out_m), q.shape)
+
+
+@dataclass(frozen=True)
+class IntNet:
+    """A coupling net's int-path entry: copies of the float stem conv, the
+    quantizer of its output, one ``IntBlock`` per residual block, the output
+    conv and the (C_out, 1) column that takes its accumulator to real units."""
+
+    stem_w: np.ndarray
+    stem_b: np.ndarray
+    stem_q: quant.QuantizerParams
+    blocks: tuple
+    out: IntConv
+    out_m: np.ndarray
+
+    @classmethod
+    def build(cls, net: CouplingNet) -> "IntNet":
+        scales = [blk.q_in.value[0] for blk in net.blocks[1:]] + [net.q_out.value[0]]
+        sw = net.out.wscale.value
+        sx = float(net.q_out.value[0])
+        return cls(
+            stem_w=net.stem.w.value.copy(),
+            stem_b=net.stem.b.value.copy(),
+            stem_q=quant.QuantizerParams(net.blocks[0].q_in.value.copy(), signed=False),
+            blocks=tuple(IntBlock.build(blk, nxt) for blk, nxt in zip(net.blocks, scales)),
+            out=IntConv.build(net.out.quantized_weight(), fold_bias(net.out.b.value, sw, sx)),
+            out_m=(sw * sx)[:, None],
+        )
 
 
 class CouplingLayer:
@@ -266,6 +296,44 @@ class FlowResult:
         self.log2p = log2p  # per-image analytic log2 probability, shape (B,)
 
 
+@dataclass(frozen=True)
+class IntPlan:
+    """A stage-5 model's integer path, frozen: one ``IntNet`` per coupling
+    net (keyed by the net), holding every int8 grid, folded bias, multiplier,
+    kept set and accumulator bound that the path reads. ``FlowModel.int_plan``
+    builds it once and keeps it while the model's values stay the same."""
+
+    nets: dict
+
+    @classmethod
+    def build(cls, model: "FlowModel") -> "IntPlan":
+        return cls({net: IntNet.build(net) for net in model.coupling_nets()})
+
+
+# a gate that is not attached, among _plan_arrays: no gate has zero filters
+_NO_GATE = np.empty(0)
+
+
+def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
+    """Every array an IntPlan is built from, in a fixed order."""
+    arrays = []
+    for net in model.coupling_nets():
+        arrays += [net.stem.w.value, net.stem.b.value]
+        for blk in net.blocks:
+            for conv in (blk.conv_a, blk.conv_b):
+                gate = _NO_GATE if conv.gate is None else conv.gate.g
+                arrays += [conv.w.value, conv.b.value, conv.wscale.value, gate]
+            arrays += [blk.q_in.value, blk.q_mid.value]
+        arrays += [net.out.w.value, net.out.b.value, net.out.wscale.value, net.q_out.value]
+    return arrays
+
+
+# model -> (the shape and bytes of each of its _plan_arrays, the IntPlan
+# built from them); an entry goes with its model
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PLANS_LOCK = threading.Lock()
+
+
 class FlowModel:
     def __init__(self, cfg: FlowConfig, seed: int = 0):
         cfg.validate()
@@ -323,6 +391,27 @@ class FlowModel:
                 f"spatial dims must be positive multiples of {div}, got {x.shape[2:]}"
             )
 
+    def int_plan(self) -> IntPlan:
+        """The integer path's plan, built on first use and kept across calls.
+
+        Training, loading and ``checkpoint.round_to_stored`` change arrays in
+        place, so each call compares every array the plan was built from
+        (``_plan_arrays``) with its current value, shape and bytes, and
+        rebuilds on any difference. Raises DataFormatError when a conv's
+        accumulator or folded bias would not fit its 32-bit budget.
+        """
+        arrays = _plan_arrays(self)
+        with _PLANS_LOCK:
+            cached = _PLANS.get(self)
+            if cached is not None and len(cached[0]) == len(arrays) and all(
+                a.shape == shape and a.tobytes() == data
+                for a, (shape, data) in zip(arrays, cached[0])
+            ):
+                return cached[1]
+            plan = IntPlan.build(self)
+            _PLANS[self] = ([(a.shape, a.tobytes()) for a in arrays], plan)
+            return plan
+
     def sim_ctx(self, calibrate: bool = False) -> SimCtx:
         return SimCtx(self.act_quant, self.weight_quant, calibrate)
 
@@ -365,7 +454,8 @@ class FlowModel:
         if path == "int":
             if not (self.act_quant and self.weight_quant):
                 raise DataFormatError("integer path requires a stage-5 checkpoint")
-            return lambda net, xa: ad.Node(net.forward_int(xa.value))
+            nets = self.int_plan().nets
+            return lambda net, xa: ad.Node(net.forward_int(xa.value, nets[net]))
         if path == "float":
             ctx = SimCtx(False, False)
         elif path == "fake":

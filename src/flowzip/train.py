@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters
+from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters, round_to_stored
 from .errors import DataFormatError, DivergenceError, StageTimeoutError, UsageError
 from .layers import KERNEL
 from .model import FlowConfig, FlowModel
@@ -453,7 +453,12 @@ def run_pipeline(
     log=print,
     checkpoint_cb=None,
 ) -> tuple[FlowModel, list[StageRecord]]:
-    """Run training stages 1..last_stage and return the model plus records."""
+    """Run training stages 1..last_stage and return the model plus records.
+
+    Each stage ends by rounding the model to the float32 values a checkpoint
+    stores (``checkpoint.round_to_stored``), then calls ``checkpoint_cb``, so
+    the run is the same whether or not the callback saves it.
+    """
     trainer = Trainer(config, train_x, val_x, log=log)
     model = FlowModel(config.flow_config(), seed=config.seed)
     calib = train_x[: config.calib_count]
@@ -466,6 +471,7 @@ def run_pipeline(
     }
     for s in range(1, last_stage + 1):
         stages[s]()
+        round_to_stored(model)
         if checkpoint_cb is not None:
             checkpoint_cb(model, s)
     return model, trainer.records

@@ -150,7 +150,7 @@ def gated_int_model() -> FlowModel:
 HOSTILE_CHECKPOINTS = (
     "kept_index_at_width", "kept_index_repeated", "stem_transposed",
     "pruned_conv_transposed", "wscale_negative", "q_in_zero", "ndim_above_numpy_max",
-    "shape_beyond_address_space",
+    "shape_beyond_address_space", "bias_unfoldable",
 )
 
 
@@ -165,7 +165,11 @@ def hostile_checkpoint(fault: str) -> bytes:
     blob = checkpoint.serialize(pruned)
     arrays = stored_arrays(blob, pruned)
     body = bytearray(blob[:-8])
-    if fault in ("wscale_negative", "q_in_zero"):
+    if fault == "bias_unfoldable":
+        # a kept conv-A filter whose bias folds far beyond the 2**30 budget
+        off, _ = arrays["level0.coup0.block0.conv_a.b"]
+        struct.pack_into("<f", body, off, 1e30)
+    elif fault in ("wscale_negative", "q_in_zero"):
         name = "conv_a.wscale" if fault == "wscale_negative" else "q_in"
         off, _ = arrays[f"level0.coup0.block0.{name}"]
         struct.pack_into("<f", body, off, -1.0 if fault == "wscale_negative" else 0.0)

@@ -292,13 +292,14 @@ def _int_im2col(v, k):
     return cols
 
 
-def _int_conv_acc_reference(values, w_int, bhat):
-    """Literal integer accumulation (int64 matmul), no floating point."""
+def _int_conv_acc_reference(values, conv):
+    """Literal integer accumulation (int64 matmul), no floating point, over
+    the plan entry's int8 grid and folded bias."""
     B, C, H, W = values.shape
-    cout = w_int.shape[0]
-    cols = _int_im2col(values.astype(np.int64), w_int.shape[2])
-    acc = np.matmul(w_int.reshape(cout, -1).astype(np.int64), cols)
-    acc += np.asarray(bhat, dtype=np.int64)[:, None]
+    cout = conv.w.shape[0]
+    cols = _int_im2col(values.astype(np.int64), conv.w.shape[2])
+    acc = np.matmul(conv.w.reshape(cout, -1).astype(np.int64), cols)
+    acc += conv.bhat.astype(np.int64)[:, None]
     return acc.reshape(B, cout, H, W).astype(np.float64)
 
 

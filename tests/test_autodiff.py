@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
-from flowzip.layers import int_conv_acc
+from flowzip.layers import IntConv, int_conv_acc
 
 from helpers import check_gradient, proj_loss
 
@@ -88,7 +88,7 @@ def test_each_conv_builds_one_patch_matrix_per_batch(monkeypatch):
     for conv in (
         lambda: ad.conv2d_raw(x, w, b),
         lambda: ad.conv2d(x, w, b),
-        lambda: int_conv_acc(grid, np.ones((3, 2, 3, 3)), b),
+        lambda: int_conv_acc(grid, IntConv.build(np.ones((3, 2, 3, 3)), b)),
     ):
         for seen in calls.values():
             seen.clear()

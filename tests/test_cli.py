@@ -161,14 +161,17 @@ def test_unwritable_out_fails_before_any_coding(tmp_path, small_ckpt, monkeypatc
 
 
 @pytest.mark.parametrize("fault", HOSTILE_CHECKPOINTS)
-def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, fault):
+def test_compress_with_malformed_checkpoint_is_data_error(tmp_path, capsys, fault):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(hostile_checkpoint(fault))
     data_dir = str(tmp_path / "data")
     main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
+    capsys.readouterr()
     assert main(
         ["compress", data_dir, "--checkpoint", str(ckpt), "--out", str(tmp_path / "c")]
     ) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_compress_with_unfoldable_bias_is_data_error(tmp_path):
@@ -181,6 +184,8 @@ def test_compress_with_unfoldable_bias_is_data_error(tmp_path):
     blk.conv_a.b.value[:] = 1e9
     ckpt = str(tmp_path / "bias.ckpt")
     save_model(model, ckpt)
+    with pytest.raises(DataFormatError, match="folded bias"):
+        load_model(ckpt)  # refused at load, not at the first compress
     data_dir = str(tmp_path / "data")
     main(["gen-synth", "--seed", "1", "--count", "2", "--out", data_dir])
     assert main(

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowzip import checkpoint, codec
-from flowzip.checkpoint import checksum64, load_model, save_model
+from flowzip.checkpoint import checksum64, load_model, round_to_stored, save_model
 from flowzip.data import gen_synth
 from flowzip.errors import (
     AlphabetOverflowError,
@@ -24,7 +25,7 @@ from flowzip.errors import (
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import calibrate_activations, calibrate_weights
 
-from helpers import ROOT, load_perfbench
+from helpers import ROOT, gated_int_model, load_perfbench
 
 
 def _model(seed=0, spread=0.05, cfg=None):
@@ -173,6 +174,7 @@ def test_int_container_is_exact_under_one_blas_thread(tmp_path):
     seed, count = 17, 8
     x = gen_synth(seed, count)
     model = _quantized_model()
+    round_to_stored(model)  # the values the child loads
     container, _ = codec.compress(x, model, "int")
     save_model(model, str(tmp_path / "model.ckpt"))
     (tmp_path / "int.iodf").write_bytes(container)
@@ -194,6 +196,7 @@ def desk_checkpoint(tmp_path_factory):
     fixture = load_perfbench("fixture")
     model = fixture.build_model(fixture.desk_config(str(ROOT)), 5)
     path = str(tmp_path_factory.mktemp("desk") / "model.ckpt")
+    round_to_stored(model)
     save_model(model, path)
     return model, path
 
@@ -208,8 +211,9 @@ def test_models_loaded_from_one_checkpoint_agree_on_every_path(desk_checkpoint):
 
 
 def test_in_memory_container_decodes_exactly_under_loaded_model(desk_checkpoint):
-    # save_model sets the model to the float32 values it writes, so the
-    # model and the one loaded from its file compute the same on every path
+    # round_to_stored sets the model to the float32 values save_model
+    # writes, so the model and the one loaded from its file compute the same
+    # on every path
     # (before, a fake container of these images failed its image checksum)
     model, ckpt = desk_checkpoint
     loaded = load_model(ckpt)
@@ -294,15 +298,30 @@ def test_compress_hashes_the_checkpoint_once(monkeypatch):
 
 
 def test_tampered_payload_never_crashes():
-    x = gen_synth(6, 4)
-    model = _model()
-    container, _ = codec.compress(x, model, "float")
-    payload_region = len(container) - 40
-    for offset in range(payload_region, len(container), 7):
-        corrupt = bytearray(container)
-        corrupt[offset] ^= 0x41
-        with pytest.raises(FlowzipError):
-            codec.decompress(bytes(corrupt), model, "float")
+    # mutations across the whole payload of an int container, the length
+    # field kept consistent: bit flips at a stride, a replaced word, a
+    # replaced final coder state (still in range) and a word cut out. Each
+    # ends in a FlowzipError, with no other exception and no warning.
+    x = gen_synth(6, 2)
+    model = gated_int_model()
+    container, _ = codec.compress(x, model, "int")
+    header, payload = container[:31], container[35:]
+    mid = 4 * ((len(payload) - 8) // 8)  # a word in the middle
+    (state,) = struct.unpack("<Q", payload[-8:])
+    cases = [
+        payload[:mid] + bytes([0xA5, 0x5A, 0x0F, 0xF0]) + payload[mid + 4 :],
+        payload[:-8] + struct.pack("<Q", state ^ 0x5A5A5A5A),
+        payload[:mid] + payload[mid + 4 :],
+    ]
+    for offset in range(0, len(payload), 23):
+        flipped = bytearray(payload)
+        flipped[offset] ^= 1 << (offset % 8)
+        cases.append(bytes(flipped))
+    for corrupt in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FlowzipError):
+                codec.decompress(header + struct.pack("<I", len(corrupt)) + corrupt, model, "int")
 
 
 def test_image_checksum_is_checked():

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
-from flowzip import codec
+from flowzip import codec, layers, quant
 from flowzip import model as model_module
 from flowzip.checkpoint import deserialize, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import DataFormatError
 from flowzip.layers import (
     F32_EXACT,
+    MAX_ACC,
     MAX_BIAS_INT,
     ConvLayer,
     GateVector,
+    IntBlock,
+    IntConv,
     ResidualBlock,
     block_int,
-    _check_acc_bound,
     block_sim,
     fold_bias,
     int_conv_acc,
@@ -35,8 +37,8 @@ def _int_conv(values, sx, layer, s_y):
     """One int-path conv as block_int composes it: int8 GEMM, folded bias,
     double-precision rescale onto the u8 output grid of step s_y."""
     sw = layer.wscale.value
-    bhat = fold_bias(layer.b.value, sw, sx)
-    acc = int_conv_acc(values, layer.quantized_weight(), bhat)
+    conv = IntConv.build(layer.quantized_weight(), fold_bias(layer.b.value, sw, sx))
+    acc = int_conv_acc(values, conv)
     return requantize(acc, (sw * sx / s_y)[None, :, None, None])
 
 
@@ -53,7 +55,7 @@ def test_conv_dirac_kernel_is_identity():
 
 
 def test_conv_channel_mismatch():
-    for conv in (ad.conv2d_raw, ad.conv2d, int_conv_acc):
+    for conv in (ad.conv2d_raw, ad.conv2d, lambda x, w, b: int_conv_acc(x, IntConv.build(w, b))):
         with pytest.raises(ValueError):
             conv(np.zeros((1, 3, 4, 4)), np.zeros((2, 4, 3, 3)), np.zeros(2))
 
@@ -81,28 +83,37 @@ def test_int_conv_acc_folds_the_batch_exactly(B, C, H, W):
     bhat = rng.integers(-1000, 1000, 3).astype(np.float64)
     values = rng.integers(0, 256, (C, H, W, B)).astype(np.float64).transpose(3, 0, 1, 2)
     ref = _int64_conv(values, w, bhat)
-    got = int_conv_acc(values, w, bhat)
-    assert got.shape == (B, 3, H, W) and got.dtype == np.float64
+    conv = IntConv.build(w, bhat)
+    got = int_conv_acc(values, conv)
+    # the weights bound these sums far below F32_EXACT
+    assert got.shape == (B, 3, H, W) and got.dtype == np.float32
     assert np.array_equal(got, ref)
-    assert np.array_equal(int_conv_acc(np.ascontiguousarray(values), w, bhat), ref)
-    per_image = [int_conv_acc(values[i : i + 1], w, bhat) for i in range(B)]
+    assert np.array_equal(int_conv_acc(np.ascontiguousarray(values), conv), ref)
+    per_image = [int_conv_acc(values[i : i + 1], conv) for i in range(B)]
     assert np.array_equal(np.concatenate(per_image), ref)
 
 
-@pytest.mark.parametrize("c_in", [57, 64])
-def test_int_conv_acc_exact_across_the_float32_bound(c_in):
-    # C_in = 57 is the widest float32 GEMM (bound 16,744,320 <= 2**24), 64
-    # runs in float64. Worst case: all-255 inputs against extreme weights, one
+@pytest.mark.parametrize("c_in, b, bound, dtype", [
+    (57, 33_151, F32_EXACT, np.float32),  # 255 * 65,663 + 33,151
+    (57, 33_152, F32_EXACT + 1, np.float64),
+    (58, 0, 255 * 66_815, np.float64),  # full-window sums pass 2**24
+    (1, MAX_BIAS_INT - 1, 255 * 1_151 + MAX_BIAS_INT - 1, np.float64),
+], ids=["f32_at_bound", "f64_above_bound", "f64_sums_past_f32", "f64_large_bias"])
+def test_int_conv_acc_exact_across_the_float32_bound(c_in, b, bound, dtype):
+    # The weight-dependent bound 255 * max row sum |w| + max |bhat| picks the
+    # GEMM dtype. Worst case: all-255 inputs against extreme weights, one
     # +127 among -128s so that every full-window sum is odd (float32 holds no
-    # odd integer above 2**24), and odd biases near MAX_BIAS_INT, which
-    # float32 cannot hold either, so they must join after the GEMM.
-    assert _check_acc_bound(57, np.zeros(1)) <= F32_EXACT < _check_acc_bound(58, np.zeros(1))
+    # odd integer above 2**24), and odd biases, up to near MAX_BIAS_INT,
+    # which join the GEMM in its own dtype.
     values = np.full((2, c_in, 3, 4), 255.0)
     w = np.full((2, c_in, 3, 3), -128.0)
     w[:, 0, 0, 0] = 127.0
-    bhat = np.array([MAX_BIAS_INT - 1.0, -(MAX_BIAS_INT - 3.0)])
+    bhat = np.array([b, -b], dtype=np.float64)
+    conv = IntConv.build(w, bhat)
+    assert conv.bound == bound and conv.w.dtype == conv.bhat.dtype == dtype
     ref = _int64_conv(values, w, bhat)
-    assert np.array_equal(int_conv_acc(values, w, bhat), ref)
+    assert np.abs(ref).max() <= bound
+    assert np.array_equal(int_conv_acc(values, conv), ref)
 
 
 def test_int_conv_hand_example():
@@ -112,7 +123,7 @@ def test_int_conv_hand_example():
     # quantization step, within 0.5 * s_W * s_x.
     bhat = fold_bias(np.array([0.25]), np.array([1.0]), 0.5)
     assert bhat[0] == 1
-    acc = int_conv_acc(np.full((1, 1, 1, 1), 3), np.full((1, 1, 1, 1), 2.0), bhat)
+    acc = int_conv_acc(np.full((1, 1, 1, 1), 3), IntConv.build(np.full((1, 1, 1, 1), 2.0), bhat))
     assert acc[0, 0, 0, 0] == 7
     y = requantize(acc, np.array([1.0 * 0.5 / 0.25])[None, :, None, None])
     assert y[0, 0, 0, 0] == 14
@@ -257,7 +268,7 @@ def test_int_block_close_to_float_block():
     s_in = float(blk.q_in.value[0])
     q = np.clip(np.round(x / s_in), 0, 255)
     s_next = s_in  # requantize the output on the same grid for comparison
-    y_int = block_int(q, blk, s_next) * s_next
+    y_int = block_int(q, IntBlock.build(blk, s_next)) * s_next
     err = np.abs(y_int - y_float)
     clipped = y_int >= 255 * s_next
     assert np.max(err[~clipped]) <= 4 * s_next
@@ -318,8 +329,8 @@ def test_int_block_gated_matches_pruned_exactly(gates, batch):
     want = _block_int_reference(q, gated_blk, 0.9 * s_in)
     batch_last = np.ascontiguousarray(q.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
     for grid in (q, batch_last):
-        assert np.array_equal(block_int(grid, gated_blk, 0.9 * s_in), want)
-        assert np.array_equal(block_int(grid, pruned_blk, 0.9 * s_in), want)
+        assert np.array_equal(block_int(grid, IntBlock.build(gated_blk, 0.9 * s_in)), want)
+        assert np.array_equal(block_int(grid, IntBlock.build(pruned_blk, 0.9 * s_in)), want)
 
 
 def test_int_round_trip_keeps_every_block_on_the_u8_grid(monkeypatch):
@@ -327,8 +338,8 @@ def test_int_round_trip_keeps_every_block_on_the_u8_grid(monkeypatch):
     # at runtime, so check it here on every block of a gated int model
     seen = []
 
-    def recording(values, blk, next_scale):
-        out = block_int(values, blk, next_scale)
+    def recording(values, blk):
+        out = block_int(values, blk)
         seen.extend((values, out))
         return out
 
@@ -345,8 +356,47 @@ def test_int_round_trip_keeps_every_block_on_the_u8_grid(monkeypatch):
         assert grid.min() >= 0 and grid.max() <= 255
 
 
+def test_a_built_plan_quantizes_no_weight(monkeypatch):
+    # after one warm round trip on an unchanged model, an int round trip
+    # quantizes each coupling-net evaluation's stem output once, unsigned
+    # per-tensor, and no weight: the int8 grids and folded biases come from
+    # the model's plan
+    model = gated_int_model()
+    x = gen_synth(3, 2)
+    warm, _ = codec.compress(x, model, "int")
+    codec.decompress(warm, model, "int")
+    quantized, evaluated, rebuilt = [], [], []
+    quantize, forward_int = quant.quantize, model_module.CouplingNet.forward_int
+
+    def counting_quantize(r, p):
+        quantized.append(p)
+        return quantize(r, p)
+
+    def counting_forward_int(net, u, plan):
+        evaluated.append(net)
+        return forward_int(net, u, plan)
+
+    monkeypatch.setattr(quant, "quantize", counting_quantize)
+    monkeypatch.setattr(model_module.CouplingNet, "forward_int", counting_forward_int)
+    for owner, name in ((layers, "_weight_grid"), (layers, "fold_bias"),
+                        (model_module, "fold_bias")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: rebuilt.append(name))
+    container, _ = codec.compress(x, model, "int")
+    assert np.array_equal(codec.decompress(container, model, "int"), x)
+    assert container == warm
+    assert evaluated and len(quantized) == len(evaluated)
+    assert not any(p.signed or p.per_channel for p in quantized)
+    assert rebuilt == []
+
+
 def test_accumulator_bound_asserted():
     with pytest.raises(DataFormatError):
         fold_bias(np.array([1e12]), np.array([1e-3]), 1e-3)
+    # the bound counts the weights and the bias: 255 * 9 + bias up to MAX_ACC
+    ones = np.ones((1, 1, 3, 3))
+    assert IntConv.build(ones, np.array([MAX_ACC - 255 * 9.0])).bound == MAX_ACC
     with pytest.raises(DataFormatError):
-        int_conv_acc(np.zeros((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), np.array([2.0**31]))
+        IntConv.build(ones, np.array([MAX_ACC - 255 * 9.0 + 1]))
+    # 7,311 channels of -128 weights could overflow int32 with no bias at all
+    with pytest.raises(DataFormatError):
+        IntConv.build(np.full((1, 7_311, 3, 3), -128.0), np.zeros(1))

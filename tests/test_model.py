@@ -1,5 +1,6 @@
 """Flow structure: couplings, squeeze, bijectivity, checkpoints."""
 
+import copy
 import struct
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from flowzip import autodiff as ad
 from flowzip import checkpoint, codec
 from flowzip.autodiff import depth_to_space, space_to_depth
-from flowzip.checkpoint import deserialize, load_model, save_model, serialize
+from flowzip.checkpoint import deserialize, load_model, round_to_stored, save_model, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import ChecksumError, DataFormatError
 from flowzip.model import (
@@ -23,7 +24,7 @@ from flowzip.model import (
     SimCtx,
 )
 
-from helpers import HOSTILE_CHECKPOINTS, hostile_checkpoint, rechecksummed
+from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint, rechecksummed
 
 RNG = np.random.default_rng(9)
 
@@ -255,3 +256,34 @@ def test_int_path_requires_quantizers():
         model.flow_forward(gen_synth(0, 1), "fake")
     with pytest.raises(DataFormatError):
         model.flow_forward(gen_synth(0, 1), "bogus")
+
+
+def _edit(model: FlowModel, edit: str):
+    blk = model.levels[0].couplings[0].net.blocks[0]
+    if edit == "round_to_stored":
+        round_to_stored(model)
+    elif edit == "weight_ulp":
+        w = blk.conv_b.w.value
+        w.flat[0] = np.nextafter(w.flat[0], np.inf)
+    elif edit == "gate_flip":
+        g = blk.conv_b.gate.node.value
+        g[0] = 0.2 if g[0] > 0.5 else 0.8
+    else:
+        blk.q_mid.value *= 1.5
+
+
+@pytest.mark.parametrize("edit", ["round_to_stored", "weight_ulp", "gate_flip", "q_mid_scaled"])
+def test_int_plan_follows_in_place_edits(edit):
+    # the plan is kept while the model is unchanged and rebuilt after any
+    # in-place edit, so the next container is the one a fresh model with the
+    # edited values writes
+    model = gated_int_model()
+    x = gen_synth(5, 2)
+    codec.compress(x, model, "int")
+    plan = model.int_plan()
+    assert model.int_plan() is plan
+    _edit(model, edit)
+    assert model.int_plan() is not plan
+    container, _ = codec.compress(x, model, "int")
+    assert container == codec.compress(x, copy.deepcopy(model), "int")[0]
+    assert np.array_equal(codec.decompress(container, model, "int"), x)

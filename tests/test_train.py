@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
-from flowzip.checkpoint import deserialize, named_parameters, serialize
+from flowzip.checkpoint import deserialize, named_parameters, save_model, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import DivergenceError, StageTimeoutError
 from flowzip.model import FlowConfig, FlowModel
@@ -284,3 +284,29 @@ def test_pipeline_runs_stages_in_order_and_reports(capsys):
     out = capsys.readouterr().out
     line = re.compile(r"stage=\d epoch=\d+ bpd=\d+\.\d+ flops=\d+ lr=[\d.e-]+")
     assert sum(1 for ln in out.splitlines() if line.fullmatch(ln.strip())) >= 4
+
+
+def test_training_does_not_depend_on_checkpointing(tmp_path):
+    # each stage ends on the float32 values a checkpoint stores, whether or
+    # not a callback saves it, and saving changes nothing in the model
+    cfg = TrainConfig(
+        hidden=8, couplings=1, blocks=1, train_count=8, val_count=4,
+        epochs_stage1=2, epochs_stage3=1, epochs_stage4=1, epochs_stage5=1,
+        r_target=1.0, batch_size=8, calib_count=8,
+    )
+    data = gen_synth(cfg.seed, 12)
+    saved = []
+
+    def save_stage(model, stage):
+        saved.append(str(tmp_path / f"stage{stage}.ckpt"))
+        save_model(model, saved[-1])
+
+    runs = [
+        run_pipeline(cfg, data[:8], data[8:], log=lambda s: None, checkpoint_cb=cb)
+        for cb in (None, save_stage)
+    ]
+    (plain, plain_records), (saving, saving_records) = runs
+    assert serialize(plain) == serialize(saving)
+    assert plain_records == saving_records
+    with open(saved[-1], "rb") as f:
+        assert f.read() == serialize(plain)
