@@ -31,6 +31,14 @@ same order whatever the batch. An AVX-512 build of OpenBLAS 0.3.31 did so
 for every map with H*W a multiple of 8 that was tried, the desk model's
 among them, and differed in the last bit for some others (3x3 maps, say).
 
+The hot elementwise kernels (relu, the LSQ backward in quant, the
+log-mass reflection sign) are unmasked ufunc passes or boolean-mask writes,
+never np.where or a ufunc's ``where=``, which run 5-8x slower on these
+shapes (numpy 2.4). Each replacement returns the same bits as the select
+it replaced for every double, NaN, +-0, +-inf and subnormals included, and
+keeps its input's memory order; relu, for one, is fmax(x, 0) + 0.0, the sum
+turning the -0.0 fmax may keep into +0.0.
+
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
 Inside ``no_grad()`` the same functions run without recording.
@@ -168,9 +176,14 @@ def add_const(a, c: float):
 
 
 def relu(a):
+    """max(x, 0) with +0.0 for NaN and both zeros, as np.where(x > 0, x, 0.0)."""
     a = _lift(a)
+    out = np.fmax(a.value, 0.0)  # the non-NaN operand: 0.0 for NaN
+    out += 0.0  # -0.0 + 0.0 is +0.0, every other value stays
+    if not _grad_on():
+        return Node(out)
     mask = a.value > 0
-    return _make(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
+    return _make(out, (a,), (lambda g: g * mask,))
 
 
 def nsum(a):
@@ -262,6 +275,7 @@ def im2col(x: np.ndarray, k: int, dtype) -> np.ndarray:
     The batch is the fastest axis, so one GEMM y = W_mat @ cols covers every
     image and the window copy moves runs of W*B elements. It is cheapest when
     x is a transposed view of a (C,H,W,B) array, as every conv's output is.
+    An even k raises ValueError before any element is read.
     """
     xt = x.transpose(1, 2, 3, 0)
     C, H, W, B = xt.shape
@@ -269,15 +283,14 @@ def im2col(x: np.ndarray, k: int, dtype) -> np.ndarray:
     xp = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=dtype)
     xp[:, pad : pad + H, pad : pad + W] = xt
     # sliding_window_view(xp, (H, W), axis=(1, 2)) without its per-call
-    # checks, which cost more than the copy at batch 1. The window count n
-    # comes from xp's padding, so the view stays in bounds; reshape makes the
-    # one copy.
-    n = 2 * pad + 1
+    # checks, which cost more than the copy at batch 1. The ndarray
+    # constructor still checks that the k x k windows fit in xp: an even k
+    # pads one row and column too few, and it raises ValueError. reshape
+    # makes the one copy.
     sc, sh, sw, sb = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (C, n, n, H, W, B), (sc, sh, sw, sh, sw, sb), writeable=False
-    )
-    return windows.reshape(C * n * n, H * W * B)
+    windows = np.ndarray((C, k, k, H, W, B), xp.dtype, xp, 0, (sc, sh, sw, sh, sw, sb))
+    windows.flags.writeable = False
+    return windows.reshape(C * k * k, H * W * B)
 
 
 def channel_rows(grid: np.ndarray) -> np.ndarray:
@@ -359,7 +372,8 @@ def fake_quantize(r, s, signed: bool):
     """
     rn, sn = _lift(r), _lift(s)
     p = quant.QuantizerParams(scale=sn.value, signed=signed)
-    out = quant.quantize(rn.value, p) * p.scale_view(rn.value.ndim)
+    out = quant.quantize(rn.value, p)  # a fresh grid, scaled in place
+    out *= p.scale_view(rn.value.ndim)
 
     cache: dict = {}
 
@@ -388,7 +402,7 @@ def _logpmf_values(z: np.ndarray, mu: np.ndarray, log_s: np.ndarray):
     """
     s = np.exp(log_s)
     d = z - mu
-    sign = np.where(d > 0, -1.0, 1.0)
+    sign = 1.0 - 2.0 * (d > 0)  # -1 where d > 0, else +1 (NaN included)
     dr = d * sign  # reflected distance, always <= 0
     a = (dr + 0.5) / s
     b = (dr - 0.5) / s

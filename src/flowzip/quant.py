@@ -8,6 +8,13 @@ times ``p.scale_view(ndim)`` is the real tensor it stands for. The quantizer
 clips, divides by the scale, and rounds half-away-from-zero. Its backward
 pass uses the straight through estimator for the input and the three-branch
 closed form for the scale, rescaled by 1/sqrt(C * Q_P).
+
+The backward runs on every LSQ quantizer of every training step, so it
+follows autodiff's rule for hot elementwise kernels: unmasked ufunc passes
+and boolean-mask writes, no np.where or ``where=``, which are 5-8x slower on
+these shapes. It gives the same bits as the three-branch select for every
+double, NaN and signed zeros included: NaN counts as clipped in grad_r and
+keeps round(u) - u in the branch term.
 """
 
 from __future__ import annotations
@@ -94,15 +101,22 @@ def grad_rescale(r: np.ndarray, p: QuantizerParams) -> float:
     return 1.0 / float(np.sqrt(_channel_count(r, p) * p.hi))
 
 
+def _branches(u: np.ndarray, p: QuantizerParams) -> np.ndarray:
+    # round(u) - u, then lo and hi written over the clipped entries; NaN
+    # compares false both ways and keeps round(u) - u
+    mid = np.asarray(round_half_away(u))  # a fresh array, 0-d for a 0-d u
+    mid -= u
+    mid[u < p.lo] = p.lo
+    mid[u > p.hi] = p.hi
+    return mid
+
+
 def scale_grad_branches(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
     """Elementwise d(fake-quantized output)/d(scale), the three-branch form.
 
     In-range: round(r/s) - r/s; clipped low: lo; clipped high: hi.
     """
-    s = p.scale_view(r.ndim)
-    u = np.asarray(r, dtype=np.float64) / s
-    mid = round_half_away(u) - u
-    return np.where(u < p.lo, float(p.lo), np.where(u > p.hi, float(p.hi), mid))
+    return _branches(np.asarray(r, dtype=np.float64) / p.scale_view(np.ndim(r)), p)
 
 
 def quantizer_backward(
@@ -111,20 +125,20 @@ def quantizer_backward(
     """STE gradients through the fake-quantize op.
 
     grad_r passes upstream through on in-range elements and is zero on
-    clipped ones. grad_scale sums upstream * branch terms and multiplies by
+    clipped ones (NaN counts as clipped); it keeps upstream's memory order.
+    grad_scale sums upstream * branch terms and multiplies by
     g = 1/sqrt(C * Q_P); per-channel scales reduce over all but axis 0.
     """
     r = np.asarray(r, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != r.shape:
         raise ValueError("upstream shape must match input shape")
-    s = p.scale_view(r.ndim)
-    u = r / s
-    in_range = (u >= p.lo) & (u <= p.hi)
-    grad_r = np.where(in_range, upstream, 0.0)
+    u = r / p.scale_view(r.ndim)
+    grad_r = upstream.copy(order="K")
+    grad_r[~((u >= p.lo) & (u <= p.hi))] = 0.0
 
     g = grad_rescale(r, p)
-    weighted = upstream * scale_grad_branches(r, p)
+    weighted = upstream * _branches(u, p)
     if p.per_channel:
         grad_scale = g * weighted.reshape(r.shape[0], -1).sum(axis=1)
     else:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite differences, gradient projections, checkpoint
-bytes, the benchmark's modules."""
+bytes, the benchmark's modules, np.where references for the select-free
+kernels."""
 
 import importlib.util
 import math
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from flowzip import autodiff as ad
-from flowzip import checkpoint
+from flowzip import checkpoint, quant
 from flowzip.data import gen_synth
 from flowzip.model import FlowConfig, FlowModel
+from flowzip.numerics import log1mexp, log_sigmoid, round_half_away
 from flowzip.train import calibrate_activations, calibrate_weights, prune
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +63,78 @@ def u8_rounding_cases() -> np.ndarray:
         [-0.0, 0.0, 255.0],
         np.nextafter([0.0, 255.0], -np.inf), np.nextafter([0.0, 255.0], np.inf),
     ])
+
+
+# The np.where forms that relu, the LSQ backward and the log-mass reflection
+# sign had before they became unmasked ufunc passes and mask writes; the
+# shipped kernels must give the same bits.
+
+
+def relu_ref(a):
+    a = ad._lift(a)
+    mask = a.value > 0
+    return ad._make(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
+
+
+def scale_grad_branches_ref(r, p):
+    s = p.scale_view(r.ndim)
+    u = np.asarray(r, dtype=np.float64) / s
+    mid = round_half_away(u) - u
+    return np.where(u < p.lo, float(p.lo), np.where(u > p.hi, float(p.hi), mid))
+
+
+def quantizer_backward_ref(r, p, upstream):
+    r = np.asarray(r, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    u = r / p.scale_view(r.ndim)
+    in_range = (u >= p.lo) & (u <= p.hi)
+    grad_r = np.where(in_range, upstream, 0.0)
+    g = quant.grad_rescale(r, p)
+    weighted = upstream * scale_grad_branches_ref(r, p)
+    if p.per_channel:
+        grad_scale = g * weighted.reshape(r.shape[0], -1).sum(axis=1)
+    else:
+        grad_scale = np.atleast_1d(g * float(weighted.sum()))
+    return grad_r, grad_scale
+
+
+def logpmf_values_ref(z, mu, log_s):
+    s = np.exp(log_s)
+    d = z - mu
+    sign = np.where(d > 0, -1.0, 1.0)
+    dr = d * sign
+    a = (dr + 0.5) / s
+    b = (dr - 0.5) / s
+    la = log_sigmoid(a)
+    lb = log_sigmoid(b)
+    return la + log1mexp(la - lb), s, sign, a, b, la, lb
+
+
+def use_reference_kernels(monkeypatch):
+    """Route the tape and the quantizer through the np.where references."""
+    monkeypatch.setattr(ad, "relu", relu_ref)
+    monkeypatch.setattr(ad, "_logpmf_values", logpmf_values_ref)
+    monkeypatch.setattr(quant, "quantizer_backward", quantizer_backward_ref)
+
+
+def special_doubles() -> np.ndarray:
+    """NaN, zero, infinity, the smallest subnormal and a value near the
+    largest double, each with both signs, and two ordinary values."""
+    return np.array([
+        np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+        1e308, -1e308, 1.5, -2.5,
+    ])
+
+
+def randomize_convs(model: FlowModel, rng) -> FlowModel:
+    """Random weights in every block and output conv, so no coupling net
+    starts as the zero map its output conv's init makes it."""
+    for net in model.coupling_nets():
+        for blk in net.blocks:
+            blk.conv_a.w.value[...] = rng.normal(0, 0.2, blk.conv_a.w.value.shape)
+            blk.conv_b.w.value[...] = rng.normal(0, 0.2, blk.conv_b.w.value.shape)
+        net.out.w.value[...] = rng.normal(0, 0.1, net.out.w.value.shape)
+    return model
 
 
 def proj_loss(out: ad.Node, proj: np.ndarray) -> ad.Node:
@@ -132,11 +206,7 @@ def gated_int_model() -> FlowModel:
     rng = np.random.default_rng(0)
     model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
     model.attach_gates(0.8)
-    for net in model.coupling_nets():
-        for blk in net.blocks:
-            blk.conv_a.w.value[...] = rng.normal(0, 0.2, blk.conv_a.w.value.shape)
-            blk.conv_b.w.value[...] = rng.normal(0, 0.2, blk.conv_b.w.value.shape)
-        net.out.w.value[...] = rng.normal(0, 0.1, net.out.w.value.shape)
+    randomize_convs(model, rng)
     for gate in model.gates():
         gate.node.value[...] = rng.uniform(0, 1, gate.g.shape)
     x = gen_synth(2, 16)

@@ -1,12 +1,16 @@
 """Every registered adjoint against central finite differences."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
+from flowzip import codec
+from flowzip.data import gen_synth
 from flowzip.layers import IntConv, int_conv_acc
 
-from helpers import check_gradient, proj_loss
+from helpers import check_gradient, gated_int_model, proj_loss, special_doubles
 
 RNG = np.random.default_rng(42)
 
@@ -96,6 +100,33 @@ def test_each_conv_builds_one_patch_matrix_per_batch(monkeypatch):
         assert calls == {"im2col": [(7, 2, 4, 4)], "conv_gemm": [(7, 2, 4, 4)]}
 
 
+def test_conv_kernel_calls_no_as_strided(monkeypatch):
+    # im2col builds its window view with the ndarray constructor, which
+    # checks the view's extent against the padded buffer
+    def refuse(*args, **kwargs):
+        raise AssertionError("as_strided called")
+
+    impl = sys.modules[np.lib.stride_tricks.sliding_window_view.__module__]
+    for module in {np.lib.stride_tricks, impl}:
+        monkeypatch.setattr(module, "as_strided", refuse)
+    model = gated_int_model()
+    x = RNG.normal(0, 1, (3, 2, 4, 4))
+    w = RNG.normal(0, 0.5, (3, 2, 3, 3))
+    xn, wn = ad.Node(x, requires_grad=True), ad.Node(w, requires_grad=True)
+    ad.backward(ad.nsum(ad.relu(ad.conv2d(xn, wn, np.zeros(3)))))
+    assert xn.grad.shape == x.shape and wn.grad.shape == w.shape
+    images = gen_synth(5, 2)
+    container, _ = codec.compress(images, model, "int")
+    assert np.array_equal(codec.decompress(container, model, "int"), images)
+    # an even kernel's k x k windows reach one row and column past the
+    # buffer: the constructor refuses them before the copy reads anything
+    for k in (2, 4):
+        with pytest.raises(ValueError):
+            ad.im2col(x, k, np.float64)
+        with pytest.raises(ValueError):
+            ad.conv2d_raw(x, RNG.normal(0, 1, (3, 2, k, k)), None)
+
+
 def test_conv2d_1x1_kernel():
     x = np.full((1, 1, 1, 1), 1.5)
     w = np.full((1, 1, 1, 1), 2.0)
@@ -113,6 +144,26 @@ def test_relu_gradient_away_from_kink():
     x[np.abs(x) < 0.1] += 0.2
     proj = RNG.normal(0, 1, x.shape)
     check_gradient(lambda n: proj_loss(ad.relu(n["x"]), proj), {"x": x}, "x")
+
+
+@pytest.mark.parametrize("batch_last", [False, True])
+def test_relu_equals_the_select_bit_for_bit(batch_last):
+    # fmax(x, 0) + 0.0 against np.where(x > 0, x, 0.0): NaN and -0.0 give
+    # +0.0, subnormals and infinities keep their sign rules
+    vals = np.resize(np.concatenate([special_doubles(), RNG.normal(0, 1, 20)]), 3 * 4 * 2 * 5)
+    x = vals.reshape(4, 2, 5, 3).transpose(3, 0, 1, 2) if batch_last else vals.reshape(3, 4, 2, 5)
+    for grad in (True, False):
+        node = ad.Node(x, requires_grad=True)
+        if grad:
+            out = ad.relu(node)
+            assert out.parents == (node,)
+        else:
+            with ad.no_grad():
+                out = ad.relu(node)
+            assert out.parents == () and out.vjps == ()
+        want = np.where(x > 0, x, 0.0)
+        assert np.array_equal(out.value.view(np.int64), want.view(np.int64))
+        assert out.value.strides == x.strides
 
 
 def test_add_scatter_and_slices():

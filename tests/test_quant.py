@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowzip import autodiff as ad
 from flowzip.numerics import round_half_away, round_half_away_nonneg
 from flowzip.quant import (
     QuantizerParams,
@@ -15,7 +16,14 @@ from flowzip.quant import (
     scale_grad_branches,
 )
 
-from helpers import round_half_away_ref, u8_rounding_cases
+from helpers import (
+    logpmf_values_ref,
+    quantizer_backward_ref,
+    round_half_away_ref,
+    scale_grad_branches_ref,
+    special_doubles,
+    u8_rounding_cases,
+)
 
 
 def test_round_ties_away_from_zero():
@@ -209,3 +217,57 @@ def test_per_channel_scale_gradient_shape():
     grad_r, grad_s = quantizer_backward(w, p, up)
     assert grad_r.shape == w.shape
     assert grad_s.shape == (4,)
+
+
+def _batch_last(a):
+    # the same values in memory with axis 0 innermost, as a conv's output is
+    # laid out
+    order = tuple(range(1, a.ndim)) + (0,)
+    out = np.empty([a.shape[i] for i in order]).transpose(np.argsort(order))
+    out[...] = a
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("layouts", [(False, False), (True, True), (False, True), (True, False)])
+def test_lsq_backward_equals_the_select_bit_for_bit(signed, per_channel, layouts):
+    rng = np.random.default_rng(17)
+    shape = (4, 3, 5, 6)  # per-channel scales run along axis 0
+    scale = np.array([0.37, 1.0, 2.5, 1e-6]) if per_channel else np.array([0.37])
+    p = QuantizerParams(scale=scale, signed=signed)
+    # quotients on and around both clip edges and the rounding ties, plus
+    # the special doubles themselves as inputs
+    edges = np.array([p.lo, p.hi], dtype=float)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           edges - 0.5, edges + 0.5, np.arange(-3, 4) + 0.5])
+    u = np.resize(np.concatenate([near, rng.uniform(-300, 300, 40)]), 4 * 90)
+    r = (rng.permutation(u).reshape(4, -1) * scale.reshape(-1, 1)).ravel()
+    r[rng.choice(r.size, 60, replace=False)] = np.resize(special_doubles(), 60)
+    up = rng.normal(0, 1, r.size)
+    up[rng.choice(up.size, 40, replace=False)] = np.resize(special_doubles(), 40)
+    r, up = r.reshape(shape), up.reshape(shape)
+    r, up = (_batch_last(a) if last else a for a, last in zip((r, up), layouts))
+    with np.errstate(all="ignore"):
+        grad_r, grad_s = quantizer_backward(r, p, up)
+        want_r, want_s = quantizer_backward_ref(r, p, up)
+        branches, want_branches = scale_grad_branches(r, p), scale_grad_branches_ref(r, p)
+    assert _same_bits(grad_r, want_r) and _same_bits(grad_s, want_s)
+    assert _same_bits(branches, want_branches)
+    assert grad_r.strides == up.strides
+
+
+def test_logpmf_reflection_sign_equals_the_select():
+    rng = np.random.default_rng(19)
+    d = np.resize(np.concatenate([special_doubles(), rng.normal(0, 3, 30)]), 2 * 3 * 4 * 4)
+    z = _batch_last(d.reshape(2, 3, 4, 4))
+    mu, log_s = np.zeros_like(z), rng.normal(0, 1, z.shape)
+    with np.errstate(all="ignore"):
+        got, want = ad._logpmf_values(z, mu, log_s), logpmf_values_ref(z, mu, log_s)
+        assert _same_bits(got[2], np.where(z - mu > 0, -1.0, 1.0))
+    assert all(_same_bits(g, w) for g, w in zip(got, want))

@@ -12,9 +12,12 @@ from flowzip.errors import DivergenceError, StageTimeoutError
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.quant import MIN_SCALE
 from flowzip.train import (
+    Adamax,
     TrainConfig,
     Trainer,
     calculate_flops,
+    calibrate_activations,
+    calibrate_weights,
     clamp_auxiliary,
     gate_lambdas,
     gated_objective,
@@ -24,7 +27,14 @@ from flowzip.train import (
     run_pipeline,
 )
 
-from helpers import DIVERGING_CONFIG, check_gradient, gated_int_model, stored_arrays
+from helpers import (
+    DIVERGING_CONFIG,
+    check_gradient,
+    gated_int_model,
+    randomize_convs,
+    stored_arrays,
+    use_reference_kernels,
+)
 
 
 class _StubModel:
@@ -310,3 +320,45 @@ def test_training_does_not_depend_on_checkpointing(tmp_path):
     assert plain_records == saving_records
     with open(saved[-1], "rb") as f:
         assert f.read() == serialize(plain)
+
+
+def _two_steps_of_stages_1_2_5():
+    """Two Adamax steps on each of the float, gated and fake-quant objectives
+    of one tiny model; returns every loss and the final parameters' bytes."""
+    model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
+    randomize_convs(model, np.random.default_rng(4))
+    x = gen_synth(6, 4)
+    losses = []
+
+    def two_steps(groups, objective):
+        opt = Adamax(groups)
+        for _ in range(2):
+            opt.zero_grad()
+            loss = objective(x)
+            ad.backward(loss)
+            opt.step()
+            clamp_auxiliary(model)
+            losses.append(loss.value.tobytes())
+
+    main, _, _ = param_groups(model)
+    two_steps({"main": (main, 1e-3)}, lambda b: loss_bpd(b, model))
+    model.attach_gates(0.8)
+    lambdas = gate_lambdas(model, TrainConfig(hidden=8, couplings=2, blocks=1))
+    main, gates, _ = param_groups(model)
+    two_steps({"main": (main, 1e-3), "gate": (gates, 0.2)},
+              lambda b: gated_objective(b, model, lambdas)[0])
+    model.act_quant = True
+    calibrate_activations(model, x)
+    model.weight_quant = True
+    calibrate_weights(model)
+    main, _, scales = param_groups(model)
+    two_steps({"main": (main, 1e-3), "scale": (scales, 1e-3)}, lambda b: loss_bpd(b, model))
+    return losses, [(name, node.value.tobytes()) for _, name, node in named_parameters(model)]
+
+
+def test_select_free_kernels_leave_training_bit_identical(monkeypatch):
+    # relu, the LSQ backward and the log-mass sign against their np.where
+    # forms, through calibration and two steps of each objective
+    shipped = _two_steps_of_stages_1_2_5()
+    use_reference_kernels(monkeypatch)
+    assert _two_steps_of_stages_1_2_5() == shipped
