@@ -267,7 +267,7 @@ def save_model(model: FlowModel, path: str):
     """Write the checkpoint, whose trailer is the model's checksum. Writing
     changes nothing in ``model``: to compute as ``load_model(path)`` does, a
     float64 model is first rounded with ``round_to_stored``, as
-    ``train.run_pipeline`` does at the end of every stage.
+    ``train.Trainer.run`` does at the end of every stage.
     """
     data = serialize(model)
     try:

@@ -18,7 +18,7 @@ from . import codec, data
 from .checkpoint import load_model, save_model
 from .errors import FlowzipError, UsageError, VerificationError
 from .model import FlowModel
-from .train import TrainConfig, calculate_flops, prune, run_pipeline
+from .train import TrainConfig, Trainer, calculate_flops, prune, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +89,12 @@ def build_parser() -> _Parser:
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
 
-    q = sub.add_parser("quantize", help="run stages 4-5 from a stage-3 checkpoint")
+    q = sub.add_parser(
+        "quantize",
+        help="run stages 4-5 from a stage-3 checkpoint",
+        description="Run training stages 4-5 from a stage-3 checkpoint through the "
+        "same stage runner as train; each stage ends rounded to what a checkpoint stores.",
+    )
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--config", default=None)
     q.add_argument("--out", required=True)
@@ -267,19 +272,15 @@ def cmd_prune(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    from .train import Trainer
-
     _check_out_dir(args.out, "checkpoint")
     cfg = _load_config(args.config, args.seed)
     model = load_model(args.checkpoint)
     if model.pruned:
         raise UsageError("quantize the gated checkpoint, then prune")
-    if model.stage < 3:
+    if model.stage != 3:
         raise UsageError("quantize expects a stage-3 (fine-tuned) checkpoint")
-    train_x, val_x = _train_val(cfg, args.data)
-    trainer = Trainer(cfg, train_x, val_x)
-    trainer.stage4(model, train_x[: cfg.calib_count])
-    trainer.stage5(model)
+    trainer = Trainer(cfg, *_train_val(cfg, args.data))
+    trainer.run(model, (4, 5), None)
     save_model(model, args.out)
     print(f"quantized: bpd={trainer.records[-1].bpd:.4f}")
     return 0

@@ -68,11 +68,8 @@ snapping, and the analytic likelihood keeps the exact parameters. The grid
 bounds one call's tables at 65 frac by 164 log-s keys, 10,660 in all.
 Without a path, a weight-quantized model codes on the int path, others float.
 
-Per-model state. The int path reads the model's ``IntPlan``
-(``FlowModel.int_plan``): its int8 weight grids, folded biases, multipliers,
-kept sets and per-conv bounds are built once per model and kept across
-calls while an exact comparison finds every array they were built from
-unchanged; any in-place edit rebuilds them. The mass tables
+Per-model state. The int path reads the model's plan; ``FlowModel.int_plan``
+says what it holds, how long it lives and what rebuilds it. The mass tables
 (``PriorTableCache``) and the model id (``model_id``) are still built on
 every call: perfbench's ``spans.EXPECTED`` requires ``rans.mass_table`` and
 ``checkpoint.serialize`` to record calls on every int operation, so they stay
@@ -309,7 +306,7 @@ def decompress(container: bytes, model: FlowModel, path: str | None = None) -> n
         for s in starts:
             z = cur[s : s + FORWARD_SLICE]
             fac = None
-            if not lvl.is_last:
+            if lvl.prior_net is not None:
                 mu, log_s = lvl.prior_params_raw(z)
                 fac = _pull_tensor(dec, cache, (len(z), lvl.factored) + z.shape[2:], mu, log_s)
             parts.append(lvl.inverse(z, fac, t_fn))

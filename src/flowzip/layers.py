@@ -14,11 +14,9 @@ Each block runs in one of two engines:
   conv (the int8 grid of its kept rows and columns and its folded bias,
   both in the GEMM dtype, and its exact accumulator bound) and an
   ``IntBlock`` per residual block (its convs, kept and gated-off rows, and
-  the multipliers as (C, 1) columns). ``model.IntPlan`` collects them per
-  model, and ``block_int`` is a pure function of an entry and a grid.
-  ``FlowModel.int_plan`` keeps one plan per model across calls and rebuilds
-  it whenever an exact comparison finds any array it was built from
-  changed, since training, loading and rounding edit arrays in place.
+  the multipliers as (C, 1) columns). ``FlowModel.int_plan`` collects them
+  per model (its docstring gives the plan's lifetime and guard), and
+  ``block_int`` is a pure function of an entry and a grid.
 
   The 32-bit accumulator (``int_conv_acc``) is the one GEMM per conv over the
   whole batch that every float conv runs too, ``autodiff.conv_gemm``. Its

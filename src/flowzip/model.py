@@ -222,7 +222,7 @@ class Level:
         channels: int,
         cfg: FlowConfig,
         rng: np.random.Generator,
-        is_last: bool,
+        last: bool,
     ):
         self.channels = channels
         self.couplings = [
@@ -239,8 +239,7 @@ class Level:
             )
             for d in range(cfg.couplings)
         ]
-        self.is_last = is_last
-        if is_last:
+        if last:
             self.retained, self.factored = channels, 0
             self.prior_net = None
         else:
@@ -258,7 +257,7 @@ class Level:
         h = ad.squeeze2x2(h)
         for coup in self.couplings:
             h = coup.forward(h, t_fn)
-        if self.is_last:
+        if self.prior_net is None:
             return h, None
         return (
             ad.channel_slice(h, 0, self.retained),
@@ -296,26 +295,12 @@ class FlowResult:
         self.log2p = log2p  # per-image analytic log2 probability, shape (B,)
 
 
-@dataclass(frozen=True)
-class IntPlan:
-    """A stage-5 model's integer path, frozen: one ``IntNet`` per coupling
-    net (keyed by the net), holding every int8 grid, folded bias, multiplier,
-    kept set and accumulator bound that the path reads. ``FlowModel.int_plan``
-    builds it once and keeps it while the model's values stay the same."""
-
-    nets: dict
-
-    @classmethod
-    def build(cls, model: "FlowModel") -> "IntPlan":
-        return cls({net: IntNet.build(net) for net in model.coupling_nets()})
-
-
 # a gate that is not attached, among _plan_arrays: no gate has zero filters
 _NO_GATE = np.empty(0)
 
 
 def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
-    """Every array an IntPlan is built from, in a fixed order."""
+    """Every array the int plan is built from, in a fixed order."""
     arrays = []
     for net in model.coupling_nets():
         arrays += [net.stem.w.value, net.stem.b.value]
@@ -328,8 +313,8 @@ def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
     return arrays
 
 
-# model -> (the shape and bytes of each of its _plan_arrays, the IntPlan
-# built from them); an entry goes with its model
+# model -> (the shape and bytes of each of its _plan_arrays, the plan built
+# from them); an entry goes with its model
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _PLANS_LOCK = threading.Lock()
 
@@ -343,7 +328,7 @@ class FlowModel:
         c = cfg.in_channels
         for li in range(cfg.levels):
             c *= 4
-            level = Level(c, cfg, rng, is_last=(li == cfg.levels - 1))
+            level = Level(c, cfg, rng, last=(li == cfg.levels - 1))
             self.levels.append(level)
             c = level.retained
         self.final_channels = self.levels[-1].channels
@@ -353,7 +338,6 @@ class FlowModel:
         self.final_log_s = ad.Node(
             np.full(self.final_channels, LOG_S_INIT), requires_grad=True
         )
-        self.gated = False
         self.act_quant = False
         self.weight_quant = False
         self.pruned = False
@@ -366,6 +350,11 @@ class FlowModel:
             for c in lvl.couplings:
                 yield c.net
 
+    @property
+    def gated(self) -> bool:
+        """True once gates are attached (``attach_gates``)."""
+        return bool(self.gates())
+
     def gates(self):
         out = []
         for net in self.coupling_nets():
@@ -377,7 +366,6 @@ class FlowModel:
         for net in self.coupling_nets():
             for blk in net.blocks:
                 blk.attach_gates(alpha)
-        self.gated = True
 
     def check_input(self, x: np.ndarray):
         if x.ndim != 4 or x.shape[1] != self.cfg.in_channels:
@@ -391,8 +379,12 @@ class FlowModel:
                 f"spatial dims must be positive multiples of {div}, got {x.shape[2:]}"
             )
 
-    def int_plan(self) -> IntPlan:
-        """The integer path's plan, built on first use and kept across calls.
+    def int_plan(self) -> dict:
+        """The integer path's plan: ``{CouplingNet: IntNet}``, one frozen
+        entry per coupling net holding every int8 grid, folded bias,
+        multiplier, kept set and accumulator bound that the path reads. It is
+        built on first use and kept across calls while the model's values
+        stay the same; ``checkpoint.deserialize`` builds it at load.
 
         Training, loading and ``checkpoint.round_to_stored`` change arrays in
         place, so each call compares every array the plan was built from
@@ -416,7 +408,7 @@ class FlowModel:
                 for a, (shape, data) in zip(arrays, cached[0])
             ):
                 return cached[1]
-            plan = IntPlan.build(self)
+            plan = {net: IntNet.build(net) for net in self.coupling_nets()}
             _PLANS[self] = ([(a.shape, a.tobytes()) for a in arrays], plan)
             return plan
 
@@ -462,7 +454,7 @@ class FlowModel:
         if path == "int":
             if not (self.act_quant and self.weight_quant):
                 raise DataFormatError("integer path requires a stage-5 checkpoint")
-            nets = self.int_plan().nets
+            nets = self.int_plan()
             return lambda net, xa: ad.Node(net.forward_int(xa.value, nets[net]))
         if path == "float":
             ctx = SimCtx(False, False)

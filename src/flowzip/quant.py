@@ -101,22 +101,16 @@ def grad_rescale(r: np.ndarray, p: QuantizerParams) -> float:
     return 1.0 / float(np.sqrt(_channel_count(r, p) * p.hi))
 
 
-def _branches(u: np.ndarray, p: QuantizerParams) -> np.ndarray:
-    # round(u) - u, then lo and hi written over the clipped entries; NaN
-    # compares false both ways and keeps round(u) - u
+def scale_grad_branches(u: np.ndarray, p: QuantizerParams) -> np.ndarray:
+    """Elementwise d(fake-quantized output)/d(scale) at ``u = r / s``, the
+    three-branch form: in range, round(u) - u; clipped low, lo; clipped
+    high, hi. NaN compares false both ways and keeps round(u) - u.
+    """
     mid = np.asarray(round_half_away(u))  # a fresh array, 0-d for a 0-d u
     mid -= u
     mid[u < p.lo] = p.lo
     mid[u > p.hi] = p.hi
     return mid
-
-
-def scale_grad_branches(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
-    """Elementwise d(fake-quantized output)/d(scale), the three-branch form.
-
-    In-range: round(r/s) - r/s; clipped low: lo; clipped high: hi.
-    """
-    return _branches(np.asarray(r, dtype=np.float64) / p.scale_view(np.ndim(r)), p)
 
 
 def quantizer_backward(
@@ -138,7 +132,7 @@ def quantizer_backward(
     grad_r[~((u >= p.lo) & (u <= p.hi))] = 0.0
 
     g = grad_rescale(r, p)
-    weighted = upstream * _branches(u, p)
+    weighted = upstream * scale_grad_branches(u, p)
     if p.per_channel:
         grad_scale = g * weighted.reshape(r.shape[0], -1).sum(axis=1)
     else:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import logistic_logpmf_raw
 from .errors import CorruptStreamError, DataFormatError
 from .numerics import sigmoid
 
@@ -87,8 +88,6 @@ def _raw_probabilities(mu: float, s: float, lo: int, hi: int, a: int, b: int) ->
     computed on its own, so a window gives the same values as the whole
     alphabet does at those symbols.
     """
-    from .autodiff import logistic_logpmf_raw
-
     z = np.arange(a, b + 1, dtype=np.float64)
     # At a subnormal s, 1/s overflows: a symbol away from mu then has both
     # boundary arguments at -inf and a NaN log-mass. Its mass is zero.

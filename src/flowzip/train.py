@@ -4,8 +4,11 @@ The workflow has five stages: (1) train the float model, (2) attach binary
 gates and train the gated objective until the pruned-model FLOPs drop below
 the target fraction of the original, (3) fine-tune with gates frozen,
 (4) fine-tune with fake-quantized activations, (5) fine-tune with weights
-fake-quantized as well. Stage transitions calibrate quantizer scales from a
-held-out calibration batch.
+fake-quantized as well. Stage 4 calibrates the activation quantizers on the
+first ``calib_count`` training images, stage 5 the weight scales from the
+weights. ``Trainer.run`` is the one sequencer of stages: ``run_pipeline``
+runs stages 1..last through it and ``flowzip quantize`` runs stages 4-5
+through it, and each stage ends rounded to what a checkpoint stores.
 """
 
 from __future__ import annotations
@@ -28,13 +31,8 @@ MIN_DELTA = 1e-3
 
 
 @dataclass
-class TrainConfig:
-    # architecture
-    levels: int = 2
-    couplings: int = 4
-    hidden: int = 32
-    blocks: int = 2
-    in_channels: int = 3
+class TrainConfig(FlowConfig):
+    # the architecture fields are FlowConfig's
     height: int = 16
     width: int = 16
     # optimization (Adamax throughout)
@@ -64,13 +62,7 @@ class TrainConfig:
     val_count: int = 64
 
     def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            levels=self.levels,
-            couplings=self.couplings,
-            hidden=self.hidden,
-            blocks=self.blocks,
-            in_channels=self.in_channels,
-        )
+        return FlowConfig(**{f.name: getattr(self, f.name) for f in fields(FlowConfig)})
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
@@ -375,7 +367,6 @@ class Trainer:
                     since_best += 1
                     if since_best >= self.cfg.patience:
                         break
-        model.stage = stage
         self.records.append(StageRecord(stage, len(history), history[-1], flops, history))
 
     def _quant_groups(self, model: FlowModel) -> dict:
@@ -383,6 +374,19 @@ class Trainer:
         return {"main": (main, self.cfg.quant_lr), "scale": (scales, self.cfg.quant_lr)}
 
     # -- stages --------------------------------------------------------------
+
+    def run(self, model: FlowModel, stages, checkpoint_cb):
+        """Run ``stages`` in order on ``model``. Each stage ends by setting
+        ``model.stage`` and rounding the model to the float32 values a
+        checkpoint stores (``checkpoint.round_to_stored``), then calls
+        ``checkpoint_cb(model, stage)`` unless it is None, so a run is the
+        same whether or not the callback saves it."""
+        for stage in stages:
+            getattr(self, f"stage{stage}")(model)
+            model.stage = stage
+            round_to_stored(model)
+            if checkpoint_cb is not None:
+                checkpoint_cb(model, stage)
 
     def stage1(self, model: FlowModel):
         main, _, _ = param_groups(model)
@@ -425,7 +429,6 @@ class Trainer:
             self._report(2, epoch, bpd, flops, opt.groups["gate"]["lr"])
             epoch += 1
         bpd = history[-1][0] if history else self.eval_bpd(model, self.val_x)
-        model.stage = 2
         self.records.append(StageRecord(2, epoch, bpd, flops, history))
 
     def stage3(self, model: FlowModel):
@@ -434,9 +437,9 @@ class Trainer:
             model, 3, {"main": (main, self.cfg.finetune_lr)}, self.cfg.epochs_stage3
         )
 
-    def stage4(self, model: FlowModel, calib: np.ndarray):
+    def stage4(self, model: FlowModel):
         model.act_quant = True
-        calibrate_activations(model, calib)
+        calibrate_activations(model, self.train_x[: self.cfg.calib_count])
         self._run_stage(model, 4, self._quant_groups(model), self.cfg.epochs_stage4)
 
     def stage5(self, model: FlowModel):
@@ -453,25 +456,9 @@ def run_pipeline(
     log=print,
     checkpoint_cb=None,
 ) -> tuple[FlowModel, list[StageRecord]]:
-    """Run training stages 1..last_stage and return the model plus records.
-
-    Each stage ends by rounding the model to the float32 values a checkpoint
-    stores (``checkpoint.round_to_stored``), then calls ``checkpoint_cb``, so
-    the run is the same whether or not the callback saves it.
-    """
+    """Run training stages 1..last_stage (``Trainer.run``) on a fresh model
+    and return the model plus records."""
     trainer = Trainer(config, train_x, val_x, log=log)
     model = FlowModel(config.flow_config(), seed=config.seed)
-    calib = train_x[: config.calib_count]
-    stages = {
-        1: lambda: trainer.stage1(model),
-        2: lambda: trainer.stage2(model),
-        3: lambda: trainer.stage3(model),
-        4: lambda: trainer.stage4(model, calib),
-        5: lambda: trainer.stage5(model),
-    }
-    for s in range(1, last_stage + 1):
-        stages[s]()
-        round_to_stored(model)
-        if checkpoint_cb is not None:
-            checkpoint_cb(model, s)
+    trainer.run(model, range(1, last_stage + 1), checkpoint_cb)
     return model, trainer.records

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from flowzip import codec
-from flowzip.checkpoint import load_model, save_model
+from flowzip.checkpoint import load_model, save_model, serialize
 from flowzip.cli import main
 from flowzip.data import gen_synth, write_u8t
 from flowzip.errors import DataFormatError
 from flowzip.model import FlowConfig, FlowModel
-from flowzip.train import TrainConfig
+from flowzip.train import TrainConfig, Trainer
 
 from helpers import DIVERGING_CONFIG, HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
 
@@ -92,6 +92,13 @@ def test_exit_codes(tmp_path, small_ckpt, capsys):
     ) == 3
 
 
+TINY_CONFIG = (
+    "hidden = 8\ncouplings = 1\nblocks = 1\ntrain_count = 8\nval_count = 4\n"
+    "batch_size = 8\nepochs_stage1 = 1\nepochs_stage4 = 1\nepochs_stage5 = 1\n"
+    "calib_count = 4\n"
+)
+
+
 def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
     # unreadable inputs are data errors (2), unwritable outputs usage errors (1)
     data_dir = str(tmp_path / "data")
@@ -106,11 +113,7 @@ def test_os_errors_end_in_their_exit_codes(tmp_path, small_ckpt, capsys):
     model.stage = 3
     save_model(model, stage3)
     tiny = tmp_path / "tiny.cfg"
-    tiny.write_text(
-        "hidden = 8\ncouplings = 1\nblocks = 1\ntrain_count = 8\nval_count = 4\n"
-        "batch_size = 8\nepochs_stage1 = 1\nepochs_stage4 = 1\nepochs_stage5 = 1\n"
-        "calib_count = 4\n"
-    )
+    tiny.write_text(TINY_CONFIG)
     nowhere = str(tmp_path / "nodir" / "x")
     missing = str(tmp_path / "missing.ppm")
     cases = [
@@ -219,6 +222,53 @@ def test_prune_stores_kept_filters_and_decodes_the_gated_payload(tmp_path, small
 
     # a checkpoint without gates has nothing to prune
     assert main(["prune", "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]) == 1
+
+
+def test_quantize_writes_what_stage_4_saved_loaded_then_stage_5_writes(tmp_path, capsys):
+    # quantize runs stages 4-5 through the stage runner, which rounds each
+    # stage to what a checkpoint stores, so it writes what stage 4, a save
+    # and a load, then stage 5 write
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG)
+    cfg = TrainConfig.from_file(str(cfg_path))
+    model = FlowModel(cfg.flow_config(), seed=0)
+    model.attach_gates(0.8)
+    model.stage = 3
+    stage3, out = str(tmp_path / "stage3.ckpt"), tmp_path / "quantized.ckpt"
+    save_model(model, stage3)
+    argv = ["quantize", "--checkpoint", stage3, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert "quantized: bpd=" in capsys.readouterr().out
+
+    images = gen_synth(cfg.seed, cfg.train_count + cfg.val_count, cfg.height, cfg.width)
+    trainer = Trainer(cfg, images[: cfg.train_count], images[cfg.train_count :],
+                      log=lambda s: None)
+    model = load_model(stage3)
+    trainer.stage4(model)
+    model.stage = 4
+    save_model(model, str(tmp_path / "stage4.ckpt"))
+    model = load_model(str(tmp_path / "stage4.ckpt"))
+    trainer.stage5(model)
+    model.stage = 5
+    assert out.read_bytes() == serialize(model)
+
+    quantized = load_model(str(out))
+    assert quantized.stage == 5 and quantized.act_quant and quantized.weight_quant
+    container, _ = codec.compress(images[:2], quantized, "int")
+    assert np.array_equal(codec.decompress(container, quantized, "int"), images[:2])
+
+
+@pytest.mark.parametrize("stage", [2, 4, 5])
+def test_quantize_refuses_all_but_a_stage_3_checkpoint(tmp_path, capsys, stage):
+    # from stage 4 on, the "stage 4" run would keep the checkpoint's quantizer
+    # flags: at stage 5 it would train with weight fake-quantization still on
+    model = gated_int_model()
+    model.stage = stage
+    ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "q.ckpt"
+    save_model(model, ckpt)
+    assert main(["quantize", "--checkpoint", ckpt, "--out", str(out)]) == 1
+    assert "quantize expects a stage-3 (fine-tuned) checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_args_is_usage_error():

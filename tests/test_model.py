@@ -258,21 +258,41 @@ def test_int_path_requires_quantizers():
         model.flow_forward(gen_synth(0, 1), "bogus")
 
 
-def _edit(model: FlowModel, edit: str):
-    blk = model.levels[0].couplings[0].net.blocks[0]
-    if edit == "round_to_stored":
-        round_to_stored(model)
-    elif edit == "weight_ulp":
-        w = blk.conv_b.w.value
-        w.flat[0] = np.nextafter(w.flat[0], np.inf)
-    elif edit == "gate_flip":
-        g = blk.conv_b.gate.node.value
-        g[0] = 0.2 if g[0] > 0.5 else 0.8
-    else:
-        blk.q_mid.value *= 1.5
+def _ulp(a: np.ndarray):
+    a.flat[0] = np.nextafter(a.flat[0], np.inf)
 
 
-@pytest.mark.parametrize("edit", ["round_to_stored", "weight_ulp", "gate_flip", "q_mid_scaled"])
+def _flip(gate):
+    gate.node.value[0] = 0.2 if gate.g[0] > 0.5 else 0.8
+
+
+def _scaled(node):
+    node.value *= 1.5
+
+
+# an in-place edit of each kind of array that _plan_arrays lists, made to a
+# coupling net and its first block
+PLAN_EDITS = {
+    "stem_w": lambda net, blk: _ulp(net.stem.w.value),
+    "stem_b": lambda net, blk: _ulp(net.stem.b.value),
+    "conv_a_w": lambda net, blk: _ulp(blk.conv_a.w.value),
+    "conv_a_b": lambda net, blk: _ulp(blk.conv_a.b.value),
+    "conv_a_wscale": lambda net, blk: _ulp(blk.conv_a.wscale.value),
+    "conv_a_gate": lambda net, blk: _flip(blk.conv_a.gate),
+    "weight_ulp": lambda net, blk: _ulp(blk.conv_b.w.value),
+    "conv_b_b": lambda net, blk: _ulp(blk.conv_b.b.value),
+    "conv_b_wscale": lambda net, blk: _ulp(blk.conv_b.wscale.value),
+    "gate_flip": lambda net, blk: _flip(blk.conv_b.gate),
+    "q_in_scaled": lambda net, blk: _scaled(blk.q_in),
+    "q_mid_scaled": lambda net, blk: _scaled(blk.q_mid),
+    "out_w": lambda net, blk: _ulp(net.out.w.value),
+    "out_b": lambda net, blk: _ulp(net.out.b.value),
+    "out_wscale": lambda net, blk: _ulp(net.out.wscale.value),
+    "q_out_scaled": lambda net, blk: _scaled(net.q_out),
+}
+
+
+@pytest.mark.parametrize("edit", ["round_to_stored", *PLAN_EDITS])
 def test_int_plan_follows_in_place_edits(edit):
     # the plan is kept while the model is unchanged and rebuilt after any
     # in-place edit, so the next container is the one a fresh model with the
@@ -282,7 +302,11 @@ def test_int_plan_follows_in_place_edits(edit):
     codec.compress(x, model, "int")
     plan = model.int_plan()
     assert model.int_plan() is plan
-    _edit(model, edit)
+    if edit == "round_to_stored":
+        round_to_stored(model)
+    else:
+        net = model.levels[0].couplings[0].net
+        PLAN_EDITS[edit](net, net.blocks[0])
     assert model.int_plan() is not plan
     container, _ = codec.compress(x, model, "int")
     assert container == codec.compress(x, copy.deepcopy(model), "int")[0]

@@ -167,13 +167,13 @@ def test_scale_grad_branches_closed_form():
     p = QuantizerParams(scale=1.0)
     # one input per branch: in-range integral, in-range fractional, below, above
     r = np.array([3.0, 3.2, -500.0, 500.0])
-    br = scale_grad_branches(r, p)
+    br = scale_grad_branches(r / p.scale, p)
     assert br[0] == 0.0
     assert br[1] == pytest.approx(round(3.2) - 3.2)
     assert br[2] == -128.0
     assert br[3] == 127.0
     un = QuantizerParams(scale=1.0, signed=False)
-    bru = scale_grad_branches(np.array([-4.0, 500.0]), un)
+    bru = scale_grad_branches(np.array([-4.0, 500.0]) / un.scale, un)
     assert bru[0] == 0.0 and bru[1] == 255.0
 
 
@@ -256,7 +256,8 @@ def test_lsq_backward_equals_the_select_bit_for_bit(signed, per_channel, layouts
     with np.errstate(all="ignore"):
         grad_r, grad_s = quantizer_backward(r, p, up)
         want_r, want_s = quantizer_backward_ref(r, p, up)
-        branches, want_branches = scale_grad_branches(r, p), scale_grad_branches_ref(r, p)
+        branches = scale_grad_branches(r / p.scale_view(r.ndim), p)
+        want_branches = scale_grad_branches_ref(r, p)
     assert _same_bits(grad_r, want_r) and _same_bits(grad_s, want_s)
     assert _same_bits(branches, want_branches)
     assert grad_r.strides == up.strides

@@ -25,12 +25,17 @@ def test_perfbench_span_targets_resolve():
 
 
 def test_perfbench_fixture_reads_the_desk_config():
-    # the benchmark's setup parses configs/desk.cfg on every run: a key that
-    # TrainConfig no longer knows would fail every workload
+    # the benchmark's setup parses configs/desk.cfg and builds the stage-5
+    # fixture on every run: a key that TrainConfig no longer knows, or a
+    # fixture the int path cannot code, would fail every codec workload
     fixture = load_perfbench("fixture")
     cfg = fixture.desk_config(str(ROOT))
     assert isinstance(cfg, train.TrainConfig)
     assert fixture.build_model(cfg, 2).gated
+    model = fixture.build_model(cfg, 5)
+    image = gen_synth(7, 1, cfg.height, cfg.width, cfg.in_channels)
+    container, _ = codec.compress(image, model, "int")
+    assert np.array_equal(codec.decompress(container, model, "int"), image)
 
 
 def _int_round_trip():
