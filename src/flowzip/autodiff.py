@@ -14,13 +14,13 @@ convolution runs one kernel, conv_gemm: im2col copies the padded input's
 sliding windows once, batch innermost, and one GEMM over the whole batch
 makes (C_out, H*W*B) rows. conv2d_raw, the tape conv2d (whose weight
 gradient is one GEMM against the same patches) and the integer accumulator
-layers.int_conv_acc are epilogues on it. The float convs run it in float64.
-The integer accumulator runs it in the dtype of its plan entry's int8 grid
-(layers.IntConv): float32 when the conv's weight bound, 255 * max over rows
-of sum |w_int| + max |bhat|, is at most 2**24, else float64; its folded
-bias joins in the same buffer. grid_view shows such rows as a
-(B,C,H,W) view of (C,H,W,B) memory, which the next patch copy reads in
-memory order; channel_rows turns that view back into rows.
+layers.int_conv_acc are epilogues on it, and it runs in the weights' dtype:
+float64 for the float convs, and for the integer accumulator the dtype of
+its plan entry's int8 grid (layers.IntConv): float32 when the conv's weight
+bound, 255 * max over rows of sum |w_int| + max |bhat|, is at most 2**24,
+else float64; its folded bias joins in the same buffer. grid_view shows
+such rows as a (B,C,H,W) view of (C,H,W,B) memory, which the next patch
+copy reads in memory order; channel_rows turns that view back into rows.
 
 Each output element of these GEMMs sums its C*k*k products along one axis.
 The integer accumulator's sums are exact in either dtype (that bound holds
@@ -305,20 +305,20 @@ def grid_view(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.reshape(rows.shape[0], H, W, B).transpose(3, 0, 1, 2)
 
 
-def conv_gemm(x: np.ndarray, w: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every conv's forward GEMM, in ``dtype``: its (C_out, H*W*B) rows and the patches."""
+def conv_gemm(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every conv's forward GEMM, in ``w``'s dtype: its (C_out, H*W*B) rows and the patches."""
     C = x.shape[1]
     Cout, Cin, k, _ = w.shape
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
-    cols = im2col(x, k, dtype)
+    cols = im2col(x, k, w.dtype)
     # C_in*k*k, not -1, sizes the zero-input kernel of conv B after an all-off conv A
-    return np.matmul(w.reshape(Cout, Cin * k * k).astype(dtype, copy=False), cols), cols
+    return np.matmul(w.reshape(Cout, Cin * k * k), cols), cols
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Float conv, stride 1, same padding, odd kernel: float64 conv_gemm + bias."""
-    y, _ = conv_gemm(x, w, np.float64)
+    """Float conv, stride 1, same padding, odd kernel: conv_gemm + bias."""
+    y, _ = conv_gemm(x, w)
     if b is not None:
         y += b[:, None]
     return grid_view(y, x.shape)
@@ -332,7 +332,7 @@ def conv2d(x, w, b):
     identity (exact for stride 1)."""
     xn, wn, bn = _lift(x), _lift(w), _lift(b)
     xv, wv = xn.value, wn.value
-    y, cols = conv_gemm(xv, wv, np.float64)
+    y, cols = conv_gemm(xv, wv)
     y += bn.value[:, None]
 
     def vjp_x(g):

@@ -48,6 +48,8 @@ VERSION = 1
 KIND_PARAM, KIND_GATE, KIND_QSCALE, KIND_INDEX = 0, 1, 2, 3
 
 FLAG_GATED, FLAG_ACT_Q, FLAG_WEIGHT_Q, FLAG_PRUNED = 1, 2, 4, 8
+# the header after the magic: version, flags, stage, L, D, blocks, hidden, in_ch
+_HEADER = struct.Struct("<HHBBBBHB")
 
 
 def checksum64(data: bytes) -> int:
@@ -119,19 +121,8 @@ def serialize(model: FlowModel) -> bytes:
         | (FLAG_PRUNED if model.pruned else 0)
     )
     cfg = model.cfg
-    parts.append(
-        struct.pack(
-            "<HHBBBBHB",
-            VERSION,
-            flags,
-            model.stage,
-            cfg.levels,
-            cfg.couplings,
-            cfg.blocks,
-            cfg.hidden,
-            cfg.in_channels,
-        )
-    )
+    parts.append(_HEADER.pack(VERSION, flags, model.stage, cfg.levels, cfg.couplings,
+                              cfg.blocks, cfg.hidden, cfg.in_channels))
     for lvl in model.levels:
         parts.append(struct.pack("<HH", lvl.retained, lvl.factored))
 
@@ -200,7 +191,7 @@ def deserialize(data: bytes) -> FlowModel:
         raise ChecksumError("checkpoint checksum mismatch")
     r = _Reader(body)
     r.take(len(MAGIC))
-    version, flags, stage, L, D, blocks, hidden, in_ch = r.unpack("<HHBBBBHB")
+    version, flags, stage, L, D, blocks, hidden, in_ch = _HEADER.unpack(r.take(_HEADER.size))
     if version != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version}")
     splits = [r.unpack("<HH") for _ in range(L)]

@@ -50,7 +50,7 @@ def build_parser() -> _Parser:
     g.add_argument("--height", type=_positive_int, default=16)
     g.add_argument("--width", type=_positive_int, default=16)
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--format", choices=("ppm", "u8t"), default="ppm")
+    g.add_argument("--format", choices=tuple(data.IMAGE_FORMATS), default="ppm")
 
     t = sub.add_parser("train", help="run the staged training workflow")
     t.add_argument("--config", default=None, help="key=value config file")
@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
     d.add_argument("--checkpoint", required=True)
     d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--path", choices=("float", "fake", "int"), default=None)
-    d.add_argument("--format", choices=("ppm", "u8t"), default="ppm")
+    d.add_argument("--format", choices=tuple(data.IMAGE_FORMATS), default="ppm")
 
     e = sub.add_parser("eval", help="print analytic and coding bits per dimension")
     e.add_argument("inputs", nargs="+")
@@ -93,7 +93,9 @@ def build_parser() -> _Parser:
         "quantize",
         help="run stages 4-5 from a stage-3 checkpoint",
         description="Run training stages 4-5 from a stage-3 checkpoint through the "
-        "same stage runner as train; each stage ends rounded to what a checkpoint stores.",
+        "same stage runner as train; each stage ends rounded to what a checkpoint stores. "
+        "The epoch shuffles start from the config seed, not where the train run that "
+        "wrote the checkpoint left them, so stage 5 differs from that run's own.",
     )
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--config", default=None)

@@ -95,6 +95,10 @@ from .rans import MassTable, RansDecoder, RansEncoder, mass_table
 
 MAGIC = b"IODF1"
 VERSION = 3
+# the header after the magic: version, model checksum, h, w, c, count,
+# image checksum, payload length
+_HEADER = struct.Struct("<BQHHBIQI")
+_HEADER_END = len(MAGIC) + _HEADER.size
 
 CODING_M = 1 << 20
 ALPHABET_HALF = 2048
@@ -235,9 +239,8 @@ def compress(
             enc.push(syms, *_block_tables(cache, fracs, lss))
     payload = enc.payload()
 
-    header = MAGIC + struct.pack(
-        "<BQHHBIQI", VERSION, model_id(model, path), h, w, c, n,
-        checksum64(images.tobytes()), len(payload),
+    header = MAGIC + _HEADER.pack(
+        VERSION, model_id(model, path), h, w, c, n, checksum64(images.tobytes()), len(payload)
     )
     container = header + payload
     d = c * h * w
@@ -254,16 +257,14 @@ def _parse_container(container: bytes):
         raise DataFormatError("not a flowzip container (bad magic)")
     if container[5] != VERSION:
         raise DataFormatError(f"unsupported container version {container[5]}")
-    if len(container) < 35:
+    if len(container) < _HEADER_END:
         raise DataFormatError("truncated container (header)")
-    _, model_sum, h, w, c, count, image_sum, ln = struct.unpack(
-        "<BQHHBIQI", container[5:35]
-    )
-    if 35 + ln > len(container):
+    _, model_sum, h, w, c, count, image_sum, ln = _HEADER.unpack_from(container, len(MAGIC))
+    if _HEADER_END + ln > len(container):
         raise DataFormatError("truncated container (payload)")
-    if 35 + ln < len(container):
+    if _HEADER_END + ln < len(container):
         raise DataFormatError("trailing bytes after the payload")
-    return model_sum, h, w, c, count, image_sum, container[35:]
+    return model_sum, h, w, c, count, image_sum, container[_HEADER_END:]
 
 
 def _pull_tensor(dec: RansDecoder, cache: PriorTableCache, shape, mu, log_s) -> np.ndarray:

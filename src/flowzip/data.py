@@ -125,21 +125,23 @@ def read_u8t(path: str) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=9).reshape(c, h, w).copy()
 
 
-def read_image(path: str) -> np.ndarray:
-    if path.endswith(".ppm"):
-        return read_ppm(path)
-    if path.endswith(".u8t"):
-        return read_u8t(path)
+# extension (without its dot) -> (reader, writer): the one list of image formats
+IMAGE_FORMATS = {"ppm": (read_ppm, write_ppm), "u8t": (read_u8t, write_u8t)}
+
+
+def _image_format(path: str):
+    for ext, rw in IMAGE_FORMATS.items():
+        if path.endswith("." + ext):
+            return rw
     raise DataFormatError(f"{path}: unsupported image extension")
 
 
+def read_image(path: str) -> np.ndarray:
+    return _image_format(path)[0](path)
+
+
 def write_image(path: str, image: np.ndarray):
-    if path.endswith(".ppm"):
-        write_ppm(path, image)
-    elif path.endswith(".u8t"):
-        write_u8t(path, image)
-    else:
-        raise DataFormatError(f"{path}: unsupported image extension")
+    _image_format(path)[1](path, image)
 
 
 def load_dataset(paths: list[str]) -> np.ndarray:
@@ -159,6 +161,5 @@ def dataset_paths(directory: str) -> list[str]:
         names = sorted(os.listdir(directory))
     except OSError as e:
         raise DataFormatError(f"cannot list {directory}: {e}") from e
-    return [
-        os.path.join(directory, n) for n in names if n.endswith((".ppm", ".u8t"))
-    ]
+    exts = tuple("." + ext for ext in IMAGE_FORMATS)
+    return [os.path.join(directory, n) for n in names if n.endswith(exts)]

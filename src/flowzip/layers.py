@@ -49,7 +49,7 @@ from . import autodiff as ad
 from . import quant
 from .errors import DataFormatError
 from .numerics import round_half_away, round_half_away_nonneg
-from .quant import MIN_SCALE, QuantizerParams, init_scale
+from .quant import MIN_SCALE, UNSIGNED_HI, UNSIGNED_LO, QuantizerParams, init_scale
 
 KERNEL = 3
 # Input values are bytes plus bounded coupling updates; nets see u/128 - 1.
@@ -150,7 +150,7 @@ class IntConv:
         """Bound the accumulator by 255 * max over rows of sum |w_int| plus
         max |bhat|, refuse it above MAX_ACC, and pick float32 up to F32_EXACT."""
         row_sum = np.abs(w_int).sum(axis=(1, 2, 3))
-        bound = 255 * int(row_sum.max(initial=0)) + int(np.abs(bhat).max(initial=0))
+        bound = UNSIGNED_HI * int(row_sum.max(initial=0)) + int(np.abs(bhat).max(initial=0))
         if bound > MAX_ACC:
             raise DataFormatError(f"int32 accumulator could overflow (bound {bound})")
         dtype = np.float32 if bound <= F32_EXACT else np.float64
@@ -162,7 +162,7 @@ def int_conv_acc(values: np.ndarray, conv: IntConv) -> np.ndarray:
     ``autodiff.conv_gemm`` in the conv's GEMM dtype, plus the folded bias in
     the GEMM's own buffer, as the ``grid_view`` that the next call reads back
     without a strided copy. ``conv.bound`` keeps every sum exact in that dtype."""
-    y, _ = ad.conv_gemm(values, conv.w, conv.w.dtype)
+    y, _ = ad.conv_gemm(values, conv.w)
     y += conv.bhat[:, None]
     return ad.grid_view(y, values.shape)
 
@@ -191,7 +191,7 @@ def requantize(acc: np.ndarray, m) -> np.ndarray:
     round-half-away-then-clip up to the sign of zeros.
     """
     acc = rescale(acc, m)
-    np.clip(acc, 0, 255, out=acc)
+    np.clip(acc, UNSIGNED_LO, UNSIGNED_HI, out=acc)
     return round_half_away_nonneg(acc)
 
 

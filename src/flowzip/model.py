@@ -10,8 +10,6 @@ and any of the three execution paths (float, fake-quantized, integer).
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,19 +85,12 @@ class FlowConfig:
             c //= 2
 
 
-@dataclass
-class SimCtx:
-    act_quant: bool = False
-    weight_quant: bool = False
-    calibrate: bool = False
-
-
 class CouplingNet:
     """stem conv -> relu -> residual blocks -> zero-initialized output conv.
 
     The stem is never quantized; the output conv has no activation quantizer
     on its output (the coupling rounds it to integers anyway). Prior nets are
-    CouplingNets too, never quantized: ``Level`` runs them under an empty SimCtx.
+    CouplingNets too, never quantized: ``Level`` runs them with both flags off.
     """
 
     def __init__(
@@ -115,18 +106,18 @@ class CouplingNet:
         self.out = ConvLayer(hidden, c_out)
         self.q_out = ad.Node(np.ones(1), requires_grad=True)
 
-    def forward_sim(self, u, ctx: SimCtx):
-        """u holds raw latent values (integral); returns the net output Node."""
-        aq, wq = ctx.act_quant, ctx.weight_quant
+    def forward_sim(self, u, act_quant: bool, weight_quant: bool, calibrate: bool = False):
+        """u holds raw latent values (integral); returns the net output Node.
+        The flags are ``block_sim``'s."""
         v = ad.add_const(ad.scale(u, NET_INPUT_SCALE), -1.0)
         h = ad.relu(self.stem.forward_sim(v, False))
         for blk in self.blocks:
-            h = block_sim(h, blk, aq, wq, calibrate=ctx.calibrate)
-        if ctx.calibrate and aq:
+            h = block_sim(h, blk, act_quant, weight_quant, calibrate=calibrate)
+        if calibrate and act_quant:
             calibrate_activation(self.q_out, h.value)
-        if aq:
+        if act_quant:
             h = ad.fake_quantize(h, self.q_out, signed=False)
-        return self.out.forward_sim(h, wq)
+        return self.out.forward_sim(h, weight_quant)
 
     def forward_int(self, u: np.ndarray, plan: "IntNet") -> np.ndarray:
         """Integer path: u8 grids between the (float) stem and the output,
@@ -274,7 +265,7 @@ class Level:
 
     def prior_params_sim(self, retained):
         # Prior networks stay unquantized in every path.
-        out = self.prior_net.forward_sim(retained, SimCtx())
+        out = self.prior_net.forward_sim(retained, False, False)
         mu = ad.channel_slice(out, 0, self.factored)
         log_s = ad.channel_slice(out, self.factored, 2 * self.factored)
         return mu, log_s
@@ -313,12 +304,6 @@ def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
     return arrays
 
 
-# model -> (the shape and bytes of each of its _plan_arrays, the plan built
-# from them); an entry goes with its model
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_PLANS_LOCK = threading.Lock()
-
-
 class FlowModel:
     def __init__(self, cfg: FlowConfig, seed: int = 0):
         cfg.validate()
@@ -342,6 +327,8 @@ class FlowModel:
         self.weight_quant = False
         self.pruned = False
         self.stage = 0
+        # (the shape and bytes of each _plan_arrays entry, the plan built from them)
+        self._int_plan = None
 
     # -- structure ---------------------------------------------------------
 
@@ -383,13 +370,15 @@ class FlowModel:
         """The integer path's plan: ``{CouplingNet: IntNet}``, one frozen
         entry per coupling net holding every int8 grid, folded bias,
         multiplier, kept set and accumulator bound that the path reads. It is
-        built on first use and kept across calls while the model's values
-        stay the same; ``checkpoint.deserialize`` builds it at load.
+        built on first use and kept on the model while its values stay the
+        same; ``checkpoint.deserialize`` builds it at load, and a deep copy
+        carries it, keyed by the copy's own nets.
 
         Training, loading and ``checkpoint.round_to_stored`` change arrays in
         place, so each call compares every array the plan was built from
         (``_plan_arrays``) with its current value, shape and bytes, and
-        rebuilds on any difference. Raises DataFormatError when a conv's
+        rebuilds on any difference; it reads them before a build, so an edit
+        made during one is seen. Raises DataFormatError when a conv's
         accumulator or folded bias would not fit its 32-bit budget.
 
         The guard stays an exact content compare. A change counter bumped
@@ -401,19 +390,17 @@ class FlowModel:
         one-image 32x32 round trip takes 390 ms.
         """
         arrays = _plan_arrays(self)
-        with _PLANS_LOCK:
-            cached = _PLANS.get(self)
-            if cached is not None and len(cached[0]) == len(arrays) and all(
+        if self._int_plan is not None:
+            built, plan = self._int_plan
+            if len(built) == len(arrays) and all(
                 a.shape == shape and a.tobytes() == data
-                for a, (shape, data) in zip(arrays, cached[0])
+                for a, (shape, data) in zip(arrays, built)
             ):
-                return cached[1]
-            plan = {net: IntNet.build(net) for net in self.coupling_nets()}
-            _PLANS[self] = ([(a.shape, a.tobytes()) for a in arrays], plan)
-            return plan
-
-    def sim_ctx(self, calibrate: bool = False) -> SimCtx:
-        return SimCtx(self.act_quant, self.weight_quant, calibrate)
+                return plan
+        built = [(a.shape, a.tobytes()) for a in arrays]
+        plan = {net: IntNet.build(net) for net in self.coupling_nets()}
+        self._int_plan = (built, plan)
+        return plan
 
     # -- the flow, shared by training and the inference paths ---------------
 
@@ -438,9 +425,9 @@ class FlowModel:
 
     def training_forward(self, x: np.ndarray, calibrate: bool = False):
         """Returns the batch's total log2 probability as a scalar tape Node."""
-        ctx = self.sim_ctx(calibrate)
+        aq, wq = self.act_quant, self.weight_quant
         total = None
-        for z, mu, log_s in self.walk(x, lambda net, xa: net.forward_sim(xa, ctx)):
+        for z, mu, log_s in self.walk(x, lambda net, xa: net.forward_sim(xa, aq, wq, calibrate)):
             term = ad.nsum(ad.logistic_logpmf(z, mu, log_s))
             total = term if total is None else ad.add(total, term)
         return total
@@ -457,17 +444,17 @@ class FlowModel:
             nets = self.int_plan()
             return lambda net, xa: ad.Node(net.forward_int(xa.value, nets[net]))
         if path == "float":
-            ctx = SimCtx(False, False)
+            flags = False, False
         elif path == "fake":
             if not self.act_quant:
                 raise DataFormatError("fake-quant path requires a quantized checkpoint")
-            ctx = SimCtx(self.act_quant, self.weight_quant)
+            flags = self.act_quant, self.weight_quant
         else:
             raise DataFormatError(f"unknown inference path: {path}")
 
         def t_sim(net: CouplingNet, xa):
             with ad.no_grad():
-                return net.forward_sim(xa, ctx)
+                return net.forward_sim(xa, *flags)
 
         return t_sim
 

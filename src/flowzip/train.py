@@ -8,7 +8,11 @@ fake-quantized as well. Stage 4 calibrates the activation quantizers on the
 first ``calib_count`` training images, stage 5 the weight scales from the
 weights. ``Trainer.run`` is the one sequencer of stages: ``run_pipeline``
 runs stages 1..last through it and ``flowzip quantize`` runs stages 4-5
-through it, and each stage ends rounded to what a checkpoint stores.
+through it, and each stage ends rounded to what a checkpoint stores. Each
+epoch's shuffle comes from one generator seeded with the config seed that
+runs on through the stages, and a checkpoint does not store it: ``flowzip
+quantize`` starts its shuffles from the seed, so its stage 5 is not the
+stage 5 of the ``train`` run that wrote its stage-3 checkpoint.
 """
 
 from __future__ import annotations
@@ -130,15 +134,15 @@ def gate_lambdas(model: FlowModel, config: TrainConfig) -> list[float]:
 
 
 def gated_objective(batch: np.ndarray, model: FlowModel, lambdas) -> tuple:
-    """bpd + sum over gates of lambda(level) * ||binarized gate||_1."""
+    """bpd + sum over gates of lambda(level) * ||binarized gate||_1, with one
+    lambda per level (``gate_lambdas``); a model without gates needs none."""
     base = loss_bpd(batch, model)
     penalty = None
     for li, lvl in enumerate(model.levels):
-        lam = float(lambdas[min(li, len(lambdas) - 1)])
         for coup in lvl.couplings:
             for blk in coup.net.blocks:
                 for gate in blk.gates():
-                    term = ad.scale(ad.nsum(ad.binarize_ste(gate.node)), lam)
+                    term = ad.scale(ad.nsum(ad.binarize_ste(gate.node)), float(lambdas[li]))
                     penalty = term if penalty is None else ad.add(penalty, term)
     if penalty is None:
         return base, base

@@ -21,7 +21,7 @@ from flowzip.model import (
     MAX_PARAMS,
     FlowConfig,
     FlowModel,
-    SimCtx,
+    IntNet,
 )
 
 from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint, rechecksummed
@@ -63,7 +63,7 @@ def _toy_coupling(channels=4, t_value=3.0):
 
 
 def _sim_t(net, xa):
-    return net.forward_sim(xa, SimCtx())
+    return net.forward_sim(xa, False, False)
 
 
 def test_coupling_identity_at_rezero():
@@ -309,5 +309,27 @@ def test_int_plan_follows_in_place_edits(edit):
         PLAN_EDITS[edit](net, net.blocks[0])
     assert model.int_plan() is not plan
     container, _ = codec.compress(x, model, "int")
-    assert container == codec.compress(x, copy.deepcopy(model), "int")[0]
+    # a deep copy carries the plan along; drop it so the reference builds its own
+    fresh = copy.deepcopy(model)
+    fresh._int_plan = None
+    assert container == codec.compress(x, fresh, "int")[0]
+    assert fresh.int_plan() is not model.int_plan()
     assert np.array_equal(codec.decompress(container, model, "int"), x)
+
+
+def test_int_plan_sees_an_edit_made_during_its_build(monkeypatch):
+    # the plan records what it is built from before the build starts, so an
+    # edit that lands while it builds makes the next call rebuild
+    model = gated_int_model()
+    net = model.levels[0].couplings[0].net
+    build = IntNet.build
+
+    def editing_build(n):
+        if n is net:
+            monkeypatch.undo()
+            _ulp(net.stem.w.value)
+        return build(n)
+
+    monkeypatch.setattr(IntNet, "build", editing_build)
+    plan = model.int_plan()
+    assert model.int_plan() is not plan

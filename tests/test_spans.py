@@ -36,6 +36,16 @@ def test_perfbench_fixture_reads_the_desk_config():
     image = gen_synth(7, 1, cfg.height, cfg.width, cfg.in_channels)
     container, _ = codec.compress(image, model, "int")
     assert np.array_equal(codec.decompress(container, model, "int"), image)
+    # the benchmark's int GEMMs run in float32 (40 convs, the largest bound
+    # 590,580): a conv whose bound passed 2**24 would move them to float64
+    # without failing anything else
+    convs = [
+        conv
+        for net in model.int_plan().values()
+        for conv in (net.out, *(c for blk in net.blocks for c in (blk.conv_a, blk.conv_b)))
+        if conv is not None
+    ]
+    assert convs and all(conv.w.dtype == np.float32 for conv in convs)
 
 
 def _int_round_trip():

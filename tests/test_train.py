@@ -108,6 +108,17 @@ def test_gate_gradient_includes_penalty():
     assert g is not None and g.shape == (8,)
 
 
+def test_gated_objective_without_gates_is_the_plain_objective():
+    # gate_lambdas gives no lambda for a model without gates, and none is read
+    model = FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1), seed=0)
+    lambdas = gate_lambdas(model, TrainConfig())
+    assert lambdas == []
+    x = gen_synth(0, 2)
+    total, base = gated_objective(x, model, lambdas)
+    assert total is base
+    assert float(base.value) == float(loss_bpd(x, model).value)
+
+
 def test_conv_gradient_through_whole_model():
     # spot-check the assembled graph against finite differences
     model = FlowModel(FlowConfig(hidden=6, couplings=1, blocks=1), seed=3)
