@@ -41,7 +41,13 @@ turning the -0.0 fmax may keep into +0.0.
 
 Usage: wrap parameters in ``Node(arr, requires_grad=True)``, build the loss
 with the functions below, call ``backward(loss)``, read ``node.grad``.
-Inside ``no_grad()`` the same functions run without recording.
+An op's output requires grad, and records its inputs, only when one of its
+inputs requires grad; inputs that do not (images, constants) get no edge and
+no gradient. ``backward`` consumes the graph: as its reverse sweep leaves a
+node it drops that node's gradient, its adjoints and its inputs, so only
+leaves keep ``.grad`` and the tape shrinks while the sweep runs. A second
+``backward`` through a consumed node raises ValueError; every step builds a
+fresh graph. Inside ``no_grad()`` the same functions run without recording.
 """
 
 from __future__ import annotations
@@ -75,7 +81,14 @@ def no_grad():
 
 
 class Node:
-    """A value in the computation graph."""
+    """A value in the computation graph.
+
+    A leaf has no parents: a parameter (``requires_grad=True``) or a
+    constant. An op output has ``requires_grad`` set when one of its inputs
+    requires grad; its ``parents`` are those inputs, each with its adjoint in
+    ``vjps``. ``backward`` consumes op outputs: afterwards their ``parents``
+    are empty and their ``vjps`` None.
+    """
 
     __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
 
@@ -83,7 +96,7 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.parents: tuple[Node, ...] = ()
-        self.vjps: tuple[Callable, ...] = ()
+        self.vjps: tuple[Callable, ...] | None = ()
         self.requires_grad = requires_grad
 
     @property
@@ -91,7 +104,8 @@ class Node:
         return self.value.shape
 
     def __repr__(self):
-        return f"Node(shape={self.value.shape}, leaf={self.requires_grad})"
+        state = "consumed" if self.vjps is None else f"leaf={not self.parents}"
+        return f"Node(shape={self.value.shape}, {state})"
 
 
 def _lift(x) -> Node:
@@ -103,11 +117,12 @@ def value_of(x) -> np.ndarray:
 
 
 def _make(value, parents, vjps) -> Node:
-    if not _grad_on():
-        return Node(value)
     out = Node(value)
-    out.parents = tuple(parents)
-    out.vjps = tuple(vjps)
+    if _grad_on():
+        edges = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+        if edges:
+            out.requires_grad = True
+            out.parents, out.vjps = zip(*edges)
     return out
 
 
@@ -123,12 +138,20 @@ def _accum(node: Node, g: np.ndarray):
         # the relu mask and the next weight-gradient GEMM that read it are
         node.grad = g.copy(order="K")
     else:
-        node.grad = node.grad + g
+        node.grad += g  # the node's own copy: the same sum, no new array
 
 
 def backward(loss: Node):
-    """Populate .grad on every node reachable from loss (seeded with 1)."""
-    order: list[Node] = []
+    """Seed loss with 1 and sweep the graph in reverse, consuming it.
+
+    Leaves that require grad end with their gradient in ``.grad``, summed
+    over every path from loss. Each op output is consumed as the sweep
+    leaves it: its ``.grad`` goes back to None, its ``parents`` to () and its
+    ``vjps`` to None, which frees the closures and the arrays they hold.
+    ``value`` stays. Raises ValueError, before any adjoint runs, if the walk
+    reaches a node that an earlier backward consumed.
+    """
+    order: list[Node] = []  # post-order: each node after all its parents
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(loss, False)]
     while stack:
@@ -138,16 +161,22 @@ def backward(loss: Node):
             continue
         if id(node) in seen:
             continue
+        if node.vjps is None:
+            raise ValueError("backward reached a node that an earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
             stack.append((p, False))
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node.grad is None:
-            continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            _accum(parent, vjp(node.grad))
+    while order:
+        node = order.pop()
+        if not node.parents:
+            continue  # a leaf keeps its gradient
+        # every child has run, so node.grad is complete
+        g, parents, vjps = node.grad, node.parents, node.vjps
+        node.grad, node.parents, node.vjps = None, (), None
+        for parent, vjp in zip(parents, vjps):
+            _accum(parent, vjp(g))
 
 
 # ---------------------------------------------------------------------------

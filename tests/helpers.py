@@ -1,6 +1,6 @@
 """Shared test utilities: finite differences, gradient projections, checkpoint
 bytes, the benchmark's modules, np.where references for the select-free
-kernels."""
+kernels, and the keep-everything reference tape."""
 
 import importlib.util
 import math
@@ -115,6 +115,53 @@ def use_reference_kernels(monkeypatch):
     monkeypatch.setattr(ad, "relu", relu_ref)
     monkeypatch.setattr(ad, "_logpmf_values", logpmf_values_ref)
     monkeypatch.setattr(quant, "quantizer_backward", quantizer_backward_ref)
+
+
+# The tape as it was before backward consumed it: every op records all of
+# its inputs, whether or not they require grad, and the sweep keeps every
+# node's gradient and adjoints until the caller drops the loss.
+
+
+def make_ref(value, parents, vjps):
+    out = ad.Node(value)
+    if ad._grad_on():
+        out.parents = tuple(parents)
+        out.vjps = tuple(vjps)
+    return out
+
+
+def _accum_ref(node, g):
+    while g.ndim > node.value.ndim:
+        g = g.sum(axis=0)
+    for ax, n in enumerate(node.value.shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    if node.grad is None:
+        node.grad = g.copy(order="K")
+    else:
+        node.grad = node.grad + g
+
+
+def backward_ref(loss):
+    """Keep-everything backward over a graph built with make_ref."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            stack.append((p, False))
+    loss.grad = np.ones_like(loss.value)
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, vjp in zip(node.parents, node.vjps):
+            _accum_ref(parent, vjp(node.grad))
 
 
 def special_doubles() -> np.ndarray:
