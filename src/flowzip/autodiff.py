@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The op set is exactly what the flow and its objectives need: add, mul,
-scale, add_const, relu and the sum reduction nsum; reshape, channel
+scale, add_const, relu, clip and the sum reduction nsum; reshape, channel
 slice/concat, scatter_add and the 2x2 squeeze; convolution; rounding and
 gate binarization with straight-through gradients; the LSQ fake-quantizer;
 and the discretized-logistic log-mass. Every op registers an exact adjoint;
@@ -213,6 +213,13 @@ def relu(a):
         return Node(out)
     mask = a.value > 0
     return _make(out, (a,), (lambda g: g * mask,))
+
+
+def clip(a, lo: float, hi: float):
+    """np.clip(x, lo, hi); the gradient passes where lo <= x <= hi."""
+    a = _lift(a)
+    mask = (a.value >= lo) & (a.value <= hi)
+    return _make(np.clip(a.value, lo, hi), (a,), (lambda g: g * mask,))
 
 
 def nsum(a):

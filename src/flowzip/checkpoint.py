@@ -5,7 +5,8 @@ Layout (little-endian):
     magic   8 bytes  "IODFCKPT"
     version u16      format version (1)
     flags   u16      bit0 gated, bit1 act_quant, bit2 weight_quant, bit3 pruned
-    stage   u8       last completed training stage (0..5)
+                     (other bits are undefined, and refused)
+    stage   u8       last completed training stage (0..5, LAST_STAGE)
     L, D, blocks u8  architecture
     hidden  u16
     in_ch   u8
@@ -48,6 +49,7 @@ VERSION = 1
 KIND_PARAM, KIND_GATE, KIND_QSCALE, KIND_INDEX = 0, 1, 2, 3
 
 FLAG_GATED, FLAG_ACT_Q, FLAG_WEIGHT_Q, FLAG_PRUNED = 1, 2, 4, 8
+LAST_STAGE = 5
 # the header after the magic: version, flags, stage, L, D, blocks, hidden, in_ch
 _HEADER = struct.Struct("<HHBBBBHB")
 
@@ -194,6 +196,10 @@ def deserialize(data: bytes) -> FlowModel:
     version, flags, stage, L, D, blocks, hidden, in_ch = _HEADER.unpack(r.take(_HEADER.size))
     if version != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version}")
+    if stage > LAST_STAGE:
+        raise DataFormatError(f"checkpoint stage {stage} is above the last, {LAST_STAGE}")
+    if flags & ~(FLAG_GATED | FLAG_ACT_Q | FLAG_WEIGHT_Q | FLAG_PRUNED):
+        raise DataFormatError(f"checkpoint flags {flags:#x} set an undefined bit")
     splits = [r.unpack("<HH") for _ in range(L)]
 
     cfg = FlowConfig(levels=L, couplings=D, hidden=hidden, blocks=blocks, in_channels=in_ch)

@@ -62,10 +62,11 @@ Symbols are coded on a per-dimension alphabet of 4096 values recentred at
 the prior's rounded location, with tail-collapsed mass tables of total
 2**20 and a frequency floor of one, so any representable latent stays
 encodable even under a badly mismatched prior. Prior parameters are snapped
-to a grid (mu to 1/64, log s to 1/16, s clamped to [0.02, 512]) purely for
-coding, which lets tables be cached and reused; both sides apply the same
-snapping, and the analytic likelihood keeps the exact parameters. The grid
-bounds one call's tables at 65 frac by 164 log-s keys, 10,660 in all.
+to a grid (mu to 1/64, log s to 1/16) purely for coding, which lets tables be
+cached and reused; both sides apply the same snapping, and the analytic
+likelihood keeps the exact parameters. The flow already bounds s to [S_MIN,
+S_MAX] = [0.02, 512], and keys_for clips the model's own final log s there
+too. The grid bounds one call's tables at 65 frac by 164 log-s keys, 10,660.
 Without a path, a weight-quantized model codes on the int path, others float.
 
 Per-model state. The int path reads the model's plan; ``FlowModel.int_plan``
@@ -89,7 +90,7 @@ from .errors import (
     CorruptStreamError,
     DataFormatError,
 )
-from .model import FlowModel
+from .model import LOG_S_BOUNDS, S_MAX, S_MIN, FlowModel
 from .numerics import round_half_away
 from .rans import MassTable, RansDecoder, RansEncoder, mass_table
 
@@ -104,7 +105,6 @@ CODING_M = 1 << 20
 ALPHABET_HALF = 2048
 MU_GRID = 64
 LOG_S_GRID = 16
-S_MIN, S_MAX = 0.02, 512.0
 # keys_for clips mu here, so mu * MU_GRID stays below 2**53 and its int64
 # keys and their float64 quotients are exact: frac keys stay in [-32, 32]
 # (a latent this far out cannot be coded anyway).
@@ -134,7 +134,7 @@ def keys_for(shape, mu, log_s):
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), shape).reshape(-1)
     log_s = np.broadcast_to(np.asarray(log_s, dtype=np.float64), shape).reshape(-1)
     mu = np.clip(mu, -MU_MAX, MU_MAX)
-    log_s = np.clip(log_s, np.log(S_MIN), np.log(S_MAX))
+    log_s = np.clip(log_s, *LOG_S_BOUNDS)
     mq = round_half_away(mu * MU_GRID).astype(np.int64)
     k = round_half_away(mq / MU_GRID).astype(np.int64)
     frac = (mq - MU_GRID * k).astype(np.int64)
@@ -186,12 +186,6 @@ def _block_tables(
     return [cache.get(int(frac[i]), int(ls[i])) for i in first], inverse
 
 
-def _decode_order(levels: int) -> list[int]:
-    """Latent indices in decode order: the final latent, then the factored
-    levels deepest to shallowest."""
-    return [levels - 1] + list(range(levels - 2, -1, -1))
-
-
 def _check_size(n: int, c: int, h: int, w: int):
     if n * c * h * w > MAX_DIMS:
         raise DataFormatError(
@@ -233,9 +227,11 @@ def compress(
         log2p += result.log2p.tolist()
     analytic_bits = -float(sum(log2p))
 
+    # the exact reverse of decompress's pulls: shallowest level first, and
+    # within a level its slices last to first
     enc = RansEncoder()
-    for li in reversed(_decode_order(len(model.levels))):
-        for syms, fracs, lss in reversed(plans[li]):
+    for blocks in plans:
+        for syms, fracs, lss in reversed(blocks):
             enc.push(syms, *_block_tables(cache, fracs, lss))
     payload = enc.payload()
 

@@ -49,7 +49,7 @@ from . import autodiff as ad
 from . import quant
 from .errors import DataFormatError
 from .numerics import round_half_away, round_half_away_nonneg
-from .quant import MIN_SCALE, UNSIGNED_HI, UNSIGNED_LO, QuantizerParams, init_scale
+from .quant import UNSIGNED_HI, UNSIGNED_LO, QuantizerParams, init_scale
 
 KERNEL = 3
 # Input values are bytes plus bounded coupling updates; nets see u/128 - 1.
@@ -108,10 +108,7 @@ class ConvLayer:
         return self.w.value.shape[1]
 
     def calibrate_weight_scale(self):
-        w = self.w.value
-        flat = np.abs(w.reshape(w.shape[0], -1))
-        s = 2.0 * flat.mean(axis=1) / np.sqrt(255.0)
-        self.wscale.value[...] = np.maximum(s, MIN_SCALE)
+        self.wscale.value[...] = [init_scale(row) for row in self.w.value]
 
     def forward_sim(self, x, weight_quant: bool):
         """The conv on the tape: fake-quantized weights when asked, and the

@@ -35,6 +35,10 @@ from .numerics import round_half_away
 
 LOG_S_INIT = float(np.log(32.0))
 MU_INIT = 128.0
+# Every prior's scale s stays in [S_MIN, S_MAX], the range the coder's table
+# keys cover (codec.keys_for): walk clips each log s to LOG_S_BOUNDS.
+S_MIN, S_MAX = 0.02, 512.0
+LOG_S_BOUNDS = (float(np.log(S_MIN)), float(np.log(S_MAX)))
 PRIOR_BLOCKS = 2  # residual blocks in each prior net
 # Conv weights and biases plus the final prior; the desk model has 380,004.
 MAX_PARAMS = 2**24
@@ -268,7 +272,7 @@ class Level:
         out = self.prior_net.forward_sim(retained, False, False)
         mu = ad.channel_slice(out, 0, self.factored)
         log_s = ad.channel_slice(out, self.factored, 2 * self.factored)
-        return mu, log_s
+        return mu, ad.clip(log_s, *LOG_S_BOUNDS)
 
     def prior_params_raw(self, retained_values: np.ndarray):
         """prior_params_sim on plain arrays, off the tape (the decoder's call)."""
@@ -407,8 +411,9 @@ class FlowModel:
     def walk(self, x: np.ndarray, t_fn):
         """Run the flow on tape Nodes and yield (latent, mu, log_s) per level,
         shallow to deep: each factored half under its prior net, then the
-        final latent under the per-channel prior. t_fn(net, xa) evaluates the
-        coupling nets; latents stay integral, and float64 holds them exactly.
+        final latent under the per-channel prior, every log s clipped to
+        LOG_S_BOUNDS. t_fn(net, xa) evaluates the coupling nets; latents stay
+        integral, and float64 holds them exactly.
         """
         x = np.asarray(x)
         self.check_input(x)
@@ -420,7 +425,7 @@ class FlowModel:
         yield (
             h,
             ad.reshape(self.final_mu, (1, -1, 1, 1)),
-            ad.reshape(self.final_log_s, (1, -1, 1, 1)),
+            ad.clip(ad.reshape(self.final_log_s, (1, -1, 1, 1)), *LOG_S_BOUNDS),
         )
 
     def training_forward(self, x: np.ndarray, calibrate: bool = False):

@@ -67,10 +67,6 @@ class MassTable:
         dtype = np.int32 if self.M <= 2**31 - 1 else np.int64
         self.F = np.ascontiguousarray(self.F, dtype=dtype)
         self.C = np.ascontiguousarray(self.C, dtype=dtype)
-        # zero-copy views whose items are Python ints: the coder steps index
-        # these instead of paying for numpy scalar indexing per symbol
-        self.Fv = memoryview(self.F)
-        self.Cv = memoryview(self.C)
         # precomputed renormalization base: state must stay below base * F
         self.renorm_base = (RANS_L // self.M) << 32
 
@@ -216,16 +212,16 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
 
 def rans_encode_step(x: int, sym: int, table: MassTable) -> int:
     """Pure encode update: floor(x/F)*M + C + x mod F (no renormalization)."""
-    f = table.Fv[sym]
-    return (x // f) * table.M + table.Cv[sym] + x % f
+    f = int(table.F[sym])
+    return (x // f) * table.M + int(table.C[sym]) + x % f
 
 
 def rans_decode_step(x: int, table: MassTable) -> tuple[int, int]:
     """Recover (symbol index, previous state) from one encode step."""
-    C = table.Cv
+    C = table.C
     cf = x % table.M
     sym = bisect_right(C, cf) - 1
-    return sym, (x // table.M) * table.Fv[sym] + cf - C[sym]
+    return sym, (x // table.M) * int(table.F[sym]) + cf - int(C[sym])
 
 
 class RansEncoder:

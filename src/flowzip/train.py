@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters, round_to_stored
 from .errors import DataFormatError, DivergenceError, StageTimeoutError, UsageError
 from .layers import KERNEL
-from .model import FlowConfig, FlowModel
+from .model import LOG_S_BOUNDS, FlowConfig, FlowModel
 from .quant import MIN_SCALE
 
 MAC_FLOPS = 2  # one multiply-accumulate counts as two floating point ops
@@ -203,13 +203,14 @@ def param_groups(model: FlowModel):
 
 
 def clamp_auxiliary(model: FlowModel):
-    """Post-step projections: gates into [0,1], scales positive, s bounded."""
+    """Post-step projections: gates into [0,1], scales positive, and the
+    final prior's log s into LOG_S_BOUNDS, where walk would clip it."""
     for gate in model.gates():
         gate.clamp()
     for kind, _, node in named_parameters(model):
         if kind == KIND_QSCALE:
             np.clip(node.value, MIN_SCALE, None, out=node.value)
-    np.clip(model.final_log_s.value, -5.0, 8.0, out=model.final_log_s.value)
+    np.clip(model.final_log_s.value, *LOG_S_BOUNDS, out=model.final_log_s.value)
 
 
 # ---------------------------------------------------------------------------

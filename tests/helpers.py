@@ -267,13 +267,14 @@ def gated_int_model() -> FlowModel:
 HOSTILE_CHECKPOINTS = (
     "kept_index_at_width", "kept_index_repeated", "stem_transposed",
     "pruned_conv_transposed", "wscale_negative", "q_in_zero", "ndim_above_numpy_max",
-    "shape_beyond_address_space", "bias_unfoldable",
+    "shape_beyond_address_space", "bias_unfoldable", "stage_above_last", "flag_undefined",
 )
 
 
 def hostile_checkpoint(fault: str) -> bytes:
     """A checksum-valid pruned checkpoint with one array that does not fit the
-    model or holds a value it refuses."""
+    model or holds a value it refuses, or a header field the format does not
+    define."""
     model = gated_int_model()
     blk = model.levels[0].couplings[0].net.blocks[0]
     blk.conv_a.gate.node.value[:] = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1]
@@ -282,7 +283,13 @@ def hostile_checkpoint(fault: str) -> bytes:
     blob = checkpoint.serialize(pruned)
     arrays = stored_arrays(blob, pruned)
     body = bytearray(blob[:-8])
-    if fault == "bias_unfoldable":
+    # the header's flags (u16) and stage (u8) follow the magic and the version
+    flags_at = len(checkpoint.MAGIC) + 2
+    if fault == "stage_above_last":
+        body[flags_at + 2] = 6  # one past the last stage, 5
+    elif fault == "flag_undefined":
+        struct.pack_into("<H", body, flags_at, struct.unpack_from("<H", body, flags_at)[0] | 0x10)
+    elif fault == "bias_unfoldable":
         # a kept conv-A filter whose bias folds far beyond the 2**30 budget
         off, _ = arrays["level0.coup0.block0.conv_a.b"]
         struct.pack_into("<f", body, off, 1e30)

@@ -157,6 +157,20 @@ def test_relu_gradient_away_from_kink():
     check_gradient(lambda n: proj_loss(ad.relu(n["x"]), proj), {"x": x}, "x")
 
 
+def test_clip_gradient_away_from_bounds():
+    # values below, inside and above [-1, 1.5], none within 0.05 of a bound:
+    # the gradient passes inside and is zero outside
+    x = RNG.uniform(-3.0, 3.0, (4, 6))
+    for bound in (-1.0, 1.5):
+        x[np.abs(x - bound) < 0.05] += 0.1
+    assert (x < -1).any() and ((x > -1) & (x < 1.5)).any() and (x > 1.5).any()
+    proj = RNG.normal(0, 1, x.shape)
+    grad, _ = check_gradient(
+        lambda n: proj_loss(ad.clip(n["x"], -1.0, 1.5), proj), {"x": x}, "x"
+    )
+    assert np.array_equal(grad == 0, (x < -1) | (x > 1.5))
+
+
 @pytest.mark.parametrize("batch_last", [False, True])
 def test_relu_equals_the_select_bit_for_bit(batch_last):
     # fmax(x, 0) + 0.0 against np.where(x > 0, x, 0.0): NaN and -0.0 give

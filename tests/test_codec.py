@@ -22,7 +22,7 @@ from flowzip.errors import (
     DataFormatError,
     FlowzipError,
 )
-from flowzip.model import FlowConfig, FlowModel
+from flowzip.model import FlowConfig, FlowModel, FlowResult
 from flowzip.train import calibrate_activations, calibrate_weights
 
 from helpers import ROOT, gated_int_model, load_perfbench
@@ -360,10 +360,16 @@ def test_latent_overflow_is_diagnosed():
 
 def test_wrong_decode_order_fails_roundtrip(monkeypatch):
     """Decoding a conditioned latent before its conditioner must not survive
-    a round trip: code the shallowest level first and expect failure."""
+    a round trip: hand compress the latents deepest first and expect failure."""
     x = gen_synth(8, 3)
     model = _model()
-    monkeypatch.setattr(codec, "_decode_order", lambda levels: list(range(levels)))
+    flow_forward = FlowModel.flow_forward
+
+    def reversed_levels(self, images, path):
+        res = flow_forward(self, images, path)
+        return FlowResult(res.latents[::-1], res.priors[::-1], res.log2p)
+
+    monkeypatch.setattr(FlowModel, "flow_forward", reversed_levels)
     container, _ = codec.compress(x, model, "float")
     monkeypatch.undo()
     with pytest.raises(FlowzipError):

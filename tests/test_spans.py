@@ -6,7 +6,7 @@ import pytest
 
 from flowzip import autodiff, codec, train
 from flowzip.data import gen_synth
-from flowzip.model import FlowConfig, FlowModel
+from flowzip.model import LOG_S_BOUNDS, FlowConfig, FlowModel
 
 from helpers import ROOT, gated_int_model, load_perfbench
 
@@ -36,6 +36,12 @@ def test_perfbench_fixture_reads_the_desk_config():
     image = gen_synth(7, 1, cfg.height, cfg.width, cfg.in_channels)
     container, _ = codec.compress(image, model, "int")
     assert np.array_equal(codec.decompress(container, model, "int"), image)
+    # every prior's log s lies strictly inside the bound the flow clips to, so
+    # a fixture change that made the clip bind would fail here, not only move
+    # the benchmark's containers
+    lo, hi = LOG_S_BOUNDS
+    for _, log_s in model.flow_forward(image, "int").priors:
+        assert lo < log_s.min() and log_s.max() < hi
     # the benchmark's int GEMMs run in float32 (40 convs, the largest bound
     # 590,580): a conv whose bound passed 2**24 would move them to float64
     # without failing anything else

@@ -9,7 +9,7 @@ from flowzip import autodiff as ad
 from flowzip.checkpoint import deserialize, named_parameters, save_model, serialize
 from flowzip.data import gen_synth
 from flowzip.errors import DivergenceError, StageTimeoutError
-from flowzip.model import FlowConfig, FlowModel
+from flowzip.model import LOG_S_BOUNDS, FlowConfig, FlowModel
 from flowzip.quant import MIN_SCALE
 from flowzip.train import (
     Adamax,
@@ -262,7 +262,9 @@ def test_stage2_timeout_raises_with_diagnostics():
 
 
 @pytest.mark.parametrize("change, found", [
-    ({}, "loss is nan"),
+    # the priors' scales stay bounded, so the thrown-out weights give an
+    # infinite distance, not a NaN
+    ({}, "loss is inf"),
     # one step per epoch, whose update overflows: the next loss comes too late
     ({"lr": 1e308, "train_count": 8, "epochs_stage1": 1}, "a parameter is not finite"),
 ])
@@ -274,6 +276,23 @@ def test_diverging_run_stops_before_any_checkpoint(change, found):
         run_pipeline(cfg, data[: cfg.train_count], data[cfg.train_count :],
                      log=lambda s: None, checkpoint_cb=lambda model, stage: stages.append(stage))
     assert stages == []
+
+
+def test_prior_scale_stays_in_the_coded_range():
+    # a prior net whose log s runs to -67 (a training step once drove one to
+    # -66.7): unbounded, the loss reached 3.7e30 bpd, finite, with gradients
+    # of 6.6e29; bounded at ln S_MIN it is 1465 bpd with gradients near 1.3
+    model = FlowModel(FlowConfig(hidden=8, couplings=1, blocks=1), seed=0)
+    lvl = model.levels[0]
+    lvl.prior_net.out.b.value[lvl.factored :] = -67.0
+    x = gen_synth(5, 2)
+    _, log_s = model.flow_forward(x, "float").priors[0]
+    assert log_s.min() == LOG_S_BOUNDS[0]
+    loss = loss_bpd(x, model)
+    ad.backward(loss)
+    assert float(loss.value) < 1e4
+    grads = [node.grad for _, _, node in named_parameters(model) if node.grad is not None]
+    assert max(float(np.abs(g).max()) for g in grads) < 100
 
 
 def test_flops_are_counted_at_the_training_images_size():
