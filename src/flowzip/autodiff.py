@@ -12,15 +12,17 @@ im2col, conv2d_raw, logistic_logpmf_raw) are also what the inference paths
 run, so the tape and the codec share one implementation of each. Every
 convolution runs one kernel, conv_gemm: im2col copies the padded input's
 sliding windows once, batch innermost, and one GEMM over the whole batch
-makes (C_out, H*W*B) rows. conv2d_raw, the tape conv2d (whose weight
-gradient is one GEMM against the same patches) and the integer accumulator
-layers.int_conv_acc are epilogues on it, and it runs in the weights' dtype:
-float64 for the float convs, and for the integer accumulator the dtype of
-its plan entry's int8 grid (layers.IntConv): float32 when the conv's weight
-bound, 255 * max over rows of sum |w_int| + max |bhat|, is at most 2**24,
-else float64; its folded bias joins in the same buffer. grid_view shows
-such rows as a (B,C,H,W) view of (C,H,W,B) memory, which the next patch
-copy reads in memory order; channel_rows turns that view back into rows.
+makes (C_out, H*W*B) rows. conv2d_raw, the tape conv2d and the integer
+accumulator layers.int_conv_acc are epilogues on it. The tape conv keeps its
+input, not its patches: its weight gradient rebuilds the forward patches from
+that input with im2col, the same matrix bit for bit, and runs one GEMM against
+them. conv_gemm runs in the weights' dtype: float64 for the float convs, and
+for the integer accumulator the dtype of its plan entry's int8 grid
+(layers.IntConv): float32 when the conv's weight bound, 255 * max over rows
+of sum |w_int| + max |bhat|, is at most 2**24, else float64; its folded bias
+joins in the same buffer. grid_view shows such rows as a (B,C,H,W) view of
+(C,H,W,B) memory, which the next patch copy reads in memory order;
+channel_rows turns that view back into rows.
 
 Each output element of these GEMMs sums its C*k*k products along one axis.
 The integer accumulator's sums are exact in either dtype (that bound holds
@@ -126,7 +128,9 @@ def _make(value, parents, vjps) -> Node:
     return out
 
 
-def _accum(node: Node, g: np.ndarray):
+def _accum(node: Node, g: np.ndarray, upstream: np.ndarray):
+    """Add the adjoint ``g``, computed from the child's gradient ``upstream``,
+    into ``node.grad``."""
     # Reduce broadcasted gradient back to the parent's shape.
     while g.ndim > node.value.ndim:
         g = g.sum(axis=0)
@@ -134,9 +138,13 @@ def _accum(node: Node, g: np.ndarray):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     if node.grad is None:
-        # keep g's memory order: a conv's input gradient is batch-last, as
-        # the relu mask and the next weight-gradient GEMM that read it are
-        node.grad = g.copy(order="K")
+        # A fresh adjoint becomes the gradient. Identity and view adjoints
+        # hand over upstream's memory (add gives it to both parents) and
+        # nsum's broadcast is read-only: those are copied in g's memory order
+        # (a conv's input gradient is batch-last, as the relu mask and the
+        # next weight-gradient GEMM that read it are).
+        fresh = g.flags.writeable and not np.may_share_memory(g, upstream)
+        node.grad = g if fresh else g.copy(order="K")
     else:
         node.grad += g  # the node's own copy: the same sum, no new array
 
@@ -176,7 +184,7 @@ def backward(loss: Node):
         g, parents, vjps = node.grad, node.parents, node.vjps
         node.grad, node.parents, node.vjps = None, (), None
         for parent, vjp in zip(parents, vjps):
-            _accum(parent, vjp(g))
+            _accum(parent, vjp(g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +349,20 @@ def grid_view(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.reshape(rows.shape[0], H, W, B).transpose(3, 0, 1, 2)
 
 
-def conv_gemm(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every conv's forward GEMM, in ``w``'s dtype: its (C_out, H*W*B) rows and the patches."""
+def conv_gemm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Every conv's forward GEMM, in ``w``'s dtype: its (C_out, H*W*B) rows."""
     C = x.shape[1]
     Cout, Cin, k, _ = w.shape
     if C != Cin:
         raise ValueError(f"channel mismatch: input has {C}, kernel expects {Cin}")
     cols = im2col(x, k, w.dtype)
     # C_in*k*k, not -1, sizes the zero-input kernel of conv B after an all-off conv A
-    return np.matmul(w.reshape(Cout, Cin * k * k), cols), cols
+    return np.matmul(w.reshape(Cout, Cin * k * k), cols)
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """Float conv, stride 1, same padding, odd kernel: conv_gemm + bias."""
-    y, _ = conv_gemm(x, w)
+    y = conv_gemm(x, w)
     if b is not None:
         y += b[:, None]
     return grid_view(y, x.shape)
@@ -363,12 +371,13 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray
 def conv2d(x, w, b):
     """Tape-aware convolution with conv2d_raw's forward and output layout.
 
-    The weight gradient is one GEMM against the forward patches; the input
-    gradient reuses the forward kernel via the flipped-transposed-weights
-    identity (exact for stride 1)."""
+    The node keeps the input, not the forward patches: the weight gradient
+    rebuilds them from it with im2col, the same matrix bit for bit, and runs
+    one GEMM against them. The input gradient reuses the forward kernel via
+    the flipped-transposed-weights identity (exact for stride 1)."""
     xn, wn, bn = _lift(x), _lift(w), _lift(b)
     xv, wv = xn.value, wn.value
-    y, cols = conv_gemm(xv, wv)
+    y = conv_gemm(xv, wv)
     y += bn.value[:, None]
 
     def vjp_x(g):
@@ -376,6 +385,7 @@ def conv2d(x, w, b):
         return conv2d_raw(g, w_flip, None)
 
     def vjp_w(g):
+        cols = im2col(xv, wv.shape[2], wv.dtype)
         return np.matmul(channel_rows(g), cols.T).reshape(wv.shape)
 
     def vjp_b(g):

@@ -108,7 +108,7 @@ class ConvLayer:
         return self.w.value.shape[1]
 
     def calibrate_weight_scale(self):
-        self.wscale.value[...] = [init_scale(row) for row in self.w.value]
+        self.wscale.value[...] = init_scale(self.w.value)
 
     def forward_sim(self, x, weight_quant: bool):
         """The conv on the tape: fake-quantized weights when asked, and the
@@ -159,7 +159,7 @@ def int_conv_acc(values: np.ndarray, conv: IntConv) -> np.ndarray:
     ``autodiff.conv_gemm`` in the conv's GEMM dtype, plus the folded bias in
     the GEMM's own buffer, as the ``grid_view`` that the next call reads back
     without a strided copy. ``conv.bound`` keeps every sum exact in that dtype."""
-    y, _ = ad.conv_gemm(values, conv.w)
+    y = ad.conv_gemm(values, conv.w)
     y += conv.bhat[:, None]
     return ad.grid_view(y, values.shape)
 
@@ -341,4 +341,4 @@ def block_int(values: np.ndarray, blk: IntBlock) -> np.ndarray:
 
 def calibrate_activation(node: ad.Node, tensor: np.ndarray):
     """Set an activation quantizer scale from calibration data."""
-    node.value[...] = init_scale(tensor)
+    node.value[...] = init_scale(tensor[np.newaxis])

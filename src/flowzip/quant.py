@@ -77,13 +77,15 @@ def quantize(r: np.ndarray, p: QuantizerParams) -> np.ndarray:
     return round_half_away(q) if p.signed else round_half_away_nonneg(q)
 
 
-def init_scale(r: np.ndarray) -> float:
-    """Data-dependent scale init: 2 * mean|r| / sqrt(255), floored at MIN_SCALE."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.size == 0:
-        raise ValueError("cannot initialize a scale from an empty tensor")
-    s = 2.0 * float(np.mean(np.abs(r))) / float(np.sqrt(UNSIGNED_HI))
-    return max(s, MIN_SCALE)
+def init_scale(rows: np.ndarray) -> np.ndarray:
+    """Data-dependent scale init, one per row of ``rows`` (N, ...):
+    2 * mean|row| / sqrt(255), floored at MIN_SCALE. A whole tensor r is the
+    one row of ``r[np.newaxis]``."""
+    a = np.abs(np.asarray(rows, dtype=np.float64))
+    if 0 in a.shape[1:]:
+        raise ValueError("cannot initialize a scale from an empty row")
+    s = 2.0 * a.mean(axis=tuple(range(1, a.ndim))) / np.sqrt(UNSIGNED_HI)
+    return np.maximum(s, MIN_SCALE)
 
 
 def _channel_count(r: np.ndarray, p: QuantizerParams) -> int:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowzip import autodiff as ad
 from flowzip.numerics import round_half_away, round_half_away_nonneg
 from flowzip.quant import (
+    MIN_SCALE,
     QuantizerParams,
     grad_rescale,
     init_scale,
@@ -122,11 +123,30 @@ def test_per_channel_scale_broadcasts():
 
 
 def test_init_scale_formula():
-    assert init_scale(np.array([1.0, -1.0])) == pytest.approx(0.125245, abs=1e-6)
-    assert init_scale(np.full(10, 7.984)) == pytest.approx(1.0, rel=1e-3)
-    assert init_scale(np.zeros(5)) == 1e-6
-    with pytest.raises(ValueError):
-        init_scale(np.array([]))
+    assert init_scale(np.array([[1.0, -1.0]]))[0] == pytest.approx(0.125245, abs=1e-6)
+    assert init_scale(np.full((1, 10), 7.984))[0] == pytest.approx(1.0, rel=1e-3)
+    assert init_scale(np.zeros((1, 5)))[0] == MIN_SCALE
+    for empty in (np.zeros((2, 0)), np.zeros((1, 3, 0, 3))):
+        with pytest.raises(ValueError):
+            init_scale(empty)
+
+
+def _init_scale_one(r):
+    # the formula on one tensor, reduced as a whole
+    return max(2.0 * float(np.mean(np.abs(r))) / float(np.sqrt(255)), MIN_SCALE)
+
+
+def test_init_scale_rows_equal_per_row_calls_bit_for_bit():
+    rng = np.random.default_rng(23)
+    w = rng.normal(0, 0.3, (6, 5, 3, 3))
+    w[[1, 4]] = 0.0  # all-zero rows floor at MIN_SCALE
+    got = init_scale(w)
+    ref = np.array([_init_scale_one(row) for row in w])
+    assert got.shape == (6,) and got.tobytes() == ref.tobytes()
+    assert got[1] == got[4] == MIN_SCALE
+    # an activation: a batch-last grid view, as a whole tensor in one row
+    x = rng.normal(0, 2.0, (5, 8, 8, 7)).transpose(3, 0, 1, 2)
+    assert init_scale(x[np.newaxis]).tobytes() == np.array([_init_scale_one(x)]).tobytes()
 
 
 @given(
