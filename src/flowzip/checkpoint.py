@@ -4,7 +4,7 @@ Layout (little-endian):
 
     magic   8 bytes  "IODFCKPT"
     version u16      format version (1)
-    flags   u16      bit0 gated, bit1 act_quant, bit2 weight_quant, bit3 pruned
+    flags   u16      bit1 act_quant, bit2 weight_quant, bit3 gated
                      (other bits are undefined, and refused)
     stage   u8       last completed training stage (0..5, LAST_STAGE)
     L, D, blocks u8  architecture
@@ -13,8 +13,8 @@ Layout (little-endian):
     splits  L x (retained u16, factored u16)
     count   u32      number of arrays
     arrays  count x (kind u8 | ndim u8 | ndim x u32 dims | payload)
-             kind 0: f32 parameters   kind 1: f32 gates
-             kind 2: f32 quantizer scales   kind 3: u32 kept-filter indices
+             kind 0: f32 parameters   kind 2: f32 quantizer scales
+             kind 3: u32 kept-filter indices   (other kinds are refused)
     checksum u64     blake2b-64 of all preceding bytes
 
 Arrays appear in model declaration order. Parameters are stored as 32-bit
@@ -22,14 +22,14 @@ floats; in memory the model computes in float64. Every array's shape is
 checked against the architecture: no stored shape may exceed the full-width
 one as it is read, and each must match exactly before it is assigned.
 
-A pruned checkpoint (flag bit3) is the storage form of a gated model whose
-gates are frozen at 0 or 1. Each coupling-net block stores only its kept
-filters -- conv A's kept rows, conv B's kept rows and kept conv-A columns,
-with their biases and weight scales -- then its kept-index lists idx_a and
-idx_b (strictly increasing, below the block width), and no gates. Loading
+A gated model has one stored form, its gates frozen at 0 or 1. Each block
+stores only its kept filters (``ResidualBlock.kept_sets``; all of them when
+ungated) -- conv A's kept rows, conv B's kept rows and kept conv-A columns,
+with their biases and weight scales -- and a gated block then its kept-index
+lists idx_a and idx_b (strictly increasing, below the block width). Loading
 places the kept filters into full-width arrays (a removed filter gets zero
 weight and bias and a weight scale of 1) and rebuilds binary gates from the
-lists, so a loaded pruned model computes exactly what the gated one did.
+lists; ``round_to_stored`` sets a model in memory the same way.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .model import FlowConfig, FlowModel
 MAGIC = b"IODFCKPT"
 VERSION = 1
 
-KIND_PARAM, KIND_GATE, KIND_QSCALE, KIND_INDEX = 0, 1, 2, 3
+KIND_PARAM, KIND_QSCALE, KIND_INDEX = 0, 2, 3
 
-FLAG_GATED, FLAG_ACT_Q, FLAG_WEIGHT_Q, FLAG_PRUNED = 1, 2, 4, 8
+FLAG_ACT_Q, FLAG_WEIGHT_Q, FLAG_GATED = 2, 4, 8
 LAST_STAGE = 5
 # the header after the magic: version, flags, stage, L, D, blocks, hidden, in_ch
 _HEADER = struct.Struct("<HHBBBBHB")
@@ -61,20 +61,16 @@ def checksum64(data: bytes) -> int:
 def _named_entries(model: FlowModel):
     """Yield (kind, name, obj, keep) in fixed declaration order.
 
-    For kinds 0-2, ``obj`` is a Node and ``keep`` indexes the stored part of
-    its value: all of it (``...``), or the kept filters of a pruned block's
-    conv. For kind 3, ``obj`` is the GateVector and ``keep`` its kept-index
-    list. Gates are serialized only for gated unpruned models; kept-index
-    lists only for pruned ones; quantizer scales only once quantization is on.
+    For kinds 0 and 2, ``obj`` is a Node and ``keep`` indexes the stored part
+    of its value: all of it (``...``) or a block conv's kept filters. For
+    kind 3 (gated blocks only), ``obj`` is the GateVector and ``keep`` its
+    kept-index list. Quantizer scales appear once quantization is on.
     """
-    gated = model.gated and not model.pruned
 
     def conv_entries(prefix, layer, quantizable, rows=..., cols=None):
         w_keep = rows if cols is None else np.ix_(rows, cols)
         yield KIND_PARAM, f"{prefix}.w", layer.w, w_keep
         yield KIND_PARAM, f"{prefix}.b", layer.b, rows
-        if gated and layer.gate is not None:
-            yield KIND_GATE, f"{prefix}.gate", layer.gate.node, ...
         if model.weight_quant and quantizable:
             yield KIND_QSCALE, f"{prefix}.wscale", layer.wscale, rows
 
@@ -87,15 +83,12 @@ def _named_entries(model: FlowModel):
             yield from conv_entries(f"{name}.stem", net.stem, False)
             for bi, blk in enumerate(net.blocks):
                 bp = f"{name}.block{bi}"
-                if model.pruned and q:
-                    ka, kb = blk.kept_sets()
-                    yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q, ka)
-                    yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q, kb, ka)
-                    yield KIND_INDEX, f"{bp}.idx_a", blk.conv_a.gate, ka
-                    yield KIND_INDEX, f"{bp}.idx_b", blk.conv_b.gate, kb
-                else:
-                    yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q)
-                    yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q)
+                ka, kb = blk.kept_sets()
+                yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q, ka)
+                yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q, kb, ka)
+                for tag, conv, keep in (("idx_a", blk.conv_a, ka), ("idx_b", blk.conv_b, kb)):
+                    if conv.gate is not None:
+                        yield KIND_INDEX, f"{bp}.{tag}", conv.gate, keep
                 if model.act_quant and q:
                     yield KIND_QSCALE, f"{bp}.q_in", blk.q_in, ...
                     yield KIND_QSCALE, f"{bp}.q_mid", blk.q_mid, ...
@@ -107,20 +100,26 @@ def _named_entries(model: FlowModel):
 
 
 def named_parameters(model: FlowModel):
-    """(kind, name, Node) of everything the optimizer may touch; the kind is
-    KIND_PARAM, KIND_GATE or KIND_QSCALE."""
+    """(kind, name, Node) of every stored array the optimizer may touch; the
+    kind is KIND_PARAM or KIND_QSCALE. The gates are ``model.gates()``."""
     for kind, name, obj, _ in _named_entries(model):
         if kind != KIND_INDEX:
             yield kind, name, obj
 
 
+def _stored_arrays(model: FlowModel):
+    """(kind, name, array) of each array a checkpoint of ``model`` holds, as stored."""
+    for kind, name, obj, keep in _named_entries(model):
+        arr = keep.astype(np.uint32) if kind == KIND_INDEX else obj.value[keep].astype(np.float32)
+        yield kind, name, arr
+
+
 def serialize(model: FlowModel) -> bytes:
     parts = [MAGIC]
     flags = (
-        (FLAG_GATED if model.gated and not model.pruned else 0)
-        | (FLAG_ACT_Q if model.act_quant else 0)
+        (FLAG_ACT_Q if model.act_quant else 0)
         | (FLAG_WEIGHT_Q if model.weight_quant else 0)
-        | (FLAG_PRUNED if model.pruned else 0)
+        | (FLAG_GATED if model.gated else 0)
     )
     cfg = model.cfg
     parts.append(_HEADER.pack(VERSION, flags, model.stage, cfg.levels, cfg.couplings,
@@ -128,14 +127,9 @@ def serialize(model: FlowModel) -> bytes:
     for lvl in model.levels:
         parts.append(struct.pack("<HH", lvl.retained, lvl.factored))
 
-    arrays = []
-    for kind, _, obj, keep in _named_entries(model):
-        if kind == KIND_INDEX:
-            arrays.append((kind, keep.astype(np.uint32)))
-        else:
-            arrays.append((kind, obj.value[keep].astype(np.float32)))
+    arrays = list(_stored_arrays(model))
     parts.append(struct.pack("<I", len(arrays)))
-    for kind, arr in arrays:
+    for kind, _, arr in arrays:
         parts.append(struct.pack("<BB", kind, arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
@@ -185,6 +179,18 @@ def _placed(stored: np.ndarray, full: np.ndarray, keep, kind: int, name: str) ->
     return out
 
 
+def _assign(model: FlowModel, arrays: dict):
+    """Set ``model`` in place to the stored ``arrays`` (name -> array): the
+    kept-index lists first, since the gates they rebuild decide every keep."""
+    for kind, name, gate, _ in list(_named_entries(model)):
+        if kind == KIND_INDEX:
+            gate.node.value[...] = 0.0
+            gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
+    for kind, name, node, keep in _named_entries(model):
+        if kind != KIND_INDEX:
+            node.value[...] = _placed(arrays[name], node.value, keep, kind, name)
+
+
 def deserialize(data: bytes) -> FlowModel:
     if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
         raise DataFormatError("not a flowzip checkpoint (bad magic)")
@@ -198,7 +204,7 @@ def deserialize(data: bytes) -> FlowModel:
         raise DataFormatError(f"unsupported checkpoint version {version}")
     if stage > LAST_STAGE:
         raise DataFormatError(f"checkpoint stage {stage} is above the last, {LAST_STAGE}")
-    if flags & ~(FLAG_GATED | FLAG_ACT_Q | FLAG_WEIGHT_Q | FLAG_PRUNED):
+    if flags & ~(FLAG_ACT_Q | FLAG_WEIGHT_Q | FLAG_GATED):
         raise DataFormatError(f"checkpoint flags {flags:#x} set an undefined bit")
     splits = [r.unpack("<HH") for _ in range(L)]
 
@@ -207,11 +213,10 @@ def deserialize(data: bytes) -> FlowModel:
     model.stage = stage
     model.act_quant = bool(flags & FLAG_ACT_Q)
     model.weight_quant = bool(flags & FLAG_WEIGHT_Q)
-    model.pruned = bool(flags & FLAG_PRUNED)
     for lvl, (ret, fac) in zip(model.levels, splits):
         if (lvl.retained, lvl.factored) != (ret, fac):
             raise DataFormatError("checkpoint split sizes do not match architecture")
-    if flags & (FLAG_GATED | FLAG_PRUNED):
+    if flags & FLAG_GATED:
         model.attach_gates(0.8)
 
     (count,) = r.unpack("<I")
@@ -226,7 +231,7 @@ def deserialize(data: bytes) -> FlowModel:
         if akind != kind:
             raise DataFormatError(f"array kind mismatch at {name}")
         shape = r.unpack(f"<{ndim}I")
-        # no stored array, pruned or not, exceeds its full-width shape
+        # no stored array exceeds its full-width shape
         full = (len(obj.g),) if kind == KIND_INDEX else obj.value.shape
         if ndim != len(full) or any(n > f for n, f in zip(shape, full)):
             raise DataFormatError(
@@ -237,14 +242,7 @@ def deserialize(data: bytes) -> FlowModel:
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if r.pos != len(body):
         raise DataFormatError("trailing bytes in checkpoint")
-    # kept-index lists first: the gates they rebuild decide the pruned shapes
-    for kind, name, gate, _ in entries:
-        if kind == KIND_INDEX:
-            gate.node.value[...] = 0.0
-            gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
-    for kind, name, node, keep in _named_entries(model):
-        if kind != KIND_INDEX:
-            node.value = _placed(arrays[name], node.value, keep, kind, name)
+    _assign(model, arrays)
     if model.act_quant and model.weight_quant:
         # bound every int-path accumulator now, not at the first compress
         model.int_plan()
@@ -252,12 +250,11 @@ def deserialize(data: bytes) -> FlowModel:
 
 
 def round_to_stored(model: FlowModel):
-    """Set every array a checkpoint stores to the float32 value it stores, in
-    place. Then ``model`` and the model that ``deserialize(serialize(model))``
-    returns compute the same on every path."""
-    for kind, _, node, keep in _named_entries(model):
-        if kind != KIND_INDEX:
-            node.value[keep] = node.value[keep].astype(np.float32)
+    """Set ``model`` in place to exactly what its checkpoint stores, through
+    ``deserialize``'s assignment: float32 values, binary gates, and removed
+    filters at weight and bias 0 and weight scale 1. Then ``model`` and
+    ``deserialize(serialize(model))`` hold the same arrays."""
+    _assign(model, {name: arr for _, name, arr in _stored_arrays(model)})
 
 
 def save_model(model: FlowModel, path: str):

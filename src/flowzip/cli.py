@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     )
     b.add_argument("--runs", type=_positive_int, default=20)
 
-    pr = sub.add_parser("prune", help="freeze the gates and store only kept filters")
+    pr = sub.add_parser("prune", help="freeze the gates (every gated checkpoint is stored pruned)")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
 
@@ -277,8 +277,6 @@ def cmd_quantize(args) -> int:
     _check_out_dir(args.out, "checkpoint")
     cfg = _load_config(args.config, args.seed)
     model = load_model(args.checkpoint)
-    if model.pruned:
-        raise UsageError("quantize the gated checkpoint, then prune")
     if model.stage != 3:
         raise UsageError("quantize expects a stage-3 (fine-tuned) checkpoint")
     trainer = Trainer(cfg, *_train_val(cfg, args.data))

@@ -103,8 +103,11 @@ def read_ppm(path: str) -> np.ndarray:
 
 
 def write_u8t(path: str, image: np.ndarray):
-    """Raw planar tensor: magic | c u8 | h u16 | w u16 | c*h*w bytes."""
+    """Raw planar tensor: magic | c u8 | h u16 | w u16 | c*h*w bytes. A shape
+    the header cannot hold is refused before the file is opened."""
     c, h, w = image.shape
+    if c > 0xFF or max(h, w) > 0xFFFF:
+        raise DataFormatError(f"{path}: shape {c}x{h}x{w} exceeds the u8t header's u8/u16/u16")
     with open(path, "wb") as f:
         f.write(U8T_MAGIC)
         f.write(bytes([c]))

@@ -199,8 +199,10 @@ class ResidualBlock:
     Both convs keep the full block width. With gates attached, a gated-off
     filter of conv A zeroes its channel of the inner activation and a
     gated-off filter of conv B leaves its output channel to the shortcut
-    alone; ``kept_sets`` lists the filters that remain. A pruned model is
-    this same block with every gate frozen at 0 or 1.
+    alone; ``kept_sets`` lists the filters that remain, for FLOPs, the
+    checkpoint layout and ``IntBlock`` alike. A pruned model is this block
+    with every gate frozen at 0 or 1; once set to what a checkpoint stores,
+    its removed filters have weight and bias 0 and weight scale 1.
     """
 
     conv_a: ConvLayer
@@ -229,15 +231,15 @@ class ResidualBlock:
         return [g for g in (self.conv_a.gate, self.conv_b.gate) if g is not None]
 
     def kept_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kept output-channel indices for conv A and conv B (all when ungated)."""
-        if self.conv_a.gate is not None:
-            return (
-                np.flatnonzero(self.conv_a.gate.binarized()),
-                np.flatnonzero(self.conv_b.gate.binarized()),
-            )
-        full_a = np.arange(self.conv_a.c_out)
-        full_b = np.arange(self.conv_b.c_out)
-        return full_a, full_b
+        """Kept output-channel indices for conv A and conv B (all when
+        ungated). When conv B keeps no filter, conv A keeps none either:
+        nothing reads its output."""
+        if self.conv_a.gate is None:
+            return np.arange(self.conv_a.c_out), np.arange(self.conv_b.c_out)
+        kept_b = np.flatnonzero(self.conv_b.gate.binarized())
+        if not len(kept_b):
+            return kept_b, kept_b
+        return np.flatnonzero(self.conv_a.gate.binarized()), kept_b
 
 
 def block_sim(

@@ -329,7 +329,6 @@ class FlowModel:
         )
         self.act_quant = False
         self.weight_quant = False
-        self.pruned = False
         self.stage = 0
         # (the shape and bytes of each _plan_arrays entry, the plan built from them)
         self._int_plan = None

@@ -8,11 +8,12 @@ fake-quantized as well. Stage 4 calibrates the activation quantizers on the
 first ``calib_count`` training images, stage 5 the weight scales from the
 weights. ``Trainer.run`` is the one sequencer of stages: ``run_pipeline``
 runs stages 1..last through it and ``flowzip quantize`` runs stages 4-5
-through it, and each stage ends rounded to what a checkpoint stores. Each
-epoch's shuffle comes from one generator seeded with the config seed that
-runs on through the stages, and a checkpoint does not store it: ``flowzip
-quantize`` starts its shuffles from the seed, so its stage 5 is not the
-stage 5 of the ``train`` run that wrote its stage-3 checkpoint.
+through it, and each stage ends set to what a checkpoint stores, so after
+stage 2 no stage reads a removed filter's old values. Each epoch's shuffle
+comes from one generator seeded with the config seed that runs on through
+the stages, and a checkpoint does not store it: ``flowzip quantize`` starts
+its shuffles from the seed, so its stage 5 is not the stage 5 of the
+``train`` run that wrote its stage-3 checkpoint.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import KIND_GATE, KIND_PARAM, KIND_QSCALE, named_parameters, round_to_stored
+from .checkpoint import KIND_PARAM, KIND_QSCALE, named_parameters, round_to_stored
 from .errors import DataFormatError, DivergenceError, StageTimeoutError, UsageError
 from .layers import KERNEL
 from .model import LOG_S_BOUNDS, FlowConfig, FlowModel
@@ -195,11 +196,11 @@ class Adamax:
 
 
 def param_groups(model: FlowModel):
-    """Split parameters into main / gate / quantizer-scale groups."""
-    groups = {KIND_PARAM: [], KIND_GATE: [], KIND_QSCALE: []}
+    """Split parameters into main / gate (``model.gates()``) / quantizer-scale groups."""
+    groups = {KIND_PARAM: [], KIND_QSCALE: []}
     for kind, _, node in named_parameters(model):
         groups[kind].append(node)
-    return groups[KIND_PARAM], groups[KIND_GATE], groups[KIND_QSCALE]
+    return groups[KIND_PARAM], [g.node for g in model.gates()], groups[KIND_QSCALE]
 
 
 def clamp_auxiliary(model: FlowModel):
@@ -224,10 +225,10 @@ def _conv_flops(c_out: int, c_in: int, hw: int) -> int:
 def calculate_flops(model: FlowModel, hw: tuple[int, int]) -> int:
     """FLOPs of one forward pass over an H x W image, honoring the gates.
 
-    A gated-off filter removes its own output row and the matching input
-    column of the following convolution inside the block; gated-off output
-    channels of conv B pass the shortcut through, so block inputs always
-    count full width. A pruned model counts exactly as its gated original.
+    Each block counts its kept filters (``ResidualBlock.kept_sets``): conv A
+    its kept rows, conv B its kept rows at conv A's kept columns. Removed
+    output channels of conv B pass the shortcut through, so block inputs
+    always count full width. A pruned model counts exactly as its gated original.
     """
     H, W = hw
     total = 0
@@ -257,15 +258,15 @@ def prune(model: FlowModel) -> FlowModel:
 
     The copy computes bit-identically to the model on every path: the float
     and fake paths mask the same channels, and the integer path skips the
-    gated-off filters either way. Pruning shows in storage: ``serialize``
-    writes only the kept filters of a pruned model (see ``checkpoint``).
+    gated-off filters either way. It stores what the model stores: a
+    checkpoint holds every gated model as its kept filters and kept-index
+    lists (see ``checkpoint``), and training stages end rounded to that.
     """
     if not model.gated:
         raise UsageError("model has no gates to prune")
     pruned = copy.deepcopy(model)
     for gate in pruned.gates():
         gate.node.value[...] = gate.binarized()
-    pruned.pruned = True
     return pruned
 
 
@@ -382,8 +383,8 @@ class Trainer:
 
     def run(self, model: FlowModel, stages, checkpoint_cb):
         """Run ``stages`` in order on ``model``. Each stage ends by setting
-        ``model.stage`` and rounding the model to the float32 values a
-        checkpoint stores (``checkpoint.round_to_stored``), then calls
+        ``model.stage`` and setting the model to exactly what a checkpoint
+        stores (``checkpoint.round_to_stored``), then calls
         ``checkpoint_cb(model, stage)`` unless it is None, so a run is the
         same whether or not the callback saves it."""
         for stage in stages:

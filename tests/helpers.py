@@ -15,7 +15,7 @@ from flowzip import checkpoint, quant
 from flowzip.data import gen_synth
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.numerics import log1mexp, log_sigmoid, round_half_away
-from flowzip.train import calibrate_activations, calibrate_weights, prune
+from flowzip.train import calibrate_activations, calibrate_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -268,27 +268,33 @@ HOSTILE_CHECKPOINTS = (
     "kept_index_at_width", "kept_index_repeated", "stem_transposed",
     "pruned_conv_transposed", "wscale_negative", "q_in_zero", "ndim_above_numpy_max",
     "shape_beyond_address_space", "bias_unfoldable", "stage_above_last", "flag_undefined",
+    "float_gate_flag", "float_gate_kind",
 )
 
 
 def hostile_checkpoint(fault: str) -> bytes:
-    """A checksum-valid pruned checkpoint with one array that does not fit the
-    model or holds a value it refuses, or a header field the format does not
-    define."""
+    """A checksum-valid gated checkpoint with one array that does not fit the
+    model or holds a value it refuses, or a header field or array kind the
+    format does not define: bit 0 and kind 1 once marked a gated checkpoint
+    that stored float gates at full width."""
     model = gated_int_model()
     blk = model.levels[0].couplings[0].net.blocks[0]
     blk.conv_a.gate.node.value[:] = [0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1]
     blk.conv_b.gate.node.value[:] = 0.9
-    pruned = prune(model)
-    blob = checkpoint.serialize(pruned)
-    arrays = stored_arrays(blob, pruned)
+    blob = checkpoint.serialize(model)
+    arrays = stored_arrays(blob, model)
     body = bytearray(blob[:-8])
     # the header's flags (u16) and stage (u8) follow the magic and the version
     flags_at = len(checkpoint.MAGIC) + 2
     if fault == "stage_above_last":
         body[flags_at + 2] = 6  # one past the last stage, 5
-    elif fault == "flag_undefined":
-        struct.pack_into("<H", body, flags_at, struct.unpack_from("<H", body, flags_at)[0] | 0x10)
+    elif fault in ("flag_undefined", "float_gate_flag"):
+        bit = 0x10 if fault == "flag_undefined" else 0x1
+        struct.pack_into("<H", body, flags_at, struct.unpack_from("<H", body, flags_at)[0] | bit)
+    elif fault == "float_gate_kind":
+        # a kept-index list stored as the float-gate kind
+        off, idx = arrays["level0.coup0.block0.idx_a"]
+        body[off - 4 * idx.ndim - 2] = 1
     elif fault == "bias_unfoldable":
         # a kept conv-A filter whose bias folds far beyond the 2**30 budget
         off, _ = arrays["level0.coup0.block0.conv_a.b"]

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file round trips, output formats."""
 
+import copy
 import os
 import re
 import subprocess
@@ -197,23 +198,26 @@ def test_compress_with_unfoldable_bias_is_data_error(tmp_path):
 
 
 def test_prune_stores_kept_filters_and_decodes_the_gated_payload(tmp_path, small_ckpt):
+    # a gated checkpoint already stores only its kept filters: it is smaller
+    # than the same model saved without gates, and prune rewrites it byte for
+    # byte, so its containers decode under the pruned checkpoint as they are
+    model = gated_int_model()
     gated_ckpt, pruned_ckpt = str(tmp_path / "gated.ckpt"), str(tmp_path / "pruned.ckpt")
-    save_model(gated_int_model(), gated_ckpt)
+    save_model(model, gated_ckpt)
+    ungated = copy.deepcopy(model)
+    for net in ungated.coupling_nets():
+        for blk in net.blocks:
+            blk.conv_a.gate = blk.conv_b.gate = None
+    assert os.path.getsize(gated_ckpt) < len(serialize(ungated))
     assert main(["prune", "--checkpoint", gated_ckpt, "--out", pruned_ckpt]) == 0
-    assert os.path.getsize(pruned_ckpt) < os.path.getsize(gated_ckpt)
+    assert open(pruned_ckpt, "rb").read() == open(gated_ckpt, "rb").read()
 
     data_dir = str(tmp_path / "data")
     main(["gen-synth", "--seed", "4", "--count", "3", "--out", data_dir])
     container = str(tmp_path / "gated.iodf")
     assert main(["compress", data_dir, "--checkpoint", gated_ckpt, "--out", container]) == 0
-    # the gated container's payload under the pruned model's id (int path)
-    blob = bytearray(open(container, "rb").read())
-    pruned_id = codec.model_id(load_model(pruned_ckpt), "int")
-    blob[6:14] = pruned_id.to_bytes(8, "little")
-    spliced = str(tmp_path / "pruned.iodf")
-    open(spliced, "wb").write(bytes(blob))
     out_dir = str(tmp_path / "restored")
-    assert main(["decompress", spliced, "--checkpoint", pruned_ckpt, "--out", out_dir]) == 0
+    assert main(["decompress", container, "--checkpoint", pruned_ckpt, "--out", out_dir]) == 0
     names = sorted(os.listdir(data_dir))
     assert names == sorted(os.listdir(out_dir))
     for name in names:
@@ -256,6 +260,26 @@ def test_quantize_writes_what_stage_4_saved_loaded_then_stage_5_writes(tmp_path,
     assert quantized.stage == 5 and quantized.act_quant and quantized.weight_quant
     container, _ = codec.compress(images[:2], quantized, "int")
     assert np.array_equal(codec.decompress(container, quantized, "int"), images[:2])
+
+
+def test_quantize_accepts_a_pruned_stage_3_checkpoint(tmp_path, capsys):
+    # prune writes the one gated layout, which quantize reads like any other
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG)
+    model = gated_int_model()
+    model.act_quant = model.weight_quant = False
+    model.stage = 3
+    stage3, pruned = str(tmp_path / "stage3.ckpt"), str(tmp_path / "pruned.ckpt")
+    save_model(model, stage3)
+    assert main(["prune", "--checkpoint", stage3, "--out", pruned]) == 0
+    out = tmp_path / "quantized.ckpt"
+    argv = ["quantize", "--checkpoint", pruned, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert "quantized: bpd=" in capsys.readouterr().out
+    quantized = load_model(str(out))
+    assert quantized.stage == 5 and quantized.gated
+    kept = [g.g.copy() for g in load_model(pruned).gates()]
+    assert all(np.array_equal(g.g, k) for g, k in zip(quantized.gates(), kept))
 
 
 @pytest.mark.parametrize("stage", [2, 4, 5])
@@ -446,3 +470,18 @@ def test_u8t_pipeline(tmp_path, small_ckpt):
         a = open(data_dir / f"{i}.u8t", "rb").read()
         b = open(os.path.join(out_dir, f"img_{i:05d}.u8t"), "rb").read()
         assert a == b
+
+
+def test_u8t_shape_beyond_its_header_is_data_error(tmp_path, capsys):
+    # a u8t header holds h and w in u16: 65540 rows are refused before any
+    # file is opened, not left as a partial file after an OverflowError
+    out = tmp_path / "big"
+    argv = ["gen-synth", "--format", "u8t", "--count", "1", "--height", "65540",
+            "--width", "4", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "u8t header" in err[0], err
+    assert not any(out.iterdir())
+    with pytest.raises(DataFormatError, match="u8t header"):
+        write_u8t(str(tmp_path / "wide.u8t"), np.zeros((256, 1, 1), dtype=np.uint8))
+    assert not (tmp_path / "wide.u8t").exists()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from flowzip import checkpoint, codec
 from flowzip.data import U8T_MAGIC, read_ppm, read_u8t
 from flowzip.errors import FlowzipError
-from flowzip.train import TrainConfig, prune
+from flowzip.model import FlowConfig, FlowModel
+from flowzip.train import TrainConfig
 
 from helpers import gated_int_model, rechecksummed, stored_arrays
 
@@ -101,11 +102,11 @@ def test_parse_container_raises_only_flowzip_errors(magic, version, fields_, cla
 
 
 def _checkpoint_bodies():
-    """(body, offsets of the header fields and array headers) of a gated and
-    a pruned checkpoint; mutations aimed there get past the first check."""
-    model = gated_int_model()
+    """(body, offsets of the header fields and array headers) of a gated
+    checkpoint, which stores kept filters and kept-index lists, and an
+    ungated one; mutations aimed there get past the first check."""
     out = []
-    for m in (model, prune(model)):
+    for m in (gated_int_model(), FlowModel(FlowConfig(hidden=8, couplings=2, blocks=1))):
         blob = checkpoint.serialize(m)
         spots = list(range(len(checkpoint.MAGIC), len(checkpoint.MAGIC) + 30))
         for off, arr in stored_arrays(blob, m).values():

@@ -248,6 +248,37 @@ def test_checkpoint_preserves_flags_and_stage(tmp_path):
     assert serialize(clone) == (tmp_path / "m.ckpt").read_bytes()
 
 
+def test_round_to_stored_sets_every_array_to_the_reloaded_models():
+    # gates and removed filters included: binary gates, removed filters at
+    # weight and bias 0 and weight scale 1, and conv A of a block whose conv
+    # B keeps nothing switched off
+    model = gated_int_model()
+    blk = model.levels[0].couplings[1].net.blocks[0]
+    blk.conv_a.gate.node.value[:] = 0.9
+    blk.conv_b.gate.node.value[:] = 0.1
+    round_to_stored(model)
+    reloaded = deserialize(serialize(model))
+
+    def arrays(m):
+        return [(name, node.value) for _, name, node in checkpoint.named_parameters(m)] + [
+            ("gate", g.g) for g in m.gates()
+        ]
+
+    for (name, a), (_, b) in zip(arrays(model), arrays(reloaded), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert not blk.conv_a.gate.g.any()
+    for gate in model.gates():
+        assert set(np.unique(gate.g)) <= {0.0, 1.0}
+    for net in model.coupling_nets():
+        for blk in net.blocks:
+            for conv in (blk.conv_a, blk.conv_b):
+                off = conv.gate.g == 0
+                assert not conv.w.value[off].any() and not conv.b.value[off].any()
+                assert np.all(conv.wscale.value[off] == 1.0)
+            off_a = blk.conv_a.gate.g == 0
+            assert not blk.conv_b.w.value[:, off_a].any()
+
+
 def test_int_path_requires_quantizers():
     model = FlowModel(FlowConfig(hidden=8), seed=0)
     with pytest.raises(DataFormatError):

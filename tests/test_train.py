@@ -142,14 +142,16 @@ def test_conv_gradient_through_whole_model():
 
 
 def test_param_groups_follow_the_checkpoint_kinds():
+    # the stored parameters split by kind, and the gates, which a checkpoint
+    # stores as kept-index lists, come from model.gates()
     model = gated_int_model()
     main, gates, scales = param_groups(model)
     names = {id(node): name for _, name, node in named_parameters(model)}
-    assert len(main) + len(gates) + len(scales) == len(names)
-    assert all(names[id(n)].endswith(".gate") for n in gates)
+    assert len(main) + len(scales) == len(names)
+    assert [id(n) for n in gates] == [id(g.node) for g in model.gates()]
+    assert not any(id(n) in names for n in gates)
     assert all(names[id(n)].endswith(("wscale", "q_in", "q_mid", "q_out")) for n in scales)
-    assert not any(names[id(n)].endswith(("gate", "wscale", "q_in", "q_mid", "q_out"))
-                   for n in main)
+    assert not any(names[id(n)].endswith(("wscale", "q_in", "q_mid", "q_out")) for n in main)
     scales[0].value[...] = -1.0
     clamp_auxiliary(model)
     assert np.all(scales[0].value == MIN_SCALE)
@@ -176,9 +178,11 @@ def test_flops_respect_gates_both_sides():
     )
     assert f_full - f_half == expected_drop
 
+    # with conv B gone, conv A keeps none either: nothing reads its output
     blk.conv_b.gate.node.value[:] = 0.0
     f_zero = calculate_flops(model, (16, 16))
-    assert f_half - f_zero == 2 * width * (width // 2) * 9 * px  # conv B gone
+    assert f_half - f_zero == 2 * 2 * width * (width // 2) * 9 * px
+    assert f_full - f_zero == 2 * 2 * width * width * 9 * px
 
 
 def test_prune_identity_when_all_gates_on():
@@ -223,11 +227,19 @@ def test_prune_equivalence_float_and_int():
 
 def test_prune_all_off_convs_match_on_every_path():
     # one block with every conv-A gate off, another with every conv-B gate off
+    # and conv-A gates still on, which it stores as an empty idx_a
     model = deserialize(serialize(gated_int_model()))  # float32-exact parameters
     model.levels[0].couplings[0].net.blocks[0].conv_a.gate.node.value[:] = 0.2
-    model.levels[0].couplings[1].net.blocks[0].conv_b.gate.node.value[:] = 0.2
+    blk = model.levels[0].couplings[1].net.blocks[0]
+    blk.conv_b.gate.node.value[:] = 0.2
+    assert blk.conv_a.gate.binarized().any()
     pruned = prune(model)
-    reloaded = deserialize(serialize(pruned))
+    blob = serialize(pruned)
+    stored = stored_arrays(blob, pruned)
+    assert stored["level0.coup1.block0.idx_a"][1].size == 0
+    assert stored["level0.coup1.block0.conv_a.w"][1].shape == (0, 8, 3, 3)
+    reloaded = deserialize(blob)
+    assert not reloaded.levels[0].couplings[1].net.blocks[0].conv_a.gate.g.any()
     x = gen_synth(3, 4)
     for path in ("float", "fake", "int"):
         ref = model.flow_forward(x, path).latents
