@@ -12,7 +12,7 @@ from .codec import compress, decompress
 from .data import gen_synth
 from .model import FlowConfig, FlowModel
 from .quant import QuantizerParams, init_scale, quantize
-from .rans import MassTable, decode_stream, encode_stream, mass_table
+from .rans import MassTable, mass_table
 from .train import TrainConfig, calculate_flops, loss_bpd, prune, run_pipeline
 
 __version__ = "0.1.0"
@@ -25,9 +25,7 @@ __all__ = [
     "TrainConfig",
     "calculate_flops",
     "compress",
-    "decode_stream",
     "decompress",
-    "encode_stream",
     "gen_synth",
     "init_scale",
     "load_model",

@@ -209,7 +209,7 @@ def deserialize(data: bytes) -> FlowModel:
     splits = [r.unpack("<HH") for _ in range(L)]
 
     cfg = FlowConfig(levels=L, couplings=D, hidden=hidden, blocks=blocks, in_channels=in_ch)
-    model = FlowModel(cfg, seed=0)
+    model = FlowModel(cfg, seed=None)
     model.stage = stage
     model.act_quant = bool(flags & FLAG_ACT_Q)
     model.weight_quant = bool(flags & FLAG_WEIGHT_Q)

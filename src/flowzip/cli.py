@@ -266,7 +266,7 @@ def cmd_prune(args) -> int:
     pruned = prune(model)
     # every level's pixel count scales with H*W, so the ratio holds at any size
     side = 2**model.cfg.levels
-    before = calculate_flops(FlowModel(model.cfg), (side, side))
+    before = calculate_flops(FlowModel(model.cfg, seed=None), (side, side))
     after = calculate_flops(pruned, (side, side))
     save_model(pruned, args.out)
     print(f"pruned: {after / before:.3f}x the FLOPs of the unpruned network")

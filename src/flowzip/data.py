@@ -79,6 +79,8 @@ def read_ppm(path: str) -> np.ndarray:
         raise DataFormatError(f"{path}: not a binary PPM (P6) file")
     # header: three whitespace-separated fields after P6, '#' comments allowed;
     # each match consumes what it scans, so the scan is linear in the header
+    if _PPM_SKIP.match(data, 2) is None:
+        raise DataFormatError(f"{path}: malformed PPM header")
     pos, fields = 2, []
     while len(fields) < 3:
         m = _PPM_SKIP.match(data, pos)
@@ -93,7 +95,10 @@ def read_ppm(path: str) -> np.ndarray:
     w, h, maxval = fields
     if maxval != 255:
         raise DataFormatError(f"{path}: only maxval 255 is supported")
-    pos += 1  # single whitespace byte after maxval
+    # exactly one whitespace byte after maxval; a comment there is refused
+    if not data[pos : pos + 1].isspace():
+        raise DataFormatError(f"{path}: malformed PPM header")
+    pos += 1
     pixels = data[pos : pos + 3 * h * w]
     if len(pixels) != 3 * h * w:
         raise DataFormatError(f"{path}: truncated pixel data")

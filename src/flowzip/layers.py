@@ -119,12 +119,8 @@ class ConvLayer:
             y = ad.mul(y, ad.reshape(ad.binarize_ste(self.gate.node), (1, -1, 1, 1)))
         return y
 
-    def quantized_weight(self) -> np.ndarray:
-        """The int8 weight grid; its per-output-channel scale is ``wscale``."""
-        return _weight_grid(self.w.value, self.wscale.value)
 
-
-def _weight_grid(w: np.ndarray, wscale: np.ndarray) -> np.ndarray:
+def weight_grid(w: np.ndarray, wscale: np.ndarray) -> np.ndarray:
     """The int8 grid of the (C_out, ...) weights ``w`` at the per-row scales
     ``wscale``. Quantization works element by element, so rows and columns
     taken from a conv's weight quantize as they do in the whole tensor."""
@@ -211,7 +207,7 @@ class ResidualBlock:
     q_mid: ad.Node
 
     @classmethod
-    def build(cls, width: int, rng: np.random.Generator) -> "ResidualBlock":
+    def build(cls, width: int, rng: np.random.Generator | None) -> "ResidualBlock":
         return cls(
             conv_a=ConvLayer(width, width, rng),
             conv_b=ConvLayer(width, width, rng),
@@ -297,11 +293,11 @@ class IntBlock:
         conv_a = conv_b = None
         if len(kept_b):
             conv_a = IntConv.build(
-                _weight_grid(blk.conv_a.w.value[kept_a], swa),
+                weight_grid(blk.conv_a.w.value[kept_a], swa),
                 fold_bias(blk.conv_a.b.value[kept_a], swa, sa),
             )
             conv_b = IntConv.build(
-                _weight_grid(blk.conv_b.w.value[kept_b][:, kept_a], swb),
+                weight_grid(blk.conv_b.w.value[kept_b][:, kept_a], swb),
                 fold_bias(blk.conv_b.b.value[kept_b], swb, s_mid),
             )
         off = np.ones(blk.width, dtype=bool)

@@ -30,6 +30,7 @@ from .layers import (
     fold_bias,
     int_conv_acc,
     rescale,
+    weight_grid,
 )
 from .numerics import round_half_away
 
@@ -103,7 +104,7 @@ class CouplingNet:
         c_out: int,
         hidden: int,
         n_blocks: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ):
         self.stem = ConvLayer(c_in, hidden, rng)
         self.blocks = [ResidualBlock.build(hidden, rng) for _ in range(n_blocks)]
@@ -165,7 +166,9 @@ class IntNet:
             stem_b=net.stem.b.value.copy(),
             stem_q=quant.QuantizerParams(net.blocks[0].q_in.value.copy(), signed=False),
             blocks=tuple(IntBlock.build(blk, nxt) for blk, nxt in zip(net.blocks, scales)),
-            out=IntConv.build(net.out.quantized_weight(), fold_bias(net.out.b.value, sw, sx)),
+            out=IntConv.build(
+                weight_grid(net.out.w.value, sw), fold_bias(net.out.b.value, sw, sx)
+            ),
             out_m=(sw * sx)[:, None],
         )
 
@@ -216,7 +219,7 @@ class Level:
         self,
         channels: int,
         cfg: FlowConfig,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         last: bool,
     ):
         self.channels = channels
@@ -309,10 +312,14 @@ def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
 
 
 class FlowModel:
-    def __init__(self, cfg: FlowConfig, seed: int = 0):
+    def __init__(self, cfg: FlowConfig, seed: int | None = 0):
+        """``seed`` seeds the normal init of the stem and block convs. With
+        ``None`` every conv starts at zero and no random number is drawn, for
+        callers that overwrite every array or read only the architecture;
+        unlike ``np.random.default_rng(None)``, it is not an OS-seeded init."""
         cfg.validate()
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.levels: list[Level] = []
         c = cfg.in_channels
         for li in range(cfg.levels):

@@ -6,14 +6,17 @@ decoded), so streams are encoded in reverse of the decoder's symbol order.
 The state stays in that interval only if each table's total M divides 2**31,
 so the encoder refuses other tables.
 
-A block is coded as its distinct tables plus a per-symbol index into them.
-``RansEncoder.push`` gathers every symbol's frequency, cumulative sum and
-renormalization threshold with one numpy index over the tables laid end to
-end; ``RansDecoder.pull`` bisects a list of the cumulative sums of each
-table's core, the symbols of frequency above one, and decodes the
-frequency-one tails without a search. Both loops run inline over Python
-ints. ``rans_encode_step`` and ``rans_decode_step`` are the reference for
-one step of each loop.
+A block is coded as its distinct tables plus a per-symbol index into them,
+and that is the coder's only entry: ``RansEncoder.push(syms, tables,
+index)`` then ``payload()`` to encode, ``RansDecoder(payload).pull(tables,
+index)`` then ``finish()`` to decode. The codec builds each block's tables
+and index in ``codec._block_tables``. ``push`` gathers every symbol's
+frequency, cumulative sum and renormalization threshold with one numpy
+index over the tables laid end to end; ``pull`` bisects a list of the
+cumulative sums of each table's core, the symbols of frequency above one,
+and decodes the frequency-one tails without a search. Both loops run inline
+over Python ints. ``rans_encode_step`` and ``rans_decode_step`` are the
+reference for one step of each loop.
 
 Mass tables hold integer frequencies F over a contiguous symbol alphabet
 [lo, hi] with sum(F) == M exactly and F >= 1 everywhere, so any in-alphabet
@@ -69,10 +72,6 @@ class MassTable:
         self.C = np.ascontiguousarray(self.C, dtype=dtype)
         # precomputed renormalization base: state must stay below base * F
         self.renorm_base = (RANS_L // self.M) << 32
-
-    def cross_entropy_bits(self, counts: np.ndarray) -> float:
-        """sum over symbols of count * -log2(F/M); counts indexed from lo."""
-        return float(np.sum(counts * -np.log2(self.F / self.M)))
 
 
 def _raw_probabilities(mu: float, s: float, lo: int, hi: int, a: int, b: int) -> np.ndarray:
@@ -329,34 +328,3 @@ class RansDecoder:
             raise CorruptStreamError(f"{self.wpos} payload words left over")
         if self.state != RANS_L:
             raise CorruptStreamError("coder state did not return to its initial value")
-
-
-def _distinct_tables(tables: list[MassTable]) -> tuple[list[MassTable], list[int]]:
-    """A per-symbol table list as its distinct tables and an index into them."""
-    slots: dict[int, int] = {}
-    distinct = []
-    index = []
-    for t in tables:
-        i = slots.setdefault(id(t), len(distinct))
-        if i == len(distinct):
-            distinct.append(t)
-        index.append(i)
-    return distinct, index
-
-
-def encode_stream(symbols, tables: list[MassTable]) -> bytes:
-    """Encode one symbol per table; empty input yields the 8-byte state."""
-    if len(symbols) != len(tables):
-        raise DataFormatError("need exactly one mass table per symbol")
-    enc = RansEncoder()
-    enc.push(symbols, *_distinct_tables(tables))
-    return enc.payload()
-
-
-def decode_stream(payload: bytes, tables: list[MassTable]) -> list[int]:
-    """Inverse of encode_stream; validates full word consumption and the
-    final state returning to the initial bound."""
-    dec = RansDecoder(payload)
-    out = dec.pull(*_distinct_tables(tables))
-    dec.finish()
-    return out

@@ -20,7 +20,7 @@ from flowzip.data import gen_synth
 from flowzip.model import FlowModel
 from flowzip.numerics import round_half_away
 from flowzip.quant import QuantizerParams, grad_rescale, quantizer_backward
-from flowzip.rans import encode_stream, mass_table, rans_decode_step, rans_encode_step
+from flowzip.rans import RansDecoder, RansEncoder, mass_table, rans_decode_step, rans_encode_step
 from flowzip.train import TrainConfig, calculate_flops, prune, run_pipeline, Trainer
 
 DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
@@ -123,10 +123,16 @@ def test_criterion_3_rans_optimality():
     rng = np.random.default_rng(2024)
     table = mass_table(0.0, 3.0, -32, 31, 1 << 16)
     symbols = rng.choice(len(table.F), size=100_000, p=table.F / table.M)
-    payload = encode_stream(symbols.tolist(), [table] * len(symbols))
+    index = np.zeros(len(symbols), dtype=np.intp)
+    enc = RansEncoder()
+    enc.push(symbols, [table], index)
+    payload = enc.payload()
     bits = 8 * len(payload)
-    entropy = table.cross_entropy_bits(np.bincount(symbols, minlength=len(table.F)))
+    entropy = float(np.sum(-np.log2(table.F / table.M)[symbols]))
     opt_ok = bits <= 1.005 * entropy + 64
+    dec = RansDecoder(payload)
+    rt_ok = dec.pull([table], index) == symbols.tolist()
+    dec.finish()
 
     four = mass_table(0.5, 1.2, -2, 1, 1 << 16)
     assert len(four.F) == 4
@@ -135,8 +141,9 @@ def test_criterion_3_rans_optimality():
         for x in range(1 << 16)
         for s in range(4)
     )
-    _report(3, "rANS optimality", opt_ok and inv_ok,
-            f"{bits} bits vs entropy {entropy:.0f}; exhaustive inversion ok={inv_ok}")
+    _report(3, "rANS optimality", opt_ok and rt_ok and inv_ok,
+            f"{bits} bits vs entropy {entropy:.0f}; round trip ok={rt_ok}; "
+            f"exhaustive inversion ok={inv_ok}")
 
 
 # -- 4. gradient suite ---------------------------------------------------------

@@ -228,6 +228,20 @@ def test_prune_stores_kept_filters_and_decodes_the_gated_payload(tmp_path, small
     assert main(["prune", "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]) == 1
 
 
+def test_load_and_prune_draw_no_random_init(tmp_path, monkeypatch):
+    # loading overwrites every array and prune's FLOP count reads only the
+    # architecture, so neither builds a randomly initialized model
+    gated_ckpt, pruned_ckpt = str(tmp_path / "gated.ckpt"), str(tmp_path / "pruned.ckpt")
+    save_model(gated_int_model(), gated_ckpt)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert serialize(load_model(gated_ckpt)) == open(gated_ckpt, "rb").read()
+    assert main(["prune", "--checkpoint", gated_ckpt, "--out", pruned_ckpt]) == 0
+
+
 def test_quantize_writes_what_stage_4_saved_loaded_then_stage_5_writes(tmp_path, capsys):
     # quantize runs stages 4-5 through the stage runner, which rounds each
     # stage to what a checkpoint stores, so it writes what stage 4, a save
@@ -345,6 +359,19 @@ def test_non_utf8_config_is_data_error(tmp_path, capsys):
 def test_huge_ppm_header_is_data_error(tmp_path, small_ckpt, capsys):
     bad = tmp_path / "ws.ppm"
     bad.write_bytes(b"P6" + b" " * (1 << 20))
+    argv = ["compress", str(bad), "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "malformed PPM header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blob", [b"P61 1 255\nabc", b"P6 1 1 255#c\nXYZ"], ids=["magic_run_on", "comment_after_maxval"]
+)
+def test_ppm_header_without_its_separators_is_data_error(tmp_path, small_ckpt, capsys, blob):
+    # the magic must be followed by whitespace or a comment, and maxval by
+    # exactly one whitespace byte; both files once read as a 1x1 image
+    bad = tmp_path / "sep.ppm"
+    bad.write_bytes(blob)
     argv = ["compress", str(bad), "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]
     assert main(argv) == 2
     assert "malformed PPM header" in capsys.readouterr().err

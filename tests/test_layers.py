@@ -23,6 +23,7 @@ from flowzip.layers import (
     fold_bias,
     int_conv_acc,
     requantize,
+    weight_grid,
 )
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.numerics import round_half_away
@@ -37,7 +38,7 @@ def _int_conv(values, sx, layer, s_y):
     """One int-path conv as block_int composes it: int8 GEMM, folded bias,
     double-precision rescale onto the u8 output grid of step s_y."""
     sw = layer.wscale.value
-    conv = IntConv.build(layer.quantized_weight(), fold_bias(layer.b.value, sw, sx))
+    conv = IntConv.build(weight_grid(layer.w.value, sw), fold_bias(layer.b.value, sw, sx))
     acc = int_conv_acc(values, conv)
     return requantize(acc, (sw * sx / s_y)[None, :, None, None])
 
@@ -150,9 +151,10 @@ def test_int_conv_error_bound_vs_float():
         values = rng.integers(0, 256, (2, 3, 4, 4))
         s_x, s_y = 0.1, 0.05
         got = _int_conv(values, s_x, layer, s_y) * s_y
-        w_deq = layer.quantized_weight() * layer.wscale.value[:, None, None, None]
+        sw = layer.wscale.value
+        w_deq = weight_grid(layer.w.value, sw) * sw[:, None, None, None]
         ref = ad.conv2d_raw(values * s_x, w_deq, layer.b.value)
-        bound = 0.5 * s_y + 0.5 * float(layer.wscale.value.max()) * s_x + 1e-12
+        bound = 0.5 * s_y + 0.5 * float(sw.max()) * s_x + 1e-12
         # reference uses the quantized weights; clipped outputs are excluded
         inside = (got > 0) & (got < 255 * s_y)
         assert np.max(np.abs(got - ref)[inside]) <= bound
@@ -280,8 +282,8 @@ def _block_int_reference(values, blk, s_next):
     sa, s_mid = float(blk.q_in.value[0]), float(blk.q_mid.value[0])
     ka, kb = blk.kept_sets()
     swa, swb = blk.conv_a.wscale.value[ka], blk.conv_b.wscale.value[kb]
-    wa = blk.conv_a.quantized_weight()[ka]
-    wb = blk.conv_b.quantized_weight()[kb][:, ka]
+    wa = weight_grid(blk.conv_a.w.value, blk.conv_a.wscale.value)[ka]
+    wb = weight_grid(blk.conv_b.w.value, blk.conv_b.wscale.value)[kb][:, ka]
 
     def rq(acc, m):
         return np.clip(round_half_away(acc * m), 0, 255)
@@ -378,8 +380,8 @@ def test_a_built_plan_quantizes_no_weight(monkeypatch):
 
     monkeypatch.setattr(quant, "quantize", counting_quantize)
     monkeypatch.setattr(model_module.CouplingNet, "forward_int", counting_forward_int)
-    for owner, name in ((layers, "_weight_grid"), (layers, "fold_bias"),
-                        (model_module, "fold_bias")):
+    for owner, name in ((layers, "weight_grid"), (model_module, "weight_grid"),
+                        (layers, "fold_bias"), (model_module, "fold_bias")):
         monkeypatch.setattr(owner, name, lambda *args, name=name: rebuilt.append(name))
     container, _ = codec.compress(x, model, "int")
     assert np.array_equal(codec.decompress(container, model, "int"), x)

@@ -14,9 +14,9 @@ from flowzip.numerics import round_half_away
 from flowzip.rans import (
     RANS_L,
     MassTable,
+    RansDecoder,
+    RansEncoder,
     _raw_probabilities,
-    decode_stream,
-    encode_stream,
     mass_table,
     rans_decode_step,
     rans_encode_step,
@@ -243,10 +243,23 @@ def test_single_step_inversion_exhaustive_small():
             assert rans_decode_step(rans_encode_step(x, sym, t), t) == (sym, x)
 
 
+def _encode(symbols, tables, index):
+    enc = RansEncoder()
+    enc.push(symbols, tables, index)
+    return enc.payload()
+
+
+def _decode(payload, tables, index):
+    dec = RansDecoder(payload)
+    out = dec.pull(tables, index)
+    dec.finish()
+    return out
+
+
 def test_empty_stream_is_eight_bytes():
-    payload = encode_stream([], [])
+    payload = _encode([], [], [])
     assert len(payload) == 8
-    assert decode_stream(payload, []) == []
+    assert _decode(payload, [], []) == []
 
 
 @given(st.data())
@@ -261,15 +274,18 @@ def test_stream_roundtrip(data):
     symbols = data.draw(
         st.lists(st.integers(0, n_sym - 1), min_size=length, max_size=length)
     )
-    payload = encode_stream(symbols, [t] * length)
-    assert decode_stream(payload, [t] * length) == symbols
+    index = np.zeros(length, dtype=np.intp)
+    payload = _encode(symbols, [t], index)
+    assert _decode(payload, [t], index) == symbols
 
 
-def _reference_encode(symbols, tables):
-    """encode_stream's specification: rans_encode_step once per symbol, back
-    to front, each step after emitting low words while x >= (L // M << 32) * F."""
+def _reference_encode(symbols, tables, index):
+    """RansEncoder.push's specification, then payload's: rans_encode_step
+    once per symbol under ``tables[index[i]]``, back to front, each step
+    after emitting low words while x >= (L // M << 32) * F."""
     x, words = RANS_L, []
-    for sym, t in zip(reversed(symbols), reversed(tables)):
+    for sym, i in zip(reversed(symbols), reversed(index)):
+        t = tables[i]
         while x >= ((RANS_L // t.M) << 32) * int(t.F[sym]):
             words.append(x & 0xFFFFFFFF)
             x >>= 32
@@ -277,14 +293,15 @@ def _reference_encode(symbols, tables):
     return np.asarray(words, dtype="<u4").tobytes() + struct.pack("<Q", x)
 
 
-def _reference_decode(payload, tables):
-    """decode_stream's specification: rans_decode_step once per symbol, each
-    step followed by reading words back to front while x < L."""
+def _reference_decode(payload, tables, index):
+    """RansDecoder.pull's specification, then finish's: rans_decode_step
+    once per symbol under ``tables[index[i]]``, each step followed by
+    reading words back to front while x < L."""
     words = np.frombuffer(payload[:-8], dtype="<u4").tolist()
     (x,) = struct.unpack("<Q", payload[-8:])
     out = []
-    for t in tables:
-        sym, x = rans_decode_step(x, t)
+    for i in index:
+        sym, x = rans_decode_step(x, tables[i])
         while x < RANS_L:
             x = (x << 32) | words.pop()
         out.append(sym)
@@ -304,18 +321,17 @@ def test_stream_matches_per_symbol_reference(data):
         tables.append(_coding_table(freqs + [max(freqs)]))
     length = data.draw(st.integers(0, 300))
     which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=length, max_size=length))
-    per_symbol = [tables[i] for i in which]
-    symbols = [data.draw(st.integers(0, len(t.F) - 1)) for t in per_symbol]
+    symbols = [data.draw(st.integers(0, len(tables[i].F) - 1)) for i in which]
 
-    payload = encode_stream(symbols, per_symbol)
-    assert payload == _reference_encode(symbols, per_symbol)
-    assert decode_stream(payload, per_symbol) == _reference_decode(payload, per_symbol) == symbols
+    payload = _encode(symbols, tables, which)
+    assert payload == _reference_encode(symbols, tables, which)
+    assert _decode(payload, tables, which) == _reference_decode(payload, tables, which) == symbols
     if length >= 64:
         assert len(payload) > 8
     if len(payload) > 8:
         # without its first-emitted word the decoder runs out of words
         with pytest.raises(CorruptStreamError):
-            decode_stream(payload[4:], per_symbol)
+            _decode(payload[4:], tables, which)
 
 
 def test_stream_decodes_core_and_tail_symbols():
@@ -329,25 +345,31 @@ def test_stream_decodes_core_and_tail_symbols():
         for _ in range(3)
     ] + [_table([1] * 8), _table([1, 1, 5, 9]), _table([7, 1, 1, 7]), _table([2, 1, 1, 4])]
     which = rng.integers(0, len(distinct), 600)
-    per_symbol = [distinct[i] for i in which]
     # each table's end symbols, its middle (in the codec tables' core) and any
     symbols = [
         int(rng.choice([0, len(t.F) - 1, len(t.F) // 2, rng.integers(len(t.F))]))
-        for t in per_symbol
+        for t in (distinct[i] for i in which)
     ]
-    payload = encode_stream(symbols, per_symbol)
-    assert payload == _reference_encode(symbols, per_symbol)
-    assert decode_stream(payload, per_symbol) == _reference_decode(payload, per_symbol) == symbols
+    payload = _encode(symbols, distinct, which)
+    assert payload == _reference_encode(symbols, distinct, which)
+    decoded = _decode(payload, distinct, which)
+    assert decoded == _reference_decode(payload, distinct, which) == symbols
 
 
 def test_push_refuses_totals_that_do_not_divide_rans_l():
     # with M = 6 the step can leave the state below RANS_L, and the decoder
     # then reads a word that was never written: 32 zeros under F = [3, 3]
     # once made a payload whose final state was out of range
+    index = np.zeros(32, dtype=np.intp)
     with pytest.raises(DataFormatError):
-        encode_stream([0] * 32, [_table([3, 3])] * 32)
-    padded = [_coding_table([3, 3])] * 32  # total 8
-    assert decode_stream(encode_stream([0] * 32, padded), padded) == [0] * 32
+        _encode([0] * 32, [_table([3, 3])], index)
+    padded = [_coding_table([3, 3])]  # total 8
+    assert _decode(_encode([0] * 32, padded, index), padded, index) == [0] * 32
+
+
+def test_push_refuses_an_index_of_another_length():
+    with pytest.raises(DataFormatError):
+        _encode([0, 1], [_coding_table([3, 5])], [0])
 
 
 def test_mixed_tables_roundtrip():
@@ -357,8 +379,9 @@ def test_mixed_tables_roundtrip():
         for _ in range(50)
     ]
     symbols = [int(rng.integers(0, 128)) for _ in range(50)]
-    payload = encode_stream(symbols, tables)
-    assert decode_stream(payload, tables) == symbols
+    index = np.arange(50)
+    payload = _encode(symbols, tables, index)
+    assert _decode(payload, tables, index) == symbols
 
 
 def test_near_optimality_100k_symbols():
@@ -368,9 +391,9 @@ def test_near_optimality_100k_symbols():
     t = mass_table(0.0, 2.5, -16, 15, 1 << 16)
     probs = t.F / t.M
     symbols = rng.choice(len(t.F), size=100_000, p=probs)
-    payload = encode_stream(symbols.tolist(), [t] * len(symbols))
+    payload = _encode(symbols, [t], np.zeros(len(symbols), dtype=np.intp))
     cost_bits = len(payload) * 8
-    entropy_bits = t.cross_entropy_bits(np.bincount(symbols, minlength=len(t.F)))
+    entropy_bits = float(np.sum(-np.log2(t.F / t.M)[symbols]))
     assert cost_bits <= 1.005 * entropy_bits + 64
     assert cost_bits >= entropy_bits  # cannot beat the table's own entropy
 
@@ -378,15 +401,16 @@ def test_near_optimality_100k_symbols():
 def test_decode_errors_do_not_crash():
     t = _table([3, 5])
     symbols = [0, 1, 1, 0] * 10
-    payload = encode_stream(symbols, [t] * len(symbols))
+    index = np.zeros(len(symbols), dtype=np.intp)
+    payload = _encode(symbols, [t], index)
     with pytest.raises(CorruptStreamError):
-        decode_stream(payload[:-3], [t] * len(symbols))
+        _decode(payload[:-3], [t], index)
     with pytest.raises(CorruptStreamError):
-        decode_stream(b"", [t])
+        _decode(b"", [t], [0])
     corrupt = bytearray(payload)
     corrupt[-1] ^= 0x80
     try:
-        got = decode_stream(bytes(corrupt), [t] * len(symbols))
+        got = _decode(bytes(corrupt), [t], index)
         assert got != symbols
     except CorruptStreamError:
         pass
@@ -395,6 +419,5 @@ def test_decode_errors_do_not_crash():
 def test_determinism_byte_identical():
     t = mass_table(1.0, 3.0, -8, 7, 1 << 16)
     symbols = list(range(16)) * 8
-    a = encode_stream(symbols, [t] * len(symbols))
-    b = encode_stream(symbols, [t] * len(symbols))
-    assert a == b
+    index = np.zeros(len(symbols), dtype=np.intp)
+    assert _encode(symbols, [t], index) == _encode(symbols, [t], index)
