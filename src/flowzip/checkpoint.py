@@ -28,8 +28,14 @@ ungated) -- conv A's kept rows, conv B's kept rows and kept conv-A columns,
 with their biases and weight scales -- and a gated block then its kept-index
 lists idx_a and idx_b (strictly increasing, below the block width). Loading
 places the kept filters into full-width arrays (a removed filter gets zero
-weight and bias and a weight scale of 1) and rebuilds binary gates from the
-lists; ``round_to_stored`` sets a model in memory the same way.
+weight and bias and a weight scale of 1) and rebuilds binary gates, which
+take no gradient, from the lists; ``round_to_stored`` sets a model in memory
+the same way. A branch is stored whole or not at all: idx_a and idx_b are
+both empty or both non-empty. An older checkpoint with a block whose idx_a
+is empty and whose idx_b is not is refused as a shape mismatch at its
+``conv_b.w`` (``DataFormatError``, exit 2). At stage 5 such a checkpoint
+never loaded anyway: its conv-B rows held a bias alone, which could not be
+folded.
 """
 
 from __future__ import annotations
@@ -181,11 +187,13 @@ def _placed(stored: np.ndarray, full: np.ndarray, keep, kind: int, name: str) ->
 
 def _assign(model: FlowModel, arrays: dict):
     """Set ``model`` in place to the stored ``arrays`` (name -> array): the
-    kept-index lists first, since the gates they rebuild decide every keep."""
+    kept-index lists first, since the gates they rebuild decide every keep.
+    A rebuilt gate is a constant: it takes no gradient."""
     for kind, name, gate, _ in list(_named_entries(model)):
         if kind == KIND_INDEX:
             gate.node.value[...] = 0.0
             gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
+            gate.node.requires_grad, gate.node.grad = False, None
     for kind, name, node, keep in _named_entries(model):
         if kind != KIND_INDEX:
             node.value[...] = _placed(arrays[name], node.value, keep, kind, name)

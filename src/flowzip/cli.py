@@ -93,9 +93,7 @@ def build_parser() -> _Parser:
         "quantize",
         help="run stages 4-5 from a stage-3 checkpoint",
         description="Run training stages 4-5 from a stage-3 checkpoint through the "
-        "same stage runner as train; each stage ends rounded to what a checkpoint stores. "
-        "The epoch shuffles start from the config seed, not where the train run that "
-        "wrote the checkpoint left them, so stage 5 differs from that run's own.",
+        "same stage runner as train; each stage ends rounded to what a checkpoint stores.",
     )
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--config", default=None)

@@ -116,6 +116,8 @@ FORWARD_SLICE = 64
 # Largest count*c*h*w a container may hold (about 21,800 desk images). The
 # header is outside the checksum, so decompress checks this before allocating.
 MAX_DIMS = 2**24
+# The header stores h and w as u16.
+MAX_SIDE = 2**16 - 1
 
 
 def model_id(model: FlowModel, path: str) -> int:
@@ -187,6 +189,8 @@ def _block_tables(
 
 
 def _check_size(n: int, c: int, h: int, w: int):
+    if max(h, w) > MAX_SIDE:
+        raise DataFormatError(f"{h}x{w} images exceed the container's {MAX_SIDE}-pixel side")
     if n * c * h * w > MAX_DIMS:
         raise DataFormatError(
             f"{n} images of {c}x{h}x{w} exceed the {MAX_DIMS}-dimension container cap"

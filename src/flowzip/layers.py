@@ -196,9 +196,11 @@ class ResidualBlock:
     filter of conv A zeroes its channel of the inner activation and a
     gated-off filter of conv B leaves its output channel to the shortcut
     alone; ``kept_sets`` lists the filters that remain, for FLOPs, the
-    checkpoint layout and ``IntBlock`` alike. A pruned model is this block
-    with every gate frozen at 0 or 1; once set to what a checkpoint stores,
-    its removed filters have weight and bias 0 and weight scale 1.
+    checkpoint layout and ``IntBlock`` alike. The branch is kept whole or not
+    at all: it keeps filters only when both convs keep at least one. A
+    pruned model is this block with every gate frozen at 0 or 1; once set to
+    what a checkpoint stores, its removed filters have weight and bias 0 and
+    weight scale 1, and its gates agree with ``kept_sets``.
     """
 
     conv_a: ConvLayer
@@ -228,14 +230,19 @@ class ResidualBlock:
 
     def kept_sets(self) -> tuple[np.ndarray, np.ndarray]:
         """Kept output-channel indices for conv A and conv B (all when
-        ungated). When conv B keeps no filter, conv A keeps none either:
-        nothing reads its output."""
+        ungated). The branch keeps filters only when both convs keep at least
+        one; otherwise neither keeps any. With conv B empty nothing reads
+        conv A's output; with conv A empty conv B's rows would read only
+        zeros, a bias alone whose scales calibrate to ``MIN_SCALE`` and whose
+        folded bias then overflows."""
         if self.conv_a.gate is None:
             return np.arange(self.conv_a.c_out), np.arange(self.conv_b.c_out)
+        kept_a = np.flatnonzero(self.conv_a.gate.binarized())
         kept_b = np.flatnonzero(self.conv_b.gate.binarized())
-        if not len(kept_b):
-            return kept_b, kept_b
-        return np.flatnonzero(self.conv_a.gate.binarized()), kept_b
+        if len(kept_a) and len(kept_b):
+            return kept_a, kept_b
+        none = np.arange(0)
+        return none, none
 
 
 def block_sim(
@@ -264,7 +271,9 @@ class IntBlock:
     """A residual block's int-path constants, frozen at plan build.
 
     ``conv_a`` holds conv A's kept rows and ``conv_b`` conv B's kept rows at
-    conv A's kept columns; both are None when conv B keeps no filter. The
+    conv A's kept columns; both are None when the branch keeps no filter
+    (``ResidualBlock.kept_sets``: when either conv keeps none, both keep
+    none), and every channel then takes the shortcut alone. The
     (C, 1) multiplier columns take conv A's accumulator onto ``q_mid``
     (``m_mid``), the shortcut into conv B's unit system (``m_short``) and
     conv B's accumulator onto the next grid (``m_out``); ``m_off`` takes the

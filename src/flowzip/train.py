@@ -9,11 +9,11 @@ first ``calib_count`` training images, stage 5 the weight scales from the
 weights. ``Trainer.run`` is the one sequencer of stages: ``run_pipeline``
 runs stages 1..last through it and ``flowzip quantize`` runs stages 4-5
 through it, and each stage ends set to what a checkpoint stores, so after
-stage 2 no stage reads a removed filter's old values. Each epoch's shuffle
-comes from one generator seeded with the config seed that runs on through
-the stages, and a checkpoint does not store it: ``flowzip quantize`` starts
-its shuffles from the seed, so its stage 5 is not the stage 5 of the
-``train`` run that wrote its stage-3 checkpoint.
+stage 2 no stage reads a removed filter's old values. Each stage draws its
+epoch shuffles from its own generator, seeded with (config seed, stage), so
+nothing but the checkpoint crosses a stage: resuming from a stage-k
+checkpoint, as ``flowzip quantize`` does from stage 3, writes the
+uninterrupted run's later stages.
 """
 
 from __future__ import annotations
@@ -307,7 +307,6 @@ class Trainer:
         self.cfg = config
         self.train_x = np.asarray(train_x)
         self.val_x = np.asarray(val_x)
-        self.rng = np.random.default_rng(config.seed)
         self.log = log
         self.records: list[StageRecord] = []
 
@@ -324,13 +323,14 @@ class Trainer:
             n += len(chunk)
         return total / n
 
-    def _epoch(self, model, optimizer, objective, stage: int, epoch: int):
-        """One pass over the training set. A non-finite loss raises
-        DivergenceError before its step updates anything, and so does a
-        parameter that the last step left non-finite, which no checkpoint
-        may hold. These checks replace numpy's overflow warnings."""
+    def _epoch(self, model, optimizer, objective, stage: int, epoch: int, rng):
+        """One pass over the training set, in the order ``rng`` draws. A
+        non-finite loss raises DivergenceError before its step updates
+        anything, and so does a parameter that the last step left non-finite,
+        which no checkpoint may hold. These checks replace numpy's overflow
+        warnings."""
         where = f"training diverged at stage {stage} epoch {epoch}"
-        order = self.rng.permutation(len(self.train_x))
+        order = rng.permutation(len(self.train_x))
         bs = self.cfg.batch_size
         with np.errstate(all="ignore"):
             for i in range(0, len(order), bs):
@@ -359,8 +359,9 @@ class Trainer:
         history = []
         best, since_best = np.inf, 0
         flops = calculate_flops(model, self.train_x.shape[2:])
+        rng = np.random.default_rng((self.cfg.seed, stage))
         for epoch in range(epochs):
-            self._epoch(model, opt, lambda b: loss_bpd(b, model), stage, epoch)
+            self._epoch(model, opt, lambda b: loss_bpd(b, model), stage, epoch, rng)
             opt.decay(self.cfg.lr_decay)
             bpd = self.eval_bpd(model, self.val_x)
             history.append(bpd)
@@ -418,6 +419,7 @@ class Trainer:
         opt = Adamax({"main": (main, self.cfg.lr), "gate": (gates, self.cfg.gate_lr)})
         history = []
         flops = calculate_flops(model, hw)
+        rng = np.random.default_rng((self.cfg.seed, 2))
         epoch = 0
         while flops > target:
             if epoch >= self.cfg.stage2_max_epochs:
@@ -426,7 +428,8 @@ class Trainer:
                     f"at {flops} FLOPs (target {target:.0f}); "
                     f"flops history: {history}"
                 )
-            self._epoch(model, opt, lambda b: gated_objective(b, model, lambdas)[0], 2, epoch)
+            self._epoch(model, opt, lambda b: gated_objective(b, model, lambdas)[0], 2,
+                        epoch, rng)
             opt.decay(self.cfg.lr_decay)
             lambdas = lambdas * self.cfg.lambda_ramp
             flops = calculate_flops(model, hw)

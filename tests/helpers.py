@@ -29,6 +29,15 @@ DIVERGING_CONFIG = dict(
 )
 
 
+# A tiny run with at least one epoch in every stage, stage 2 included, and
+# four batches per epoch, so every stage's shuffles decide what it writes.
+RESUME_CONFIG = dict(
+    hidden=8, couplings=1, blocks=1, train_count=16, val_count=4, batch_size=4,
+    epochs_stage1=2, epochs_stage3=2, epochs_stage4=2, epochs_stage5=2,
+    gate_lr=0.05, lambda_levels=(40.0, 10.0), r_target=0.9,
+)
+
+
 def load_perfbench(name: str):
     """Import perfbench/<name>.py, which is not a package."""
     spec = importlib.util.spec_from_file_location(

@@ -14,12 +14,18 @@ import pytest
 from flowzip import codec
 from flowzip.checkpoint import load_model, save_model, serialize
 from flowzip.cli import main
-from flowzip.data import gen_synth, write_u8t
+from flowzip.data import gen_synth, write_image, write_u8t
 from flowzip.errors import DataFormatError
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.train import TrainConfig, Trainer
 
-from helpers import DIVERGING_CONFIG, HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint
+from helpers import (
+    DIVERGING_CONFIG,
+    HOSTILE_CHECKPOINTS,
+    RESUME_CONFIG,
+    gated_int_model,
+    hostile_checkpoint,
+)
 
 
 @pytest.fixture()
@@ -276,6 +282,22 @@ def test_quantize_writes_what_stage_4_saved_loaded_then_stage_5_writes(tmp_path,
     assert np.array_equal(codec.decompress(container, quantized, "int"), images[:2])
 
 
+def test_quantize_writes_the_stage_5_of_the_train_run(tmp_path, capsys):
+    # each stage seeds its own shuffles, so quantize on a train run's stage-3
+    # checkpoint runs that run's own stages 4-5
+    cfg = tmp_path / "resume.cfg"
+    # a tuple value is written as its comma-separated items
+    cfg.write_text("".join(f"{key} = {str(value).strip('()')}\n"
+                           for key, value in RESUME_CONFIG.items()))
+    run, out = str(tmp_path / "run.ckpt"), tmp_path / "quantized.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", run]) == 0
+    argv = ["quantize", "--checkpoint", f"{run}.stage3.ckpt", "--config", str(cfg),
+            "--out", str(out)]
+    assert main(argv) == 0
+    with open(f"{run}.stage5.ckpt", "rb") as f:
+        assert out.read_bytes() == f.read()
+
+
 def test_quantize_accepts_a_pruned_stage_3_checkpoint(tmp_path, capsys):
     # prune writes the one gated layout, which quantize reads like any other
     cfg_path = tmp_path / "tiny.cfg"
@@ -362,6 +384,16 @@ def test_huge_ppm_header_is_data_error(tmp_path, small_ckpt, capsys):
     argv = ["compress", str(bad), "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]
     assert main(argv) == 2
     assert "malformed PPM header" in capsys.readouterr().err
+
+
+def test_image_wider_than_the_container_header_is_data_error(tmp_path, small_ckpt, capsys):
+    # a PPM may be 65536 pixels wide; the container's u16 width may not
+    wide = str(tmp_path / "wide.ppm")
+    write_image(wide, np.zeros((3, 4, 65536), dtype=np.uint8))
+    argv = ["compress", wide, "--checkpoint", small_ckpt, "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "65535-pixel side" in err[0], err
 
 
 @pytest.mark.parametrize(

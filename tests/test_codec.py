@@ -138,6 +138,17 @@ def test_hostile_header_sizes_are_refused_before_allocating():
         codec.compress(too_many, model, "int")
 
 
+@pytest.mark.parametrize("hw", [(4, 65536), (65536, 4)])
+def test_compress_refuses_sides_the_header_cannot_store(monkeypatch, hw):
+    # the header stores h and w as u16; a wider side is refused before the
+    # flow runs, not by struct.pack once it has
+    model = _quantized_model()
+    monkeypatch.setattr(model, "flow_forward", lambda *a: pytest.fail("the flow ran"))
+    image = np.broadcast_to(np.zeros(1, dtype=np.uint8), (1, 3) + hw)
+    with pytest.raises(DataFormatError, match="65535-pixel side"):
+        codec.compress(image, model, "int")
+
+
 def test_container_version_and_count_are_checked():
     x = gen_synth(13, 3)
     model = _quantized_model()

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from flowzip import autodiff as ad
-from flowzip.checkpoint import deserialize, named_parameters, save_model, serialize
+from flowzip import codec
+from flowzip.checkpoint import (
+    deserialize,
+    named_parameters,
+    round_to_stored,
+    save_model,
+    serialize,
+)
 from flowzip.data import gen_synth
-from flowzip.errors import DivergenceError, StageTimeoutError
+from flowzip.errors import DataFormatError, DivergenceError, StageTimeoutError
+from flowzip.layers import ResidualBlock
 from flowzip.model import LOG_S_BOUNDS, FlowConfig, FlowModel
 from flowzip.quant import MIN_SCALE
 from flowzip.train import (
@@ -29,6 +37,7 @@ from flowzip.train import (
 
 from helpers import (
     DIVERGING_CONFIG,
+    RESUME_CONFIG,
     check_gradient,
     gated_int_model,
     randomize_convs,
@@ -184,6 +193,12 @@ def test_flops_respect_gates_both_sides():
     assert f_half - f_zero == 2 * 2 * width * (width // 2) * 9 * px
     assert f_full - f_zero == 2 * 2 * width * width * 9 * px
 
+    # with conv A gone, conv B keeps none either, and its rows of no columns
+    # counted nothing before
+    blk.conv_b.gate.node.value[:] = 0.8
+    blk.conv_a.gate.node.value[:] = 0.0
+    assert calculate_flops(model, (16, 16)) == f_zero
+
 
 def test_prune_identity_when_all_gates_on():
     model = _small_gated_model()
@@ -226,19 +241,25 @@ def test_prune_equivalence_float_and_int():
 
 
 def test_prune_all_off_convs_match_on_every_path():
-    # one block with every conv-A gate off, another with every conv-B gate off
-    # and conv-A gates still on, which it stores as an empty idx_a
+    # one block with every conv-A gate off and conv-B gates still on, which it
+    # stores as an empty idx_b, and another with every conv-B gate off and
+    # conv-A gates still on, which it stores as an empty idx_a
     model = deserialize(serialize(gated_int_model()))  # float32-exact parameters
-    model.levels[0].couplings[0].net.blocks[0].conv_a.gate.node.value[:] = 0.2
+    empty_a = model.levels[0].couplings[0].net.blocks[0]
+    empty_a.conv_a.gate.node.value[:] = 0.2
+    assert empty_a.conv_b.gate.binarized().any()
     blk = model.levels[0].couplings[1].net.blocks[0]
     blk.conv_b.gate.node.value[:] = 0.2
     assert blk.conv_a.gate.binarized().any()
     pruned = prune(model)
     blob = serialize(pruned)
     stored = stored_arrays(blob, pruned)
+    assert stored["level0.coup0.block0.idx_b"][1].size == 0
+    assert stored["level0.coup0.block0.conv_b.w"][1].shape == (0, 0, 3, 3)
     assert stored["level0.coup1.block0.idx_a"][1].size == 0
     assert stored["level0.coup1.block0.conv_a.w"][1].shape == (0, 8, 3, 3)
     reloaded = deserialize(blob)
+    assert not reloaded.levels[0].couplings[0].net.blocks[0].conv_b.gate.g.any()
     assert not reloaded.levels[0].couplings[1].net.blocks[0].conv_a.gate.g.any()
     x = gen_synth(3, 4)
     for path in ("float", "fake", "int"):
@@ -249,6 +270,42 @@ def test_prune_all_off_convs_match_on_every_path():
     flops = calculate_flops(model, (16, 16))
     assert calculate_flops(pruned, (16, 16)) == flops
     assert calculate_flops(reloaded, (16, 16)) == flops
+
+    # at stage 5, with conv-B biases that are not zero: stage 2 ends rounded,
+    # which removes the conv-A-empty branch whole, and stages 4-5 calibrate
+    # after it, so no conv-B row is left with a bias alone to fold
+    empty_a.conv_b.b.value[:] = 0.05
+    round_to_stored(model)
+    assert not empty_a.conv_b.gate.g.any()
+    calibrate_activations(model, x)
+    calibrate_weights(model)
+    round_to_stored(model)
+    stage5 = deserialize(serialize(model))
+    assert calculate_flops(stage5, (16, 16)) == flops
+    container, _ = codec.compress(x, stage5, "int")
+    assert np.array_equal(codec.decompress(container, stage5, "int"), x)
+
+
+def test_older_checkpoint_with_a_half_kept_branch_is_refused(monkeypatch):
+    # a writer whose conv B kept filters under an empty conv A stored conv B's
+    # kept rows with no columns; the branch is now kept whole or not at all
+    model = deserialize(serialize(gated_int_model()))
+    blk = model.levels[0].couplings[0].net.blocks[0]
+    blk.conv_a.gate.node.value[:] = 0.2
+    assert blk.conv_b.gate.binarized().any()
+
+    shipped = ResidualBlock.kept_sets
+
+    def older_kept_sets(self):
+        if self is blk:
+            return np.arange(0), np.flatnonzero(blk.conv_b.gate.binarized())
+        return shipped(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(ResidualBlock, "kept_sets", older_kept_sets)
+        blob = serialize(model)
+    with pytest.raises(DataFormatError, match=r"level0\.coup0\.block0\.conv_b\.w has shape"):
+        deserialize(blob)
 
 
 def test_stage2_immediate_when_target_is_one():
@@ -362,6 +419,35 @@ def test_training_does_not_depend_on_checkpointing(tmp_path):
     assert plain_records == saving_records
     with open(saved[-1], "rb") as f:
         assert f.read() == serialize(plain)
+
+
+def test_resuming_from_any_stage_checkpoint_writes_the_uninterrupted_run():
+    # each stage draws its shuffles from (seed, stage) alone, so nothing but
+    # the checkpoint crosses a stage boundary
+    cfg = TrainConfig(**RESUME_CONFIG)
+    data = gen_synth(cfg.seed, cfg.train_count + cfg.val_count)
+    train_x, val_x = data[: cfg.train_count], data[cfg.train_count :]
+    blobs = {}
+
+    def keep(model, stage):
+        blobs[stage] = serialize(model)
+
+    _, records = run_pipeline(cfg, train_x, val_x, log=lambda s: None, checkpoint_cb=keep)
+    assert all(r.epochs >= 1 for r in records)
+    for k in (1, 2, 3, 4):
+        model = deserialize(blobs[k])
+        Trainer(cfg, train_x, val_x, log=lambda s: None).run(model, range(k + 1, 6), None)
+        assert serialize(model) == blobs[5], f"resumed from stage {k}"
+
+
+def test_stored_gates_take_no_gradient():
+    # stages 3-5 train no gate, so no backward may add into one
+    model = gated_int_model()
+    round_to_stored(model)
+    x = gen_synth(4, 2)
+    for stored in (model, deserialize(serialize(model))):
+        ad.backward(loss_bpd(x, stored))
+        assert all(gate.node.grad is None for gate in stored.gates())
 
 
 def _two_steps_of_stages_1_2_5():
