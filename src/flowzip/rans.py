@@ -21,14 +21,16 @@ reference for one step of each loop.
 Mass tables hold integer frequencies F over a contiguous symbol alphabet
 [lo, hi] with sum(F) == M exactly and F >= 1 everywhere, so any in-alphabet
 symbol is encodable no matter how badly the model mispredicts it. They are
-built by a largest-remainder rule over tie groups (see mass_table) in
-vectorized steps, since every codec call builds each distinct table it
-needs afresh. A build evaluates only the window of symbols near mu whose
-frequency can leave the floor of one, a few hundred of the codec's 4,096 at
-its usual scales; beyond it every target mass is below TAU/2 and every
-frequency is one. When the units that flooring leaves over cannot all go to
-the window's remainders of at least TAU, the build reruns over the whole
-alphabet, so every table equals the full-alphabet build bit for bit.
+built by a largest-remainder rule over tie groups (see mass_table). A
+codec call builds every table it needs afresh, each block's distinct tables
+in one mass_table call, so a build is vectorized across its keys: their
+windows lie end to end in flat arrays, and each step runs once for all of
+them. A build evaluates only the window of symbols near mu whose frequency
+can leave the floor of one, a few hundred of the codec's 4,096 at its usual
+scales; beyond it every target mass is below TAU/2 and every frequency is
+one. When the units that flooring leaves over cannot all go to the window's
+remainders of at least TAU, the key reruns over the whole alphabet, so every
+table equals the full-alphabet build of its key alone bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ PUSH_CHUNK = 4096
 # mass_table's remainder floor: outside its window every symbol's target mass
 # is below TAU/2, and only remainders of at least TAU are ranked there
 TAU = 1 / 16
+# mass_table evaluates at most this many window symbols in one pass (a
+# window longer than that takes a pass alone), which bounds its memory; the
+# codec's whole alphabet fits one pass
+TABLE_PASS = 4096
 
 
 @dataclass
@@ -74,73 +80,177 @@ class MassTable:
         self.renorm_base = (RANS_L // self.M) << 32
 
 
-def _raw_probabilities(mu: float, s: float, lo: int, hi: int, a: int, b: int) -> np.ndarray:
-    """Tail-collapsed discretized logistic over [lo, hi], at the symbols a..b.
+def _raw_probabilities(mu, s, lo: int, hi: int, a, b) -> np.ndarray:
+    """Tail-collapsed discretized logistic over [lo, hi], at the symbols
+    a..b of each row (mu, s, a, b), the rows' windows laid end to end;
+    scalars are one row.
 
     Interior masses come from the stable log-pmf; the boundary symbols absorb
     their whole tails. The two edge expressions mirror each other exactly so
     integer-centered tables come out palindromic. Each symbol's mass is
     computed on its own, so a window gives the same values as the whole
-    alphabet does at those symbols.
+    alphabet does at those symbols, whatever rows share its pass.
     """
-    z = np.arange(a, b + 1, dtype=np.float64)
+    mu, s, a, b = (np.atleast_1d(v) for v in (mu, s, a, b))
+    n = b - a + 1
+    starts = np.cumsum(n) - n
+    z = (np.arange(n.sum()) + np.repeat(a - starts, n)).astype(np.float64)
     # At a subnormal s, 1/s overflows: a symbol away from mu then has both
     # boundary arguments at -inf and a NaN log-mass. Its mass is zero.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.exp2(logistic_logpmf_raw(z, mu, np.log(s)))
-        if a == lo:
-            p[0] = sigmoid(np.asarray((lo + 0.5 - mu) / s))
-        if b == hi:
-            p[-1] = sigmoid(np.asarray(-(hi - 0.5 - mu) / s))
+        p = np.exp2(logistic_logpmf_raw(z, np.repeat(mu, n), np.repeat(np.log(s), n)))
+        first, last = a == lo, b == hi
+        p[starts[first]] = sigmoid((lo + 0.5 - mu[first]) / s[first])
+        p[(starts + n - 1)[last]] = sigmoid(-(hi - 0.5 - mu[last]) / s[last])
     p[np.isnan(p)] = 0.0
     return p
 
 
-def _window(mu: float, s: float, lo: int, hi: int, M: int) -> tuple[int, int]:
-    """The symbols a..b within s*ln(2M/TAU) + 1 of mu, clipped to [lo, hi];
-    the whole alphabet when mu lies outside it (see mass_table)."""
-    r = s * math.log(2 * M / TAU) + 1
-    if not lo <= mu <= hi or r >= hi - lo:
-        return lo, hi
-    return max(lo, math.ceil(mu - r)), min(hi, math.floor(mu + r))
+def _window(mu: np.ndarray, s: np.ndarray, lo: int, hi: int, M: int) -> tuple[np.ndarray, ...]:
+    """Each row's symbols a..b within s*ln(2M/TAU) + 1 of mu, clipped to
+    [lo, hi]; the whole alphabet when mu lies outside it (see mass_table)."""
+    with np.errstate(over="ignore"):
+        r = s * math.log(2 * M / TAU) + 1
+    whole = (mu < lo) | (mu > hi) | (r >= hi - lo)
+    a = np.where(whole, lo, np.maximum(lo, np.ceil(mu - r)))
+    b = np.where(whole, hi, np.minimum(hi, np.floor(mu + r)))
+    return a.astype(np.int64), b.astype(np.int64)
 
 
-def _spread_leftover(F: np.ndarray, rem: np.ndarray, leftover: int, min_rem: float) -> int:
-    """Add the units that flooring left over to F, in place, and return the
-    units that could not be placed.
+def _passes(n: np.ndarray, rows: int):
+    """Slices of at most ``rows`` consecutive rows whose n sum to at most
+    TABLE_PASS; a row longer than that is a slice alone."""
+    ends = np.cumsum(n)
+    i = 0
+    while i < len(n):
+        fit = int(np.searchsorted(ends, ends[i] - n[i] + TABLE_PASS, side="right"))
+        j = min(max(fit, i + 1), i + rows)
+        yield slice(i, j)
+        i = j
 
-    The symbols whose remainder is at least ``min_rem`` are ranked by
-    remainder, largest first (ties in index order), and cut into tie groups
-    of equal remainder. A group takes one unit per symbol only if the whole
-    group fits in what is left over (all-or-none, which keeps tables of
-    integer- and half-integer-centred priors symmetric); a group that does
-    not fit is skipped and the next ones are tried. The leading run of
-    groups whose cumulative size fits is served in one step, and only the
-    few groups after the first misfit are stepped through.
+
+def _bits(x: float) -> int:
+    """The bits of a float64 as an int64, which order non-negative floats."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _rank_bits(min_rem: float) -> int:
+    """The low bits of _spread_leftover's sort key, which rank a remainder in
+    [min_rem, 1) by its float bits; the bits above them hold its row, so a
+    pass holds 2**(63 - bits) rows at most and every key is a non-negative
+    int64."""
+    return (_bits(1.0) - _bits(min_rem) - 1).bit_length()
+
+
+def _spread_leftover(F, rem, n, leftover, min_rem: float) -> np.ndarray:
+    """Add the units that flooring left over to F, in place, and return each
+    row's units that could not be placed. F and rem hold rows of n symbols
+    end to end, and ``leftover`` has one entry per row.
+
+    Within a row, the symbols whose remainder is at least ``min_rem`` are
+    ranked by remainder, largest first, and cut into tie groups of equal
+    remainder. A group takes one unit per symbol only if the whole group
+    fits in what is left over (all-or-none, which keeps tables of integer-
+    and half-integer-centred priors symmetric, and makes the order within a
+    group immaterial); a group that does not fit is skipped and the next
+    ones are tried. One sort ranks every row, the leading run of groups
+    whose cumulative size fits is served for all rows in one step, and only
+    the few groups after a row's first misfit are stepped through.
     """
-    eligible = np.flatnonzero(rem >= min_rem)
-    order = eligible[np.argsort(-rem[eligible], kind="stable")]
-    ranked = rem[order]
-    # ends[g]: one past the last ranked symbol of tie group g
-    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, len(order))
-    # groups 0..g-1 all fit; group g (if any) is the first that does not
-    g = int(np.searchsorted(ends, leftover, side="right"))
-    served = int(ends[g - 1]) if g else 0
-    F[order[:served]] += 1
-    leftover -= served
-    while leftover > 0 and g + 1 < len(ends):
-        sizes = np.diff(ends[g:])  # of groups g+1, g+2, ...
-        fits = np.flatnonzero(sizes <= leftover)
-        if not len(fits):
-            break
-        g += int(fits[0]) + 1
-        F[order[ends[g - 1] : ends[g]]] += 1
-        leftover -= int(sizes[fits[0]])
+    T = len(n)
+    at = np.flatnonzero((rem >= min_rem) & np.repeat(leftover > 0, n))
+    if not len(at):
+        return leftover
+    # one key per eligible symbol: its row, then its remainder, largest
+    # first; the symbols of a tie group share their key
+    row = np.repeat(np.arange(T), n)[at]
+    shift = _rank_bits(min_rem)
+    key = row << shift | (_bits(1.0) - 1 - rem[at].view(np.int64))
+    ranked = np.sort(key)
+    # row t's keys are ranked[first[t]:first[t + 1]], and tie group g is
+    # ranked[bounds[g]:bounds[g + 1]]
+    first = np.concatenate((np.searchsorted(ranked, np.arange(T) << shift), [len(ranked)]))
+    count = first[1:] - first[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+    # each row serves its groups before its first misfit, those whose
+    # cumulative size fits: ranked[first:stop], its keys up to last
+    fill = first[:-1] + np.minimum(np.maximum(leftover, 0), count)
+    stop = bounds[np.searchsorted(bounds, fill, side="right") - 1]
+    last = np.where(stop > first[:-1], ranked[stop - 1], (np.arange(T) << shift) - 1)
+    F[at] += key <= np.repeat(last, count)
+    leftover = leftover - (stop - first[:-1])
+    # and steps on through the groups after the misfit while units are left
+    for t in np.flatnonzero((leftover > 0) & (stop < first[1:])).tolist():
+        g, e = np.searchsorted(bounds, (stop[t], first[t + 1]))
+        sizes = np.diff(bounds[g : e + 1])  # of groups g, g+1, ...
+        left, k, picked = int(leftover[t]), 0, []
+        while left > 0:
+            fit = np.flatnonzero(sizes[k + 1 :] <= left)
+            if not len(fit):
+                break
+            k += int(fit[0]) + 1
+            picked.append(ranked[bounds[g + k]])
+            left -= int(sizes[k])
+        # row t's eligible symbols are at[first[t]:first[t + 1]], unsorted
+        mine = slice(first[t], first[t + 1])
+        F[at[mine]] += np.isin(key[mine], picked)
+        leftover[t] = left
     return leftover
 
 
-def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
-    """Quantize the clipped logistic to integer frequencies summing to M.
+def _first_max(F: np.ndarray, starts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The index in F of each row's first largest entry (rows of n end to end)."""
+    at = np.flatnonzero(F == np.repeat(np.maximum.reduceat(F, starts), n))
+    return at[np.searchsorted(at, starts)]
+
+
+def _fill(F, C, rows, mu, s, lo: int, hi: int, M: int, a, b, min_rem: float) -> np.ndarray:
+    """Build ``rows`` of the frequency and cumulative blocks F and C in one
+    pass over their windows a..b, ranking the remainders of at least
+    ``min_rem``; return the rows whose leftover those remainders could not
+    all take."""
+    a, b = a[rows], b[rows]
+    n = b - a + 1
+    starts = np.cumsum(n) - n
+    target = _raw_probabilities(mu[rows], s[rows], lo, hi, a, b) * M
+    base = np.floor(target)
+    Fw = base.astype(np.int64)
+    leftover = _spread_leftover(Fw, target - base, n, M - np.add.reduceat(Fw, starts), min_rem)
+    short = leftover > 0
+    if not min_rem:
+        # the full rule ranked every symbol: the residue goes to the largest
+        Fw[_first_max(Fw, starts, n)[short]] += leftover[short]
+
+    # the floor of one: every symbol outside the window floored to zero, so
+    # its frequency is one, and the first largest frequency, which pays the
+    # deficit, lies inside the window. A deficit means the window sums to
+    # above M - K + n >= n, so that frequency is above one and pays a unit.
+    np.maximum(Fw, 1, out=Fw)
+    deficit = np.add.reduceat(Fw, starts) + F.shape[1] - n - M
+    need = np.flatnonzero(deficit > 0)
+    while len(need):  # again only where the largest could not pay it all
+        j = _first_max(Fw, starts, n)[need]
+        take = np.minimum(deficit[need], Fw[j] - 1)
+        Fw[j] -= take
+        deficit[need] -= take
+        need = need[deficit[need] > 0]
+
+    # each window into its rows of F and C; C[:, 0] stays 0
+    at = np.arange(len(Fw)) + np.repeat(rows * F.shape[1] + a - lo - starts, n)
+    F.reshape(-1)[at] = Fw
+    # C just after window symbol z: the a - lo ones below the window plus
+    # the window's running sum through z (cs less the earlier windows' sums)
+    cs = np.cumsum(Fw)
+    offset = a - lo - (cs[starts] - Fw[starts])
+    C.reshape(-1)[at + np.repeat(rows + 1, n)] = cs + np.repeat(offset, n)
+    return rows[short]
+
+
+def mass_table(mu, s, lo: int, hi: int, M: int) -> MassTable | list[MassTable]:
+    """Quantize clipped logistics to integer frequencies summing to M: one
+    MassTable per key of the 1-D ``mu`` and ``s``, as a list (empty for no
+    keys), or a single table when both are scalars. A batch builds each
+    table bit for bit as that key alone does, in a few passes for all keys.
 
     Floor-then-largest-remainder, with a floor of one per symbol: the units
     that flooring leaves over go one per symbol to whole tie groups of
@@ -161,52 +271,41 @@ def mass_table(mu: float, s: float, lo: int, hi: int, M: int) -> MassTable:
     whole alphabet with every remainder eligible, which is the full rule
     itself. The bound needs mu in [lo, hi]: otherwise the nearer edge symbol
     holds at least half the mass, and the window is the whole alphabet.
+
+    The keys' windows are laid end to end and evaluated together, at most
+    TABLE_PASS symbols to a pass; the keys left short rerun together too.
+    Every key is checked before any is built.
     """
+    mu, s = np.broadcast_arrays(np.asarray(mu, dtype=np.float64), np.asarray(s, dtype=np.float64))
+    one = mu.ndim == 0
+    mu, s = mu.reshape(-1), s.reshape(-1)
     if not (lo < hi):
         raise DataFormatError("mass table needs lo < hi")
     K = hi - lo + 1
     if M < K:
         raise DataFormatError(f"total mass {M} cannot cover {K} symbols")
-    if not (s > 0 and np.isfinite(s) and np.isfinite(mu)):
+    if not np.all((s > 0) & np.isfinite(s) & np.isfinite(mu)):
         raise DataFormatError("mass table needs finite mu and positive s")
 
-    for a, b, min_rem in ((*_window(mu, s, lo, hi, M), TAU), (lo, hi, 0.0)):
-        target = _raw_probabilities(mu, s, lo, hi, a, b) * M
-        base = np.floor(target)
-        rem = target - base
-        Fw = base.astype(np.int64)
-        leftover = int(M - Fw.sum())
-        if leftover > 0:
-            # a call, not inline code: its sort temporaries are freed before
-            # the table's own arrays are allocated (inline they raised peak RSS)
-            leftover = _spread_leftover(Fw, rem, leftover, min_rem)
-        if leftover <= 0:
-            break
-    else:
-        # the full rule ranked every symbol: the residue goes to the largest
-        Fw[np.argmax(Fw)] += leftover
-
-    # the floor of one: every symbol outside the window floored to zero, so
-    # its frequency is one, and the first largest frequency, which pays the
-    # deficit, lies inside the window whenever it is above one
-    np.maximum(Fw, 1, out=Fw)
-    deficit = int(Fw.sum()) + K - len(Fw) - M
-    while deficit > 0:
-        j = int(np.argmax(Fw))
-        take = min(deficit, int(Fw[j]) - 1)
-        if take == 0:
-            raise DataFormatError("mass table cannot satisfy the frequency floor")
-        Fw[j] -= take
-        deficit -= take
-
-    w0, w1 = a - lo, b - lo + 1  # the window's slice of the alphabet
-    F = np.ones(K, dtype=np.int64)
-    F[w0:w1] = Fw
-    # C steps by one at every symbol outside the window
-    C = np.arange(K + 1, dtype=np.int64)
-    C[w0 + 1 : w1 + 1] = w0 + np.cumsum(Fw)
-    C[w1 + 1 :] += C[w1] - w1
-    return MassTable(lo=lo, hi=hi, F=F, C=C, M=M)
+    dtype = np.int32 if M <= 2**31 - 1 else np.int64
+    a, b = _window(mu, s, lo, hi, M)
+    # outside its window a row's frequencies are one, so C steps by one
+    # there: C[k] = k below the window, and k + M - K above it
+    F = np.ones((len(mu), K), dtype=dtype)
+    k = np.arange(K + 1, dtype=dtype)
+    C = np.empty((len(mu), K + 1), dtype=dtype)
+    C[:] = k + (M - K)
+    for c, w in zip(C, (a - lo + 1).tolist()):
+        c[:w] = k[:w]
+    todo = np.arange(len(mu))
+    for min_rem in (TAU, 0.0):
+        passes = _passes((b - a + 1)[todo], 1 << 63 - _rank_bits(min_rem))
+        todo = np.concatenate(
+            [_fill(F, C, todo[p], mu, s, lo, hi, M, a, b, min_rem) for p in passes] + [todo[:0]]
+        )
+        a[todo], b[todo] = lo, hi  # the rows left short rerun over the whole alphabet
+    tables = [MassTable(lo=lo, hi=hi, F=f, C=c, M=M) for f, c in zip(F, C)]
+    return tables[0] if one else tables
 
 
 def rans_encode_step(x: int, sym: int, table: MassTable) -> int:

@@ -235,6 +235,26 @@ def test_in_memory_container_decodes_exactly_under_loaded_model(desk_checkpoint)
         assert container == codec.compress(x, loaded, path)[0], path
 
 
+def test_compress_builds_each_blocks_tables_in_one_call(desk_checkpoint, monkeypatch):
+    # one desk image codes two blocks, the final latent and the factored
+    # half, each with a table per channel: each block's distinct tables come
+    # from one mass_table call, and building them key by key again fails here
+    calls = []
+    build = codec.mass_table
+
+    def counted(mu, s, *args):
+        calls.append(list(zip(mu.tolist(), s.tolist())))
+        return build(mu, s, *args)
+
+    monkeypatch.setattr(codec, "mass_table", counted)
+    model, _ = desk_checkpoint
+    x = gen_synth(5, 1)
+    container, _ = codec.compress(x, model, "int")
+    assert len(calls) == len(model.levels) == 2
+    assert all(len(set(keys)) == len(keys) for keys in calls)
+    assert np.array_equal(codec.decompress(container, model, "int"), x)
+
+
 def test_reference_container_is_byte_identical():
     # the benchmark's byte-identity gate, in Tier-1: the stage-5 fixture
     # compresses its reference input, gen_synth(20220617, 64), on the int

@@ -1,5 +1,6 @@
 """Entropy coder: mass tables, single steps, streams, optimality."""
 
+import hashlib
 import struct
 from itertools import groupby
 
@@ -114,11 +115,56 @@ def _evaluated_symbols(monkeypatch):
     return windows
 
 
-def test_mass_table_matches_reference_at_codec_keys():
+def _table_bytes(t):
+    return t.F.tobytes() + t.C.tobytes()
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+@pytest.fixture(scope="module")
+def codec_references():
+    """Every codec key, and the digest of its reference F and C as a codec
+    table holds them (int32)."""
     keys = list(_codec_keys())
-    assert len(keys) == 65 * 164
+    digests = []
     for mu, s in keys:
-        _assert_matches_reference(mu, s, *CODEC_TABLE_ARGS)
+        F = _reference_frequencies(mu, s, *CODEC_TABLE_ARGS).astype(np.int32)
+        C = np.concatenate([[0], np.cumsum(F)]).astype(np.int32)
+        digests.append(_digest(F.tobytes() + C.tobytes()))
+    return keys, digests
+
+
+def test_mass_table_matches_reference_at_codec_keys(codec_references):
+    keys, digests = codec_references
+    assert len(keys) == 65 * 164
+    for (mu, s), want in zip(keys, digests):
+        assert _digest(_table_bytes(mass_table(mu, s, *CODEC_TABLE_ARGS))) == want, (mu, s)
+
+
+def test_mass_table_one_call_builds_every_codec_key(codec_references, monkeypatch):
+    # the largest call the codec can make: the whole snapping grid, about
+    # 12 M window symbols, which no pass may evaluate at once
+    windows = _evaluated_symbols(monkeypatch)
+    keys, digests = codec_references
+    mu, s = np.array(keys).T
+    tables = mass_table(mu, s, *CODEC_TABLE_ARGS)
+    assert len(windows) > 1 and max(windows) <= rans.TABLE_PASS <= 1 << 16
+    assert [_digest(_table_bytes(t)) for t in tables] == digests
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mass_table_batches_match_reference_at_codec_keys(codec_references, seed):
+    # the codec keys in a seeded order, built in batches of seeded sizes
+    keys, digests = codec_references
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(keys))
+    cuts = np.sort(rng.choice(np.arange(1, len(keys)), rng.integers(1, 400), replace=False))
+    for part in np.split(order, cuts):
+        mu, s = np.array([keys[i] for i in part]).T
+        tables = mass_table(mu, s, *CODEC_TABLE_ARGS)
+        assert [_digest(_table_bytes(t)) for t in tables] == [digests[i] for i in part]
 
 
 def test_mass_table_fallback_matches_reference(monkeypatch):
@@ -138,12 +184,61 @@ def test_mass_table_fallback_matches_reference(monkeypatch):
     cases += [(mu, s, -3, 3, 64) for mu in (0.3, 2.0) for s in (1e-310, 5e-324)]
     cases += [(0.3, 1e-310, lo, hi, M)]
     fallbacks = 0
+    evaluated = {}  # the symbols each case evaluates alone
     for case in cases:
         windows.clear()
         _assert_matches_reference(*case)
         assert len(windows) in (1, 2)
         fallbacks += len(windows) == 2
+        evaluated[case] = sum(windows)
     assert fallbacks >= 5
+
+    # the same cases as mixed batches, one per alphabet, in a seeded order:
+    # every row is its one-key build, and the batch evaluates the symbols
+    # its rows do alone, fallbacks included
+    rng = np.random.default_rng(0)
+    for (lo, hi, M), rows in groupby(sorted(cases, key=lambda c: c[2:]), key=lambda c: c[2:]):
+        rows = list(rows)
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        mu, s = np.array([row[:2] for row in rows]).T
+        windows.clear()
+        tables = mass_table(mu, s, lo, hi, M)
+        assert sum(windows) == sum(evaluated[row] for row in rows)
+        for row, t in zip(rows, tables):
+            assert _table_bytes(t) == _table_bytes(mass_table(*row)), row
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mass_table_batch_matches_one_key_builds(data):
+    # batches of small-alphabet keys, with tied centres and scales from
+    # subnormal to whole-alphabet, equal their one-key builds
+    K = data.draw(st.integers(2, 60))
+    lo = data.draw(st.integers(-40, 10))
+    hi = lo + K - 1
+    M = max(K, data.draw(st.integers(K, 4 * K + 64) | st.sampled_from([1 << 8, 1 << 12])))
+    centre = st.integers(lo - 2, hi + 2).map(float)
+    offset = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1.0, 1.0)
+    mu = st.tuples(centre, offset).map(sum)
+    s = st.floats(0.05, 60.0) | st.sampled_from([5e-324, 1e-310, 1e6])
+    keys = data.draw(st.lists(st.tuples(mu, s), min_size=1, max_size=40))
+    tables = mass_table(np.array([k[0] for k in keys]), np.array([k[1] for k in keys]), lo, hi, M)
+    assert len(tables) == len(keys)
+    for (m, sk), t in zip(keys, tables):
+        assert _table_bytes(t) == _table_bytes(mass_table(m, sk, lo, hi, M)), (m, sk)
+
+
+@pytest.mark.parametrize("bad", [(float("nan"), 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, float("inf"))])
+def test_mass_table_batch_refuses_a_bad_key_before_building(monkeypatch, bad):
+    windows = _evaluated_symbols(monkeypatch)
+    mu, s = np.array([(0.0, 1.0), (1.5, 2.0), bad, (-3.0, 0.5)]).T
+    with pytest.raises(DataFormatError):
+        mass_table(mu, s, -32, 31, 1 << 12)
+    assert windows == []
+
+
+def test_mass_table_empty_batch():
+    assert mass_table(np.array([]), np.array([]), -32, 31, 1 << 12) == []
 
 
 def test_mass_table_evaluates_only_a_window(monkeypatch):
