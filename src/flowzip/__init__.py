@@ -13,7 +13,7 @@ from .data import gen_synth
 from .model import FlowConfig, FlowModel
 from .quant import QuantizerParams, init_scale, quantize
 from .rans import MassTable, mass_table
-from .train import TrainConfig, calculate_flops, loss_bpd, prune, run_pipeline
+from .train import TrainConfig, calculate_flops, loss_bpd, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "load_model",
     "loss_bpd",
     "mass_table",
-    "prune",
     "quantize",
     "run_pipeline",
     "save_model",

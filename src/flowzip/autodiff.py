@@ -65,7 +65,7 @@ from .errors import DataFormatError
 from .numerics import LN2, log1mexp, log_sigmoid, round_half_away
 
 _state = threading.local()
-GATE_THRESHOLD = 0.5  # a gate is on above this, here and in layers.GateVector
+GATE_THRESHOLD = 0.5  # a live gate (stage 2 only) is on above this, here and in GateVector
 
 
 def _grad_on() -> bool:

@@ -22,20 +22,19 @@ floats; in memory the model computes in float64. Every array's shape is
 checked against the architecture: no stored shape may exceed the full-width
 one as it is read, and each must match exactly before it is assigned.
 
-A gated model has one stored form, its gates frozen at 0 or 1. Each block
-stores only its kept filters (``ResidualBlock.kept_sets``; all of them when
-ungated) -- conv A's kept rows, conv B's kept rows and kept conv-A columns,
-with their biases and weight scales -- and a gated block then its kept-index
-lists idx_a and idx_b (strictly increasing, below the block width). Loading
+A gated model has one stored form, its kept sets. Each block stores only
+its kept filters (``ResidualBlock.kept_sets``; all of them when ungated) --
+conv A's kept rows, conv B's kept rows and kept conv-A columns, with their
+biases and weight scales -- and a gated block then its kept-index lists
+idx_a and idx_b (strictly increasing, below the block width). Loading
 places the kept filters into full-width arrays (a removed filter gets zero
-weight and bias and a weight scale of 1) and rebuilds binary gates, which
-take no gradient, from the lists; ``round_to_stored`` sets a model in memory
-the same way. A branch is stored whole or not at all: idx_a and idx_b are
-both empty or both non-empty. An older checkpoint with a block whose idx_a
-is empty and whose idx_b is not is refused as a shape mismatch at its
-``conv_b.w`` (``DataFormatError``, exit 2). At stage 5 such a checkpoint
-never loaded anyway: its conv-B rows held a bias alone, which could not be
-folded.
+weight and bias and a weight scale of 1), and each gated block holds the
+lists as its kept sets, with no gate (``ResidualBlock.freeze``);
+``round_to_stored`` sets a model in memory the same way. A branch is stored
+whole or not at all: an older checkpoint with one list empty and the other
+not is refused (``DataFormatError``, exit 2). At stage 5 one with an empty
+idx_a never loaded anyway: its conv-B rows held a bias alone, which could
+not be folded.
 """
 
 from __future__ import annotations
@@ -69,9 +68,11 @@ def _named_entries(model: FlowModel):
 
     For kinds 0 and 2, ``obj`` is a Node and ``keep`` indexes the stored part
     of its value: all of it (``...``) or a block conv's kept filters. For
-    kind 3 (gated blocks only), ``obj`` is the GateVector and ``keep`` its
-    kept-index list. Quantizer scales appear once quantization is on.
+    kind 3 (idx_a then idx_b of each block of a gated model), ``obj`` is the
+    ResidualBlock and ``keep`` the list. Quantizer scales appear once
+    quantization is on.
     """
+    gated = model.gated
 
     def conv_entries(prefix, layer, quantizable, rows=..., cols=None):
         w_keep = rows if cols is None else np.ix_(rows, cols)
@@ -92,9 +93,9 @@ def _named_entries(model: FlowModel):
                 ka, kb = blk.kept_sets()
                 yield from conv_entries(f"{bp}.conv_a", blk.conv_a, q, ka)
                 yield from conv_entries(f"{bp}.conv_b", blk.conv_b, q, kb, ka)
-                for tag, conv, keep in (("idx_a", blk.conv_a, ka), ("idx_b", blk.conv_b, kb)):
-                    if conv.gate is not None:
-                        yield KIND_INDEX, f"{bp}.{tag}", conv.gate, keep
+                if gated and q:  # prior nets are never gated
+                    yield KIND_INDEX, f"{bp}.idx_a", blk, ka
+                    yield KIND_INDEX, f"{bp}.idx_b", blk, kb
                 if model.act_quant and q:
                     yield KIND_QSCALE, f"{bp}.q_in", blk.q_in, ...
                     yield KIND_QSCALE, f"{bp}.q_mid", blk.q_mid, ...
@@ -186,14 +187,13 @@ def _placed(stored: np.ndarray, full: np.ndarray, keep, kind: int, name: str) ->
 
 
 def _assign(model: FlowModel, arrays: dict):
-    """Set ``model`` in place to the stored ``arrays`` (name -> array): the
-    kept-index lists first, since the gates they rebuild decide every keep.
-    A rebuilt gate is a constant: it takes no gradient."""
-    for kind, name, gate, _ in list(_named_entries(model)):
-        if kind == KIND_INDEX:
-            gate.node.value[...] = 0.0
-            gate.node.value[_kept_indices(arrays[name], len(gate.g), name)] = 1.0
-            gate.node.requires_grad, gate.node.grad = False, None
+    """Set ``model`` in place to the stored ``arrays`` (name -> array): first
+    each gated block freezes to its kept-index lists, which drops its gates
+    and decides every keep, then every other array."""
+    index = [(name, blk) for kind, name, blk, _ in _named_entries(model) if kind == KIND_INDEX]
+    for (name_a, blk), (name_b, _) in zip(index[::2], index[1::2]):
+        blk.freeze(_kept_indices(arrays[name_a], blk.width, name_a),
+                   _kept_indices(arrays[name_b], blk.width, name_b))
     for kind, name, node, keep in _named_entries(model):
         if kind != KIND_INDEX:
             node.value[...] = _placed(arrays[name], node.value, keep, kind, name)
@@ -224,8 +224,9 @@ def deserialize(data: bytes) -> FlowModel:
     for lvl, (ret, fac) in zip(model.levels, splits):
         if (lvl.retained, lvl.factored) != (ret, fac):
             raise DataFormatError("checkpoint split sizes do not match architecture")
-    if flags & FLAG_GATED:
-        model.attach_gates(0.8)
+    if flags & FLAG_GATED:  # all kept until the lists are read: every array reads at full width
+        for blk in model.blocks():
+            blk.freeze(np.arange(blk.width), np.arange(blk.width))
 
     (count,) = r.unpack("<I")
     entries = list(_named_entries(model))
@@ -240,7 +241,7 @@ def deserialize(data: bytes) -> FlowModel:
             raise DataFormatError(f"array kind mismatch at {name}")
         shape = r.unpack(f"<{ndim}I")
         # no stored array exceeds its full-width shape
-        full = (len(obj.g),) if kind == KIND_INDEX else obj.value.shape
+        full = (obj.width,) if kind == KIND_INDEX else obj.value.shape
         if ndim != len(full) or any(n > f for n, f in zip(shape, full)):
             raise DataFormatError(
                 f"checkpoint array {name} has shape {shape}, larger than {full}"
@@ -259,9 +260,10 @@ def deserialize(data: bytes) -> FlowModel:
 
 def round_to_stored(model: FlowModel):
     """Set ``model`` in place to exactly what its checkpoint stores, through
-    ``deserialize``'s assignment: float32 values, binary gates, and removed
-    filters at weight and bias 0 and weight scale 1. Then ``model`` and
-    ``deserialize(serialize(model))`` hold the same arrays."""
+    ``deserialize``'s assignment: float32 values, each gated block's kept
+    sets in place of its gates, and removed filters at weight and bias 0 and
+    weight scale 1. Then ``model`` and ``deserialize(serialize(model))`` hold
+    the same arrays."""
     _assign(model, {name: arr for _, name, arr in _stored_arrays(model)})
 
 

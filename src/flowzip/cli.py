@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: gen-synth, train, compress, decompress, eval, bench, prune,
-quantize. Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 verification failure.
+quantize. A gated checkpoint is stored pruned, so ``prune`` prints its FLOPs
+ratio and writes it unchanged. Exit codes: 0 success, 1 usage error, 2
+data/format error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import codec, data
 from .checkpoint import load_model, save_model
 from .errors import FlowzipError, UsageError, VerificationError
 from .model import FlowModel
-from .train import TrainConfig, Trainer, calculate_flops, prune, run_pipeline
+from .train import TrainConfig, Trainer, calculate_flops, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +86,7 @@ def build_parser() -> _Parser:
     )
     b.add_argument("--runs", type=_positive_int, default=20)
 
-    pr = sub.add_parser("prune", help="freeze the gates (every gated checkpoint is stored pruned)")
+    pr = sub.add_parser("prune", help="save a gated checkpoint and print its FLOPs ratio")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--out", required=True)
 
@@ -261,12 +262,13 @@ def cmd_bench(args) -> int:
 def cmd_prune(args) -> int:
     _check_out_dir(args.out, "checkpoint")
     model = load_model(args.checkpoint)
-    pruned = prune(model)
+    if not model.gated:
+        raise UsageError("model has no gates to prune")
     # every level's pixel count scales with H*W, so the ratio holds at any size
     side = 2**model.cfg.levels
     before = calculate_flops(FlowModel(model.cfg, seed=None), (side, side))
-    after = calculate_flops(pruned, (side, side))
-    save_model(pruned, args.out)
+    after = calculate_flops(model, (side, side))
+    save_model(model, args.out)
     print(f"pruned: {after / before:.3f}x the FLOPs of the unpruned network")
     return 0
 

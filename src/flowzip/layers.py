@@ -85,7 +85,7 @@ class ConvLayer:
 
     Weight layout is (C_out, C_in, k, k); without ``rng`` the weights start at
     zero. ``wscale`` is the per-output-channel learned quantizer step; ``gate``
-    is optional filter gating.
+    is a live filter gate, while stage 2 trains it.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator | None = None):
@@ -110,13 +110,16 @@ class ConvLayer:
     def calibrate_weight_scale(self):
         self.wscale.value[...] = init_scale(self.w.value)
 
-    def forward_sim(self, x, weight_quant: bool):
-        """The conv on the tape: fake-quantized weights when asked, and the
-        binarized gate mask on the output channels of a gated conv."""
+    def forward_sim(self, x, weight_quant: bool, kept: np.ndarray | None = None):
+        """The conv on the tape: fake-quantized weights when asked, and a 0/1
+        mask on the output channels of a gated conv, from its live gate or its
+        stored kept filters ``kept``; the mask holds removed filters' gradients at 0."""
         w = ad.fake_quantize(self.w, self.wscale, signed=True) if weight_quant else self.w
         y = ad.conv2d(x, w, self.b)
         if self.gate is not None:
             y = ad.mul(y, ad.reshape(ad.binarize_ste(self.gate.node), (1, -1, 1, 1)))
+        elif kept is not None:
+            y = ad.mul(y, np.isin(np.arange(self.c_out), kept).reshape(1, -1, 1, 1))
         return y
 
 
@@ -192,21 +195,22 @@ def requantize(acc: np.ndarray, m) -> np.ndarray:
 class ResidualBlock:
     """One pre-quantized residual unit: relu(SAdd(Q(x), B(relu(A(Q(x)))))).
 
-    Both convs keep the full block width. With gates attached, a gated-off
-    filter of conv A zeroes its channel of the inner activation and a
-    gated-off filter of conv B leaves its output channel to the shortcut
-    alone; ``kept_sets`` lists the filters that remain, for FLOPs, the
-    checkpoint layout and ``IntBlock`` alike. The branch is kept whole or not
-    at all: it keeps filters only when both convs keep at least one. A
-    pruned model is this block with every gate frozen at 0 or 1; once set to
-    what a checkpoint stores, its removed filters have weight and bias 0 and
-    weight scale 1, and its gates agree with ``kept_sets``.
+    Both convs keep the full block width. A removed filter of conv A zeroes
+    its channel of the inner activation and a removed filter of conv B
+    leaves its output channel to the shortcut alone; ``kept_sets`` lists the
+    filters that remain, for FLOPs, the checkpoint layout and ``IntBlock``
+    alike. The branch is kept whole or not at all: it keeps filters only when
+    both convs keep at least one. Live gates decide them while stage 2
+    trains; from its end on, and at load, the block holds them as ``kept``
+    (``freeze``) with no gate, its removed filters at weight and bias 0 and
+    weight scale 1.
     """
 
     conv_a: ConvLayer
     conv_b: ConvLayer
     q_in: ad.Node
     q_mid: ad.Node
+    kept: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def build(cls, width: int, rng: np.random.Generator | None) -> "ResidualBlock":
@@ -228,13 +232,23 @@ class ResidualBlock:
     def gates(self) -> list[GateVector]:
         return [g for g in (self.conv_a.gate, self.conv_b.gate) if g is not None]
 
+    def freeze(self, idx_a: np.ndarray, idx_b: np.ndarray):
+        """Hold the kept sets (``idx_a``, ``idx_b``) in place of the gates;
+        a half-kept branch, one list empty and the other not, is refused."""
+        if (len(idx_a) == 0) != (len(idx_b) == 0):
+            raise DataFormatError(f"half-kept branch: {len(idx_a)} and {len(idx_b)} kept filters")
+        self.kept = (idx_a, idx_b)
+        self.conv_a.gate = self.conv_b.gate = None
+
     def kept_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kept output-channel indices for conv A and conv B (all when
-        ungated). The branch keeps filters only when both convs keep at least
-        one; otherwise neither keeps any. With conv B empty nothing reads
-        conv A's output; with conv A empty conv B's rows would read only
-        zeros, a bias alone whose scales calibrate to ``MIN_SCALE`` and whose
-        folded bias then overflows."""
+        """Kept output-channel indices for conv A and conv B (``kept``, else
+        the live gates', else all). The branch keeps filters only when both
+        convs keep at least one; otherwise neither keeps any. With conv B
+        empty nothing reads conv A's output; with conv A empty conv B's rows
+        would read only zeros, a bias alone whose scales calibrate to
+        ``MIN_SCALE`` and whose folded bias then overflows."""
+        if self.kept is not None:
+            return self.kept
         if self.conv_a.gate is None:
             return np.arange(self.conv_a.c_out), np.arange(self.conv_b.c_out)
         kept_a = np.flatnonzero(self.conv_a.gate.binarized())
@@ -253,17 +267,18 @@ def block_sim(
     calibrate: bool = False,
 ):
     """Simulation-path residual block on tape Nodes (or arrays)."""
+    ka, kb = blk.kept or (None, None)
     a = x
     if act_quant:
         if calibrate:
             calibrate_activation(blk.q_in, ad.value_of(x))
         a = ad.fake_quantize(x, blk.q_in, signed=False)
-    h = ad.relu(blk.conv_a.forward_sim(a, weight_quant))
+    h = ad.relu(blk.conv_a.forward_sim(a, weight_quant, ka))
     if act_quant:
         if calibrate:
             calibrate_activation(blk.q_mid, ad.value_of(h))
         h = ad.fake_quantize(h, blk.q_mid, signed=False)
-    return ad.relu(ad.add(a, blk.conv_b.forward_sim(h, weight_quant)))
+    return ad.relu(ad.add(a, blk.conv_b.forward_sim(h, weight_quant, kb)))
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,6 @@ class FlowResult:
         self.log2p = log2p  # per-image analytic log2 probability, shape (B,)
 
 
-# a gate that is not attached, among _plan_arrays: no gate has zero filters
-_NO_GATE = np.empty(0)
-
-
 def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
     """Every array the int plan is built from, in a fixed order."""
     arrays = []
@@ -304,8 +300,9 @@ def _plan_arrays(model: "FlowModel") -> list[np.ndarray]:
         arrays += [net.stem.w.value, net.stem.b.value]
         for blk in net.blocks:
             for conv in (blk.conv_a, blk.conv_b):
-                gate = _NO_GATE if conv.gate is None else conv.gate.g
-                arrays += [conv.w.value, conv.b.value, conv.wscale.value, gate]
+                arrays += [conv.w.value, conv.b.value, conv.wscale.value]
+            # what kept_sets reads: the live gates, or the stored kept sets
+            arrays += [g.g for g in blk.gates()] + list(blk.kept or ())
             arrays += [blk.q_in.value, blk.q_mid.value]
         arrays += [net.out.w.value, net.out.b.value, net.out.wscale.value, net.q_out.value]
     return arrays
@@ -347,22 +344,23 @@ class FlowModel:
             for c in lvl.couplings:
                 yield c.net
 
+    def blocks(self):
+        """The coupling nets' residual blocks, the ones that are gated."""
+        for net in self.coupling_nets():
+            yield from net.blocks
+
     @property
     def gated(self) -> bool:
-        """True once gates are attached (``attach_gates``)."""
-        return bool(self.gates())
+        """True once gates are attached (``attach_gates``), and from the end of
+        stage 2 on, when each block holds its kept sets in their place."""
+        return any(blk.kept is not None or blk.gates() for blk in self.blocks())
 
     def gates(self):
-        out = []
-        for net in self.coupling_nets():
-            for blk in net.blocks:
-                out.extend(blk.gates())
-        return out
+        return [g for blk in self.blocks() for g in blk.gates()]
 
     def attach_gates(self, alpha: float):
-        for net in self.coupling_nets():
-            for blk in net.blocks:
-                blk.attach_gates(alpha)
+        for blk in self.blocks():
+            blk.attach_gates(alpha)
 
     def check_input(self, x: np.ndarray):
         if x.ndim != 4 or x.shape[1] != self.cfg.in_channels:

@@ -1,8 +1,9 @@
-"""Objectives, optimizer, FLOPs accounting, pruning, and the training workflow.
+"""Objectives, optimizer, FLOPs accounting, and the training workflow.
 
 The workflow has five stages: (1) train the float model, (2) attach binary
 gates and train the gated objective until the pruned-model FLOPs drop below
-the target fraction of the original, (3) fine-tune with gates frozen,
+the target fraction of the original, (3) fine-tune the pruned model, whose
+blocks hold their kept sets and no gate from the end of stage 2 on,
 (4) fine-tune with fake-quantized activations, (5) fine-tune with weights
 fake-quantized as well. Stage 4 calibrates the activation quantizers on the
 first ``calib_count`` training images, stage 5 the weight scales from the
@@ -18,14 +19,13 @@ uninterrupted run's later stages.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import KIND_PARAM, KIND_QSCALE, named_parameters, round_to_stored
-from .errors import DataFormatError, DivergenceError, StageTimeoutError, UsageError
+from .errors import DataFormatError, DivergenceError, StageTimeoutError
 from .layers import KERNEL
 from .model import LOG_S_BOUNDS, FlowConfig, FlowModel
 from .quant import MIN_SCALE
@@ -228,7 +228,8 @@ def calculate_flops(model: FlowModel, hw: tuple[int, int]) -> int:
     Each block counts its kept filters (``ResidualBlock.kept_sets``): conv A
     its kept rows, conv B its kept rows at conv A's kept columns. Removed
     output channels of conv B pass the shortcut through, so block inputs
-    always count full width. A pruned model counts exactly as its gated original.
+    always count full width. A block holding its stored kept sets counts
+    exactly as the live gates they came from.
     """
     H, W = hw
     total = 0
@@ -247,27 +248,6 @@ def calculate_flops(model: FlowModel, hw: tuple[int, int]) -> int:
                 total += _conv_flops(len(kb), len(ka), px)
             total += _conv_flops(net.out.c_out, width, px)
     return total
-
-
-# ---------------------------------------------------------------------------
-# pruning
-
-
-def prune(model: FlowModel) -> FlowModel:
-    """A copy of a gated model with every gate frozen at exactly 0 or 1.
-
-    The copy computes bit-identically to the model on every path: the float
-    and fake paths mask the same channels, and the integer path skips the
-    gated-off filters either way. It stores what the model stores: a
-    checkpoint holds every gated model as its kept filters and kept-index
-    lists (see ``checkpoint``), and training stages end rounded to that.
-    """
-    if not model.gated:
-        raise UsageError("model has no gates to prune")
-    pruned = copy.deepcopy(model)
-    for gate in pruned.gates():
-        gate.node.value[...] = gate.binarized()
-    return pruned
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +333,7 @@ class Trainer:
     def _run_stage(self, model, stage, groups, epochs, early_stop=False):
         """Train the bpd objective with Adamax over ``groups``; record the stage.
 
-        Gates are frozen or absent in these stages, so the FLOPs stay fixed.
+        No gate is live in these stages, so the FLOPs stay fixed.
         """
         opt = Adamax(groups)
         history = []
@@ -441,7 +421,7 @@ class Trainer:
         self.records.append(StageRecord(2, epoch, bpd, flops, history))
 
     def stage3(self, model: FlowModel):
-        main, _, _ = param_groups(model)  # gates excluded: frozen
+        main, _, _ = param_groups(model)
         self._run_stage(
             model, 3, {"main": (main, self.cfg.finetune_lr)}, self.cfg.epochs_stage3
         )

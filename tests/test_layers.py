@@ -27,7 +27,6 @@ from flowzip.layers import (
 )
 from flowzip.model import FlowConfig, FlowModel
 from flowzip.numerics import round_half_away
-from flowzip.train import prune
 
 from helpers import gated_int_model, u8_rounding_cases
 
@@ -304,24 +303,25 @@ def _block_int_reference(values, blk, s_next):
 @pytest.mark.parametrize("gates", ["random", "all_on", "all_off"])
 @pytest.mark.parametrize("batch", [2, 64])
 def test_int_block_gated_matches_pruned_exactly(gates, batch):
-    # the block of a gated model, and the same block after a pruned checkpoint
-    # save and load (kept filters only on disk, zero-padded back at load),
-    # both equal to the unfused reference, on contiguous and batch-last grids
+    # the block with live gates, and the same block after a checkpoint save
+    # and load (kept filters only on disk, zero-padded back at load), which
+    # holds its kept sets, both equal to the unfused reference, on contiguous
+    # and batch-last grids
     blk, x = _calibrated_block(seed=5)
     if batch != len(x):
         x = np.abs(np.random.default_rng(batch).normal(0, 1.5, (batch,) + x.shape[1:]))
-    blk.attach_gates(0.8)
-    rng = np.random.default_rng(1)
-    for gate in (blk.conv_a.gate, blk.conv_b.gate):
-        gate.node.value[:] = {"random": rng.uniform(0, 1, 8), "all_on": 0.9, "all_off": 0.1}[gates]
     model = FlowModel(FlowConfig(hidden=8, couplings=1, blocks=1), seed=0)
-    model.attach_gates(0.8)
     model.act_quant = model.weight_quant = True
     model.levels[0].couplings[0].net.blocks[0] = blk
     gated = deserialize(serialize(model))  # the same float32 parameters
-    pruned = deserialize(serialize(prune(gated)))
+    gated.attach_gates(0.8)
     gated_blk = gated.levels[0].couplings[0].net.blocks[0]
+    rng = np.random.default_rng(1)
+    for gate in (gated_blk.conv_a.gate, gated_blk.conv_b.gate):
+        gate.node.value[:] = {"random": rng.uniform(0, 1, 8), "all_on": 0.9, "all_off": 0.1}[gates]
+    pruned = deserialize(serialize(gated))
     pruned_blk = pruned.levels[0].couplings[0].net.blocks[0]
+    assert pruned_blk.gates() == [] and pruned_blk.kept is not None
     kept_b = len(pruned_blk.kept_sets()[1])
     assert {"random": 0 < kept_b < 8, "all_on": kept_b == 8, "all_off": kept_b == 0}[gates]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowzip import autodiff as ad
-from flowzip import checkpoint, codec
+from flowzip import checkpoint, codec, layers
 from flowzip.autodiff import depth_to_space, space_to_depth
 from flowzip.checkpoint import deserialize, load_model, round_to_stored, save_model, serialize
 from flowzip.data import gen_synth
@@ -23,8 +23,15 @@ from flowzip.model import (
     FlowModel,
     IntNet,
 )
+from flowzip.train import param_groups
 
-from helpers import HOSTILE_CHECKPOINTS, gated_int_model, hostile_checkpoint, rechecksummed
+from helpers import (
+    HOSTILE_CHECKPOINTS,
+    gated_int_model,
+    hostile_checkpoint,
+    rechecksummed,
+    stored_arrays,
+)
 
 RNG = np.random.default_rng(9)
 
@@ -249,9 +256,9 @@ def test_checkpoint_preserves_flags_and_stage(tmp_path):
 
 
 def test_round_to_stored_sets_every_array_to_the_reloaded_models():
-    # gates and removed filters included: binary gates, removed filters at
-    # weight and bias 0 and weight scale 1, and conv A of a block whose conv
-    # B keeps nothing switched off
+    # kept sets and removed filters included: removed filters at weight and
+    # bias 0 and weight scale 1, and conv A of a block whose conv B keeps
+    # nothing switched off
     model = gated_int_model()
     blk = model.levels[0].couplings[1].net.blocks[0]
     blk.conv_a.gate.node.value[:] = 0.9
@@ -261,22 +268,42 @@ def test_round_to_stored_sets_every_array_to_the_reloaded_models():
 
     def arrays(m):
         return [(name, node.value) for _, name, node in checkpoint.named_parameters(m)] + [
-            ("gate", g.g) for g in m.gates()
+            ("kept", k) for b in m.blocks() for k in b.kept_sets()
         ]
 
     for (name, a), (_, b) in zip(arrays(model), arrays(reloaded), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert not blk.conv_a.gate.g.any()
-    for gate in model.gates():
-        assert set(np.unique(gate.g)) <= {0.0, 1.0}
-    for net in model.coupling_nets():
-        for blk in net.blocks:
-            for conv in (blk.conv_a, blk.conv_b):
-                off = conv.gate.g == 0
-                assert not conv.w.value[off].any() and not conv.b.value[off].any()
-                assert np.all(conv.wscale.value[off] == 1.0)
-            off_a = blk.conv_a.gate.g == 0
-            assert not blk.conv_b.w.value[:, off_a].any()
+    assert [len(k) for k in blk.kept_sets()] == [0, 0]
+    for blk in model.blocks():
+        off_a, off_b = (np.setdiff1d(np.arange(blk.width), k) for k in blk.kept_sets())
+        for conv, off in ((blk.conv_a, off_a), (blk.conv_b, off_b)):
+            assert not conv.w.value[off].any() and not conv.b.value[off].any()
+            assert np.all(conv.wscale.value[off] == 1.0)
+        assert not blk.conv_b.w.value[:, off_a].any()
+
+
+def test_loading_and_rounding_build_no_gate(monkeypatch):
+    # a gate lives only while stage 2 trains it: a load and round_to_stored
+    # each leave every gated block holding the stored kept-index lists
+    model = gated_int_model()
+    blob = serialize(model)
+    stored = stored_arrays(blob, model)
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("a GateVector was built")
+
+    monkeypatch.setattr(layers.GateVector, "__init__", no_gate)
+    loaded = deserialize(blob)
+    round_to_stored(model)
+    for m in (loaded, model):
+        assert m.gated and m.gates() == [] and param_groups(m)[1] == []
+        for li, lvl in enumerate(m.levels):
+            for d, coup in enumerate(lvl.couplings):
+                for bi, blk in enumerate(coup.net.blocks):
+                    lists = (stored[f"level{li}.coup{d}.block{bi}.idx_{t}"][1] for t in "ab")
+                    kept = blk.kept_sets()
+                    assert [k.tolist() for k in kept] == [k.tolist() for k in lists]
+        assert serialize(m) == blob
 
 
 def test_int_path_requires_quantizers():
@@ -323,18 +350,29 @@ PLAN_EDITS = {
 }
 
 
-@pytest.mark.parametrize("edit", ["round_to_stored", *PLAN_EDITS])
+def _other_kept_sets(blk):
+    # one more conv-B filter: a removed one, zero in a stored block
+    ka, kb = blk.kept_sets()
+    assert len(ka) and len(kb) < blk.width
+    blk.freeze(ka, np.union1d(kb, np.setdiff1d(np.arange(blk.width), kb)[:1]))
+
+
+@pytest.mark.parametrize("edit", ["round_to_stored", "stored_kept_sets", *PLAN_EDITS])
 def test_int_plan_follows_in_place_edits(edit):
     # the plan is kept while the model is unchanged and rebuilt after any
     # in-place edit, so the next container is the one a fresh model with the
-    # edited values writes
+    # edited values writes; a loaded block's kept sets count as its gates do
     model = gated_int_model()
+    if edit == "stored_kept_sets":
+        model = deserialize(serialize(model))
     x = gen_synth(5, 2)
     codec.compress(x, model, "int")
     plan = model.int_plan()
     assert model.int_plan() is plan
     if edit == "round_to_stored":
         round_to_stored(model)
+    elif edit == "stored_kept_sets":
+        _other_kept_sets(model.levels[0].couplings[0].net.blocks[0])
     else:
         net = model.levels[0].couplings[0].net
         PLAN_EDITS[edit](net, net.blocks[0])

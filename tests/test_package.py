@@ -17,7 +17,6 @@ PUBLIC = [
     "load_model",
     "loss_bpd",
     "mass_table",
-    "prune",
     "quantize",
     "run_pipeline",
     "save_model",

@@ -14,7 +14,8 @@ from flowzip.checkpoint import (
     save_model,
     serialize,
 )
-from flowzip.data import gen_synth
+from flowzip.cli import main
+from flowzip.data import gen_synth, write_image
 from flowzip.errors import DataFormatError, DivergenceError, StageTimeoutError
 from flowzip.layers import ResidualBlock
 from flowzip.model import LOG_S_BOUNDS, FlowConfig, FlowModel
@@ -31,7 +32,6 @@ from flowzip.train import (
     gated_objective,
     loss_bpd,
     param_groups,
-    prune,
     run_pipeline,
 )
 
@@ -200,14 +200,27 @@ def test_flops_respect_gates_both_sides():
     assert calculate_flops(model, (16, 16)) == f_zero
 
 
+def _float32_exact(model: FlowModel) -> FlowModel:
+    """``model`` with every stored array rounded to float32 in place, as a
+    checkpoint stores it, and its live gates left live."""
+    for _, _, node in named_parameters(model):
+        node.value[...] = node.value.astype(np.float32)
+    return model
+
+
 def test_prune_identity_when_all_gates_on():
+    # round_to_stored ends stage 2: with every gate on, the block keeps all
     model = _small_gated_model()
-    pruned = prune(model)
     x = gen_synth(1, 4)
     a = model.flow_forward(x, "float")
-    b = pruned.flow_forward(x, "float")
+    flops = calculate_flops(model, (16, 16))
+    round_to_stored(model)
+    assert model.gates() == []
+    for blk in model.blocks():
+        assert all(np.array_equal(k, np.arange(blk.width)) for k in blk.kept_sets())
+    b = model.flow_forward(x, "float")
     assert all(np.array_equal(p, q) for p, q in zip(a.latents, b.latents))
-    assert calculate_flops(pruned, (16, 16)) == calculate_flops(model, (16, 16))
+    assert calculate_flops(model, (16, 16)) == flops
 
 
 def test_prune_two_filter_example():
@@ -215,60 +228,59 @@ def test_prune_two_filter_example():
     blk = model.levels[0].couplings[0].net.blocks[0]
     blk.conv_b.gate.node.value[:] = 0.0
     blk.conv_b.gate.node.value[3] = 0.9
-    pruned = prune(model)
-    blob = serialize(pruned)
-    stored = stored_arrays(blob, pruned)
+    blob = serialize(model)
+    stored = stored_arrays(blob, model)
     assert stored["level0.coup0.block0.conv_b.w"][1].shape == (1, 8, 3, 3)
     assert list(stored["level0.coup0.block0.idx_b"][1]) == [3]
-    # loading places the kept filter back at full width with a binary gate
+    # loading places the kept filter back at full width, and the block holds
+    # its kept sets with no gate
     lblk = deserialize(blob).levels[0].couplings[0].net.blocks[0]
     w = lblk.conv_b.w.value
     assert w.shape == (8, 8, 3, 3) and not np.any(np.delete(w, 3, axis=0))
     assert np.array_equal(w[3], blk.conv_b.w.value[3].astype(np.float32))
-    assert list(lblk.conv_b.gate.g) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert lblk.gates() == [] and list(lblk.kept_sets()[1]) == [3]
 
 
 def test_prune_equivalence_float_and_int():
-    model = gated_int_model()
+    # a model with live gates and its reloaded checkpoint compute the same
+    model = _float32_exact(gated_int_model())
     x = gen_synth(2, 16)
-    pruned = prune(model)
+    stored = deserialize(serialize(model))
     for path in ("float", "int"):
         a = model.flow_forward(x, path)
-        b = pruned.flow_forward(x, path)
+        b = stored.flow_forward(x, path)
         for p, q in zip(a.latents, b.latents):
             assert np.array_equal(p, q), f"{path} path diverged after pruning"
-    assert calculate_flops(pruned, (16, 16)) == calculate_flops(model, (16, 16))
+    assert calculate_flops(stored, (16, 16)) == calculate_flops(model, (16, 16))
 
 
 def test_prune_all_off_convs_match_on_every_path():
     # one block with every conv-A gate off and conv-B gates still on, which it
     # stores as an empty idx_b, and another with every conv-B gate off and
     # conv-A gates still on, which it stores as an empty idx_a
-    model = deserialize(serialize(gated_int_model()))  # float32-exact parameters
+    model = _float32_exact(gated_int_model())
     empty_a = model.levels[0].couplings[0].net.blocks[0]
     empty_a.conv_a.gate.node.value[:] = 0.2
     assert empty_a.conv_b.gate.binarized().any()
     blk = model.levels[0].couplings[1].net.blocks[0]
     blk.conv_b.gate.node.value[:] = 0.2
     assert blk.conv_a.gate.binarized().any()
-    pruned = prune(model)
-    blob = serialize(pruned)
-    stored = stored_arrays(blob, pruned)
+    blob = serialize(model)
+    stored = stored_arrays(blob, model)
     assert stored["level0.coup0.block0.idx_b"][1].size == 0
     assert stored["level0.coup0.block0.conv_b.w"][1].shape == (0, 0, 3, 3)
     assert stored["level0.coup1.block0.idx_a"][1].size == 0
     assert stored["level0.coup1.block0.conv_a.w"][1].shape == (0, 8, 3, 3)
     reloaded = deserialize(blob)
-    assert not reloaded.levels[0].couplings[0].net.blocks[0].conv_b.gate.g.any()
-    assert not reloaded.levels[0].couplings[1].net.blocks[0].conv_a.gate.g.any()
+    for b in (reloaded.levels[0].couplings[0].net.blocks[0],
+              reloaded.levels[0].couplings[1].net.blocks[0]):
+        assert [len(k) for k in b.kept_sets()] == [0, 0]
     x = gen_synth(3, 4)
     for path in ("float", "fake", "int"):
         ref = model.flow_forward(x, path).latents
-        for other in (pruned, reloaded):
-            got = other.flow_forward(x, path).latents
-            assert all(np.array_equal(p, q) for p, q in zip(ref, got)), path
+        got = reloaded.flow_forward(x, path).latents
+        assert all(np.array_equal(p, q) for p, q in zip(ref, got)), path
     flops = calculate_flops(model, (16, 16))
-    assert calculate_flops(pruned, (16, 16)) == flops
     assert calculate_flops(reloaded, (16, 16)) == flops
 
     # at stage 5, with conv-B biases that are not zero: stage 2 ends rounded,
@@ -276,7 +288,8 @@ def test_prune_all_off_convs_match_on_every_path():
     # after it, so no conv-B row is left with a bias alone to fold
     empty_a.conv_b.b.value[:] = 0.05
     round_to_stored(model)
-    assert not empty_a.conv_b.gate.g.any()
+    assert [len(k) for k in empty_a.kept_sets()] == [0, 0]
+    assert not empty_a.conv_b.b.value.any()
     calibrate_activations(model, x)
     calibrate_weights(model)
     round_to_stored(model)
@@ -286,26 +299,33 @@ def test_prune_all_off_convs_match_on_every_path():
     assert np.array_equal(codec.decompress(container, stage5, "int"), x)
 
 
-def test_older_checkpoint_with_a_half_kept_branch_is_refused(monkeypatch):
+@pytest.mark.parametrize("empty", ["idx_a", "idx_b"])
+def test_older_checkpoint_with_a_half_kept_branch_is_refused(monkeypatch, tmp_path, empty):
     # a writer whose conv B kept filters under an empty conv A stored conv B's
-    # kept rows with no columns; the branch is now kept whole or not at all
-    model = deserialize(serialize(gated_int_model()))
+    # kept rows with no columns, and one whose conv A kept filters under an
+    # empty conv B stored them; the branch is now kept whole or not at all
+    model = gated_int_model()
     blk = model.levels[0].couplings[0].net.blocks[0]
-    blk.conv_a.gate.node.value[:] = 0.2
-    assert blk.conv_b.gate.binarized().any()
-
+    ka, kb = blk.kept_sets()
+    assert len(ka) and len(kb)
+    half = (np.arange(0), kb) if empty == "idx_a" else (ka, np.arange(0))
     shipped = ResidualBlock.kept_sets
 
     def older_kept_sets(self):
-        if self is blk:
-            return np.arange(0), np.flatnonzero(blk.conv_b.gate.binarized())
-        return shipped(self)
+        return half if self is blk else shipped(self)
 
     with monkeypatch.context() as m:
         m.setattr(ResidualBlock, "kept_sets", older_kept_sets)
         blob = serialize(model)
-    with pytest.raises(DataFormatError, match=r"level0\.coup0\.block0\.conv_b\.w has shape"):
+    assert stored_arrays(blob, model)[f"level0.coup0.block0.{empty}"][1].size == 0
+    with pytest.raises(DataFormatError, match="half-kept branch"):
         deserialize(blob)
+    ckpt = tmp_path / "half.ckpt"
+    ckpt.write_bytes(blob)
+    images = tmp_path / "x.ppm"
+    write_image(str(images), gen_synth(1, 1)[0])
+    argv = ["compress", str(images), "--checkpoint", str(ckpt), "--out", str(tmp_path / "c")]
+    assert main(argv) == 2
 
 
 def test_stage2_immediate_when_target_is_one():
@@ -440,14 +460,27 @@ def test_resuming_from_any_stage_checkpoint_writes_the_uninterrupted_run():
         assert serialize(model) == blobs[5], f"resumed from stage {k}"
 
 
-def test_stored_gates_take_no_gradient():
-    # stages 3-5 train no gate, so no backward may add into one
+def test_stored_blocks_removed_filters_take_no_gradient():
+    # stages 3-5 train a stored block, whose constant mask holds every removed
+    # filter's gradient at exactly 0 on the float and fake-quant objectives
     model = gated_int_model()
     round_to_stored(model)
     x = gen_synth(4, 2)
     for stored in (model, deserialize(serialize(model))):
-        ad.backward(loss_bpd(x, stored))
-        assert all(gate.node.grad is None for gate in stored.gates())
+        removed = 0
+        for quantized in (False, True):
+            stored.act_quant = stored.weight_quant = quantized
+            for _, _, node in named_parameters(stored):
+                node.grad = None
+            ad.backward(loss_bpd(x, stored))
+            for blk in stored.blocks():
+                ka, kb = blk.kept_sets()
+                off_a, off_b = (np.setdiff1d(np.arange(blk.width), k) for k in (ka, kb))
+                for conv, off in ((blk.conv_a, off_a), (blk.conv_b, off_b)):
+                    assert not conv.w.grad[off].any() and not conv.b.grad[off].any()
+                assert not blk.conv_b.w.grad[:, off_a].any()
+                removed += len(off_a) + len(off_b)
+        assert removed
 
 
 def _two_steps_of_stages_1_2_5():
